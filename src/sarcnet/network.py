@@ -5,6 +5,10 @@ initialization, ReLU hidden layers with inverted dropout, a max-shifted
 softmax head, exact backpropagation of the cross-entropy loss, and Adam
 updates. No autograd, no framework.
 
+Inputs are a single 15-vector or a (B, 15) batch; one matrix code path
+serves both, a single vector being a batch of one. Backward sums the
+gradients over the batch.
+
 Dropout is the inverted kind: surviving activations are scaled by
 1/keep_prob at train time, so inference applies no masks and no
 rescaling. Train-mode forward therefore needs a caller-supplied seeded
@@ -79,11 +83,12 @@ class Gradients:
 
 @dataclass(frozen=True)
 class ForwardTrace:
+    """Everything backward needs; every array has the rank of the input x."""
     x: np.ndarray
     zs: tuple  # pre-activations per layer
     activations: tuple  # post-activation (and post-dropout) per layer
     masks: tuple  # dropout masks per hidden layer; empty in infer mode
-    p: np.ndarray  # output probabilities, length 2
+    p: np.ndarray  # output probabilities, (2,) or (B, 2)
     mode: str
 
 
@@ -126,71 +131,103 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax: shift by the max so huge logits cannot overflow."""
-    shifted = z - np.max(z)
+    """Row-wise stable softmax: shift by the max so huge logits cannot overflow."""
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def dropout_mask(rng: np.random.Generator, size: int, keep_prob: float) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/keep_prob."""
+def dropout_mask(rng: np.random.Generator, size, keep_prob: float) -> np.ndarray:
+    """Inverted-dropout mask of the given size: entries are 0 or 1/keep_prob."""
     return (rng.random(size) < keep_prob).astype(float) / keep_prob
 
 
 def forward(model: MlpModel, x, mode: str = "infer",
             rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Run one input through the network, recording everything backward needs."""
+    """Run a (15,) input or a (B, 15) batch through the network.
+
+    The trace records everything backward needs, at the rank of x. Train
+    mode draws all dropout masks of the batch as one (B, sum(hidden))
+    block, split by columns per layer: row by row that is the order in
+    which per-example, per-layer draws would read the generator.
+    """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and rng is None:
         raise ValueError("train mode requires a random generator for dropout")
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.config.input_dim,):
-        raise ValueError(f"expected input shape ({model.config.input_dim},), got {x.shape}")
-    keep_prob = model.config.keep_prob
-    a = x
+    dim = model.config.input_dim
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ValueError(f"expected input shape ({dim},) or (B, {dim}), got {x.shape}")
+    a = x.reshape(-1, dim)
+    masks = []
+    if mode == "train":
+        hidden = model.config.hidden
+        block = dropout_mask(rng, (a.shape[0], sum(hidden)), model.config.keep_prob)
+        masks = np.split(block, np.cumsum(hidden)[:-1], axis=1)
     zs = []
     activations = []
-    masks = []
     last = model.n_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = w @ a + b
+        z = a @ w.T + b
         zs.append(z)
         if l == last:
             a = softmax(z)
         else:
             a = relu(z)
             if mode == "train":
-                mask = dropout_mask(rng, a.shape[0], keep_prob)
-                masks.append(mask)
-                a = a * mask
+                a = a * masks[l]
         activations.append(a)
+    if x.ndim == 1:
+        zs, activations, masks = ([t[0] for t in ts] for ts in (zs, activations, masks))
     return ForwardTrace(x=x, zs=tuple(zs), activations=tuple(activations),
                         masks=tuple(masks), p=activations[-1], mode=mode)
 
 
-def cross_entropy(p, y: int) -> float:
-    """Negative log likelihood of the true class, clamped away from 0."""
-    return -math.log(max(float(p[y]), 1e-12))
+def _class_indices(p: np.ndarray, y) -> np.ndarray:
+    """The classes y as row indices into p: an int for one row, B ints for B rows."""
+    classes = np.asarray(y)
+    if classes.shape != p.shape[:-1]:
+        raise ValueError(
+            f"expected one class per probability row, got shape {classes.shape} "
+            f"for probabilities of shape {p.shape}")
+    if not np.all((classes == 0) | (classes == 1)):
+        raise ValueError(f"class must be 0 or 1, got {y}")
+    return classes.astype(np.intp).reshape(-1)
 
 
-def backward(model: MlpModel, trace: ForwardTrace, y: int) -> Gradients:
-    """Exact gradients of cross_entropy(forward(x), y) for every parameter."""
+def cross_entropy(p, y) -> float:
+    """Negative log likelihood of the true class, clamped away from 0.
+
+    p is one probability row with an int class, or (B, 2) rows with B
+    classes; a batch's losses are summed.
+    """
+    p = np.asarray(p)
+    rows = p.reshape(-1, p.shape[-1])
+    picked = rows[np.arange(len(rows)), _class_indices(p, y)]
+    return float(-np.log(np.maximum(picked, 1e-12)).sum())
+
+
+def backward(model: MlpModel, trace: ForwardTrace, y) -> Gradients:
+    """Exact gradients of cross_entropy(forward(x).p, y) for every parameter.
+
+    y is an int for a (15,) trace or B ints for a (B, 15) one; the
+    gradients are summed over the batch.
+    """
     if len(trace.zs) != model.n_layers:
         raise ValueError("trace does not match model depth")
-    if y not in (0, 1):
-        raise ValueError(f"class must be 0 or 1, got {y}")
+    classes = _class_indices(trace.p, y)
     n = model.n_layers
-    delta = trace.p.copy()
-    delta[y] -= 1.0
+    delta = np.atleast_2d(trace.p).copy()
+    delta[np.arange(delta.shape[0]), classes] -= 1.0
     grad_w = [None] * n
     grad_b = [None] * n
     for l in range(n - 1, -1, -1):
         a_prev = trace.x if l == 0 else trace.activations[l - 1]
-        grad_w[l] = np.outer(delta, a_prev)
-        grad_b[l] = delta.copy()
+        grad_w[l] = delta.T @ np.atleast_2d(a_prev)
+        grad_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = model.weights[l].T @ delta
+            delta = delta @ model.weights[l]
             if trace.mode == "train":
                 delta = delta * trace.masks[l - 1]
             delta = delta * (trace.zs[l - 1] > 0)
@@ -201,20 +238,6 @@ def zero_gradients(model: MlpModel) -> Gradients:
     return Gradients(
         tuple(np.zeros_like(w) for w in model.weights),
         tuple(np.zeros_like(b) for b in model.biases),
-    )
-
-
-def add_gradients(total: Gradients, part: Gradients) -> Gradients:
-    return Gradients(
-        tuple(t + p for t, p in zip(total.weights, part.weights)),
-        tuple(t + p for t, p in zip(total.biases, part.biases)),
-    )
-
-
-def scale_gradients(grads: Gradients, factor: float) -> Gradients:
-    return Gradients(
-        tuple(g * factor for g in grads.weights),
-        tuple(g * factor for g in grads.biases),
     )
 
 
@@ -258,13 +281,18 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
     return new_model, new_state
 
 
-def predict(model: MlpModel, x) -> tuple:
-    """Classify one vector: (class, confidence). Class 1 means sarcastic.
+def predicted_classes(p: np.ndarray) -> np.ndarray:
+    """Class per probability row, (2,) or (B, 2). Class 1 means sarcastic.
 
     Ties go to class 0, the non-sarcastic default.
     """
+    return (p[..., 1] > p[..., 0]).astype(int)
+
+
+def predict(model: MlpModel, x) -> tuple:
+    """Classify one vector: (class, confidence). Ties go to class 0."""
     p = forward(model, x, mode="infer").p
-    cls = 1 if p[1] > p[0] else 0
+    cls = int(predicted_classes(p))
     return cls, float(p[cls])
 
 

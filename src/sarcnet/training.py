@@ -12,9 +12,12 @@ Every random choice flows from a single base seed through derive_seed,
 so a (corpus, config, seed) triple always reproduces the same weights,
 history, and report.
 
-Evaluation is read-only: each test review runs through the feature
-pipeline and infer-mode predict, tallying a confusion matrix with the
-sarcastic class as positive. Metrics use the 0-for-0/0 convention so
+Each review is vectorized once per run, and each minibatch, accuracy
+pass and evaluation is one batched network call.
+
+Evaluation is read-only: the test reviews run through the feature
+pipeline and one infer-mode forward pass, tallying a confusion matrix
+with the sarcastic class as positive. Metrics use the 0-for-0/0 convention so
 degenerate classifiers still produce a report.
 """
 
@@ -30,19 +33,18 @@ from .corpus import DatasetSplit, curriculum_subset
 from .errors import DataError, TrainingDivergence
 from .features import FeaturePipeline
 from .network import (
+    INPUT_DIM,
     AdamState,
+    Gradients,
     MlpConfig,
     MlpModel,
     adam_step,
-    add_gradients,
     backward,
     cross_entropy,
     forward,
     init_adam_state,
     init_model,
-    predict,
-    scale_gradients,
-    zero_gradients,
+    predicted_classes,
 )
 
 
@@ -135,31 +137,35 @@ def _run_stage(model: MlpModel, state: AdamState, examples: list,
     if config.batch_size > len(examples):
         raise DataError(
             f"batch size {config.batch_size} exceeds stage size {len(examples)}")
-    order = list(examples)
+    xs = np.array([x for x, _ in examples], dtype=float)
+    ys = np.array([y for _, y in examples])
+    # Shuffling indices gives the same permutation as shuffling the examples.
+    order = list(range(len(examples)))
     random.Random(stage_seed).shuffle(order)
     dropout_rng = np.random.default_rng(derive_seed(stage_seed, "dropout"))
     lr = config.lr
     for epoch in range(1, config.epochs + 1):
         if config.reshuffle_each_epoch and epoch > 1:
             random.Random(derive_seed(stage_seed, "epoch", epoch)).shuffle(order)
-        batches = [order[i:i + config.batch_size]
-                   for i in range(0, len(order), config.batch_size)]
+        x_epoch, y_epoch = xs[order], ys[order]
         loss_sum = 0.0
-        for batch_index, batch in enumerate(batches, start=1):
-            total = zero_gradients(model)
-            batch_loss = 0.0
-            for x, y in batch:
-                trace = forward(model, x, mode="train", rng=dropout_rng)
-                batch_loss += cross_entropy(trace.p, y)
-                total = add_gradients(total, backward(model, trace, y))
+        starts = range(0, len(order), config.batch_size)
+        for batch_index, start in enumerate(starts, start=1):
+            x_batch = x_epoch[start:start + config.batch_size]
+            y_batch = y_epoch[start:start + config.batch_size]
+            trace = forward(model, x_batch, mode="train", rng=dropout_rng)
+            batch_loss = cross_entropy(trace.p, y_batch)
             if not math.isfinite(batch_loss):
                 raise TrainingDivergence(
                     f"non-finite loss in stage {stage_name!r}, "
                     f"epoch {epoch}, batch {batch_index}")
-            mean_grads = scale_gradients(total, 1.0 / len(batch))
+            total = backward(model, trace, y_batch)
+            scale = 1.0 / len(y_batch)
+            mean_grads = Gradients(tuple(g * scale for g in total.weights),
+                                   tuple(g * scale for g in total.biases))
             model, state = adam_step(model, mean_grads, state, lr)
             loss_sum += batch_loss
-        correct = sum(1 for x, y in order if predict(model, x)[0] == y)
+        correct = int(np.sum(predicted_classes(forward(model, xs).p) == ys))
         history.append(HistoryRecord(
             stage=stage_name,
             epoch=epoch,
@@ -190,11 +196,6 @@ def train_on_vectors(staged_examples: list, config: TrainConfig,
     return model, history
 
 
-def _vectorize(labeled, pipeline: FeaturePipeline) -> list:
-    return [(pipeline.vector(lr.review.text), 1 if lr.sarcastic else 0)
-            for lr in labeled]
-
-
 def build_stage_pool(stage, pool: list, base_seed: int, stage_index: int) -> list:
     """Select the labeled reviews one curriculum stage trains on."""
     if isinstance(stage, SarcasticOnly):
@@ -215,23 +216,38 @@ def build_stage_pool(stage, pool: list, base_seed: int, stage_index: int) -> lis
     raise ValueError(f"unknown stage type: {type(stage).__name__}")
 
 
-def train(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
-          pipeline: FeaturePipeline | None = None) -> tuple:
-    """Train one star category's model on its split.
+def _staged_vectors(split: DatasetSplit, config: TrainConfig,
+                   pipeline: FeaturePipeline) -> list:
+    """The (name, [(vector, class)]) stages ``train_on_vectors`` takes.
 
     Curriculum stages draw from the split's train side only, so the test
-    side never leaks into any stage. Returns (model, history).
+    side never leaks into any stage. Each distinct review text is
+    vectorized once, however many stages include it.
     """
-    pipe = pipeline if pipeline is not None else FeaturePipeline()
     pool = list(split.train)
+    vectors = {}
+
+    def vector(text):
+        if text not in vectors:
+            vectors[text] = pipeline.vector(text)
+        return vectors[text]
+
     staged = []
     for index, stage in enumerate(config.stages):
         if isinstance(stage, Main):
             members = pool
         else:
             members = build_stage_pool(stage, pool, config.seed, index)
-        staged.append((stage.name, _vectorize(members, pipe)))
-    return train_on_vectors(staged, config, mlp_config)
+        staged.append((stage.name, [(vector(lr.review.text), 1 if lr.sarcastic else 0)
+                                    for lr in members]))
+    return staged
+
+
+def train(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
+          pipeline: FeaturePipeline | None = None) -> tuple:
+    """Train one star category's model on its split; returns (model, history)."""
+    pipe = pipeline if pipeline is not None else FeaturePipeline()
+    return train_on_vectors(_staged_vectors(split, config, pipe), config, mlp_config)
 
 
 @dataclass(frozen=True)
@@ -260,33 +276,41 @@ class EvalResult:
     excluded: int = 0
 
 
+def _test_vectors(test: list, pipeline: FeaturePipeline) -> tuple:
+    """(vectors, classes, excluded) of the test reviews whose extraction succeeds."""
+    vectors = []
+    classes = []
+    for lr in test:
+        try:
+            vectors.append(pipeline.vector(lr.review.text))
+        except DataError:
+            continue
+        classes.append(1 if lr.sarcastic else 0)
+    xs = np.array(vectors, dtype=float).reshape(len(vectors), INPUT_DIM)
+    return xs, np.array(classes, dtype=int), len(test) - len(vectors)
+
+
+def _tally(model: MlpModel, xs: np.ndarray, actual: np.ndarray,
+           excluded: int) -> EvalResult:
+    predicted = predicted_classes(forward(model, xs).p)
+
+    def count(p, a):
+        return int(np.sum((predicted == p) & (actual == a)))
+
+    return EvalResult(ConfusionMatrix(tp=count(1, 1), fp=count(1, 0),
+                                      fn=count(0, 1), tn=count(0, 0)), excluded)
+
+
 def evaluate(model: MlpModel, test: list,
              pipeline: FeaturePipeline | None = None) -> EvalResult:
     """Tally a confusion matrix over labeled test reviews (sarcastic = positive).
 
-    A review whose feature extraction fails is excluded and counted, not
-    fatal; the model is never mutated.
+    A review whose feature extraction raises DataError is excluded and
+    counted, not fatal; any other error propagates. The model is never
+    mutated.
     """
     pipe = pipeline if pipeline is not None else FeaturePipeline()
-    tp = fp = fn = tn = 0
-    excluded = 0
-    for lr in test:
-        try:
-            x = pipe.vector(lr.review.text)
-        except Exception:
-            excluded += 1
-            continue
-        predicted, _ = predict(model, x)
-        actual = 1 if lr.sarcastic else 0
-        if predicted == 1 and actual == 1:
-            tp += 1
-        elif predicted == 1 and actual == 0:
-            fp += 1
-        elif predicted == 0 and actual == 1:
-            fn += 1
-        else:
-            tn += 1
-    return EvalResult(ConfusionMatrix(tp, fp, fn, tn), excluded)
+    return _tally(model, *_test_vectors(test, pipe))
 
 
 def _ratio(num: float, den: float) -> float:
@@ -340,16 +364,18 @@ def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
              pipeline: FeaturePipeline | None = None) -> list:
     """Train and evaluate once per grid learning rate, identical seeds.
 
+    Stage selection does not depend on the learning rate, so the staged
+    and test vectors are built once and shared by every grid point.
     Results are ranked best first: highest test accuracy, ties to the
     lower learning rate.
     """
     pipe = pipeline if pipeline is not None else FeaturePipeline()
+    staged = _staged_vectors(split, config, pipe)
+    test = _test_vectors(list(split.test), pipe)
     results = []
     for lr in config.lr_grid:
-        point_config = replace(config, lr=lr)
-        model, _ = train(split, point_config, mlp_config, pipe)
-        outcome = evaluate(model, list(split.test), pipe)
-        metrics = prf1(outcome.cm)
+        model, _ = train_on_vectors(staged, replace(config, lr=lr), mlp_config)
+        metrics = prf1(_tally(model, *test).cm)
         results.append(SweepResult(
             lr=lr,
             accuracy=metrics.accuracy,

@@ -389,6 +389,36 @@ class TestCriterion8EndToEndDeterminism:
         assert elapsed < 60.0, f"two full pipelines took {elapsed:.1f}s"
 
 
+class TestGoldenDigests:
+    """Pins the bytes of criterion 8's mini-corpus artifacts.
+
+    Criterion 8 only checks that two reruns agree, so a change that drifts
+    the floats would pass it silently. These digests were taken on x86-64
+    (AVX-512) with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31;
+    the last bits of the float math can differ on another BLAS or CPU. A
+    change that alters artifact bytes on purpose re-pins them and says why.
+    """
+
+    DIGESTS = {
+        "model-1.json": "347dbf30b1e52c6799598d48f53db18b3d38dcc6a585aa3c55c7c8c716623335",
+        "model-2.json": "42122f34ec470c88f87f2e9788608a224a6ccad52a18cccc5d80bc72e793549b",
+        "model-3.json": "d1f727e86135481572c7050ad4c6ae420e9ca83c182a90620422c6ab7d3c9375",
+        "model-4.json": "d16c573c1ac1ba5d40435771ec6ef3d2ba0f26cf105a8af2d4133b1b242cedb2",
+        "model-5.json": "503abe9d6310033bf6d11d901b1768d476147f46d07fb0c300c8bc0b147c30d6",
+        "history-1.jsonl": "1b1f5d03ab185bc05809d3781adcd42ae1779de07d4412078422da6c39655f97",
+        "history-2.jsonl": "73af7576beb021d03d0b37fa20989d8b4f98d64a7667f667ad4477918ed46bf6",
+        "history-3.jsonl": "728993513aee6f2fd6ae8fd080ac8b966600da5d1eb8d22abe44599f1150b42e",
+        "history-4.jsonl": "1797ba0c15f26894f6a4489567b5c666c4c10861110e73862fabf7aaf3d285d8",
+        "history-5.jsonl": "4c85acad9afb9950063ef160ca9e82f8c7419c31340a83f1d3d771930bd54507",
+        "report.json": "64aba7300daaab8c1293ae607d0c87dd1ad02cb68c8355253cb1a3a569c9d8e4",
+    }
+
+    def test_artifact_digests(self, minicorpus_dir, tmp_path, capsys):
+        TestCriterion8EndToEndDeterminism().run_pipeline(minicorpus_dir, tmp_path)
+        actual = {name: sha(tmp_path / name) for name in self.DIGESTS}
+        assert actual == self.DIGESTS
+
+
 @pytest.mark.acceptance(9)
 class TestCriterion9MetricsOracle:
     def test_exact_agreement_with_brute_force_counter(self):

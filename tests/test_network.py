@@ -31,6 +31,46 @@ from sarcnet.network import (
 )
 
 
+def reference_example(model, x, y, rng=None):
+    """The per-example network math the batched code replaced, kept as a reference.
+
+    Returns (gradients, dropout masks, loss) for one input; with a
+    generator it runs in train mode, drawing one mask per hidden layer.
+    """
+    a = x
+    zs, activations, masks = [], [], []
+    last = model.n_layers - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = w @ a + b
+        zs.append(z)
+        if l == last:
+            e = np.exp(z - np.max(z))
+            a = e / e.sum()
+        else:
+            a = np.maximum(z, 0.0)
+            if rng is not None:
+                keep = model.config.keep_prob
+                mask = (rng.random(a.shape[0]) < keep).astype(float) / keep
+                masks.append(mask)
+                a = a * mask
+        activations.append(a)
+    delta = activations[-1].copy()
+    delta[y] -= 1.0
+    grad_w = [None] * len(zs)
+    grad_b = [None] * len(zs)
+    for l in range(last, -1, -1):
+        a_prev = x if l == 0 else activations[l - 1]
+        grad_w[l] = np.outer(delta, a_prev)
+        grad_b[l] = delta.copy()
+        if l > 0:
+            delta = model.weights[l].T @ delta
+            if rng is not None:
+                delta = delta * masks[l - 1]
+            delta = delta * (zs[l - 1] > 0)
+    loss = -math.log(max(float(activations[-1][y]), 1e-12))
+    return Gradients(tuple(grad_w), tuple(grad_b)), masks, loss
+
+
 def zero_model(hidden=(7,), keep_prob=1.0):
     base = init_model(MlpConfig(hidden=hidden, keep_prob=keep_prob, seed=0))
     return MlpModel(base.config,
@@ -207,6 +247,68 @@ class TestBackward:
                                      - frozen_loss(minus, model.biases)) / (2 * h)
             denom = max(1e-12, np.linalg.norm(grads.weights[l]) + np.linalg.norm(numeric))
             assert np.linalg.norm(grads.weights[l] - numeric) / denom < 1e-4
+
+
+class TestBatchParity:
+    """Batched forward/backward against the per-example reference."""
+
+    @pytest.mark.parametrize("hidden", [(9,), (12, 10)])
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_batch_gradients_are_summed_example_gradients(self, hidden, batch, mode):
+        model = init_model(MlpConfig(hidden=hidden, keep_prob=0.75, seed=batch))
+        data = np.random.default_rng(batch + 100)
+        xs = data.uniform(-1.0, 1.0, size=(batch, 15))
+        ys = data.integers(0, 2, size=batch)
+        ref_rng = np.random.default_rng(5) if mode == "train" else None
+        rng = np.random.default_rng(5) if mode == "train" else None
+
+        per_example = [reference_example(model, x, int(y), ref_rng)
+                       for x, y in zip(xs, ys)]
+        trace = forward(model, xs, mode=mode, rng=rng)
+        grads = backward(model, trace, ys)
+
+        for l in range(model.n_layers):
+            expected_w = sum(g.weights[l] for g, _, _ in per_example)
+            expected_b = sum(g.biases[l] for g, _, _ in per_example)
+            assert np.allclose(grads.weights[l], expected_w, rtol=0, atol=1e-12)
+            assert np.allclose(grads.biases[l], expected_b, rtol=0, atol=1e-12)
+        for l in range(len(trace.masks)):
+            assert np.array_equal(trace.masks[l],
+                                  np.stack([masks[l] for _, masks, _ in per_example]))
+        expected_loss = sum(loss for _, _, loss in per_example)
+        assert cross_entropy(trace.p, ys) == pytest.approx(expected_loss,
+                                                           rel=0, abs=1e-12)
+
+    def test_single_vector_is_a_batch_of_one(self):
+        model = init_model(MlpConfig(hidden=(11, 9), keep_prob=0.5, seed=3))
+        x = np.random.default_rng(2).random(15)
+        single = forward(model, x, mode="train", rng=np.random.default_rng(8))
+        batch = forward(model, x[None, :], mode="train", rng=np.random.default_rng(8))
+        assert single.x.shape == (15,) and single.p.shape == (2,)
+        for ts, tb in ((single.zs, batch.zs), (single.activations, batch.activations),
+                       (single.masks, batch.masks)):
+            for a, b in zip(ts, tb):
+                assert a.ndim == 1 and np.array_equal(a, b[0])
+        grads_single = backward(model, single, 1)
+        grads_batch = backward(model, batch, np.array([1]))
+        for a, b in zip(grads_single.weights + grads_single.biases,
+                        grads_batch.weights + grads_batch.biases):
+            assert np.array_equal(a, b)
+
+    def test_class_count_must_match_rows(self):
+        model = init_model(MlpConfig(hidden=(9,), seed=0))
+        trace = forward(model, np.ones((3, 15)))
+        with pytest.raises(ValueError, match="one class per probability row"):
+            backward(model, trace, 1)
+        with pytest.raises(ValueError, match="one class per probability row"):
+            backward(model, trace, np.array([0, 1]))
+        with pytest.raises(ValueError, match="class must be 0 or 1"):
+            backward(model, trace, np.array([0, 1, 2]))
+
+    def test_batch_rank_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            forward(zero_model(), np.ones((2, 3, 15)))
 
 
 class TestAdam:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import sarcnet.training as training
 from sarcnet.corpus import LabeledReview, Review, make_split
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.features import FeaturePipeline
-from sarcnet.network import MlpConfig, MlpModel, init_model
+from sarcnet.network import MlpConfig, MlpModel, init_model, predict
 from sarcnet.training import (
     ClassMetrics,
     ConfusionMatrix,
@@ -196,6 +197,23 @@ class TestTrainLoop:
             train_on_vectors([("main", examples)], config,
                              MlpConfig(hidden=(7,), seed=0))
 
+    def test_huge_finite_inputs_diverge_with_coordinates(self):
+        examples = [(np.full(15, 1e308), i % 2) for i in range(10)]
+        config = TrainConfig(stages=(Main(),), epochs=1, batch_size=5, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergence,
+                              match="stage 'main', epoch 1, batch 1"):
+            train_on_vectors([("main", examples)], config,
+                             MlpConfig(hidden=(7,), seed=0))
+
+    def test_accuracy_pass_matches_per_row_predict(self):
+        examples = separable_vectors(20)
+        config = TrainConfig(stages=(Main(),), epochs=1, batch_size=10, seed=2)
+        model, history = train_on_vectors([("main", examples)], config,
+                                          MlpConfig(hidden=(9,), seed=5))
+        correct = sum(predict(model, x)[0] == y for x, y in examples)
+        assert history[-1].train_accuracy == correct / len(examples)
+
     def test_loss_trend_on_separable_data(self):
         examples = separable_vectors(20)
         config = TrainConfig(stages=(Main(),), epochs=5, batch_size=10, seed=6)
@@ -236,6 +254,42 @@ class TestCurriculumTrain:
             train(split, config, MlpConfig(hidden=(8,), seed=0))
 
 
+class CountingPipeline(FeaturePipeline):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def vector(self, text):
+        self.calls += 1
+        return super().vector(text)
+
+
+class TestVectorizeOnce:
+    STAGES = (SarcasticOnly(8), NonSarcasticDominated(12, 3.0), Main())
+
+    def test_train_vectorizes_each_text_once(self):
+        split = make_split(synthetic_pool(60), 40, 20, seed=4)
+        pipe = CountingPipeline()
+        config = TrainConfig(stages=self.STAGES, epochs=1, batch_size=4, seed=1)
+        train(split, config, MlpConfig(hidden=(8,), seed=0), pipe)
+        assert pipe.calls == len({lr.review.text for lr in split.train})
+
+    def test_sweep_shares_vectors_across_grid_points(self):
+        split = make_split(synthetic_pool(60), 40, 20, seed=4)
+        pipe = CountingPipeline()
+        config = TrainConfig(stages=self.STAGES, epochs=2, batch_size=4, seed=1,
+                             lr_grid=(1e-3, 1e-2, 1e-1))
+        mlp = MlpConfig(hidden=(8,), seed=0)
+        results = lr_sweep(split, config, mlp, pipe)
+        assert pipe.calls == (len({lr.review.text for lr in split.train})
+                              + len(split.test))
+        for result in results:
+            model, _ = train(split, replace(config, lr=result.lr), mlp)
+            metrics = prf1(evaluate(model, list(split.test)).cm)
+            assert (result.accuracy, result.precision, result.recall, result.f1) == \
+                   (metrics.accuracy, metrics.precision, metrics.recall, metrics.f1)
+
+
 def constant_classifier(always: int):
     """A model whose output bias forces one class regardless of input."""
     base = init_model(MlpConfig(hidden=(7,), seed=0))
@@ -259,11 +313,29 @@ class TestEvaluate:
         outcome_b = evaluate(constant_classifier(0), list(reversed(test)))
         assert outcome_a.cm == outcome_b.cm
 
+    def test_matches_per_row_predict(self):
+        test = synthetic_pool(40, stars=1, seed=3)
+        model = init_model(MlpConfig(hidden=(12, 10), seed=8))
+        pipe = FeaturePipeline()
+        tally = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+        for lr in test:
+            predicted, _ = predict(model, pipe.vector(lr.review.text))
+            key = {(1, True): "tp", (1, False): "fp",
+                   (0, True): "fn", (0, False): "tn"}[(predicted, lr.sarcastic)]
+            tally[key] += 1
+        assert evaluate(model, test, pipe).cm == ConfusionMatrix(**tally)
+
+    def test_ties_go_to_non_sarcastic(self):
+        zero = constant_classifier(0)
+        tied = MlpModel(zero.config, zero.weights, (np.zeros(7), np.zeros(2)))
+        test = [LabeledReview(Review(f"r{i}", 1, "so?!"), i < 4) for i in range(6)]
+        assert evaluate(tied, test).cm == ConfusionMatrix(tp=0, fp=0, fn=4, tn=2)
+
     def test_pipeline_failure_excludes_review(self):
         class FlakyPipeline(FeaturePipeline):
             def vector(self, text):
                 if "poison" in text:
-                    raise RuntimeError("boom")
+                    raise DataError("boom")
                 return super().vector(text)
 
         test = [
@@ -274,6 +346,24 @@ class TestEvaluate:
         outcome = evaluate(constant_classifier(0), test, FlakyPipeline())
         assert outcome.excluded == 1
         assert outcome.cm.total + outcome.excluded == len(test)
+
+    def test_pipeline_bug_propagates(self):
+        class BuggyPipeline(FeaturePipeline):
+            def vector(self, text):
+                raise RuntimeError("bug")
+
+        test = [LabeledReview(Review("r1", 1, "fine"), False)]
+        with pytest.raises(RuntimeError, match="bug"):
+            evaluate(constant_classifier(0), test, BuggyPipeline())
+
+    def test_all_reviews_excluded(self):
+        class FailingPipeline(FeaturePipeline):
+            def vector(self, text):
+                raise DataError("unreadable")
+
+        test = [LabeledReview(Review(f"r{i}", 1, "x"), True) for i in range(3)]
+        outcome = evaluate(constant_classifier(1), test, FailingPipeline())
+        assert outcome == training.EvalResult(ConfusionMatrix(), excluded=3)
 
 
 class TestMetrics:
