@@ -21,7 +21,9 @@ need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
 import argparse
 import hashlib
 import json
+import re
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -397,24 +399,43 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# Lines are read with undecodable bytes kept as these surrogate escapes,
+# so one bad line is found and skipped without costing the others.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _predict_lines(stream, source: str):
+    """Yield the non-blank lines of stream, warning about invalid UTF-8 ones."""
+    for number, line in enumerate(stream, start=1):
+        if _UNDECODABLE.search(line):
+            print(f"warning: {source}:{number}: invalid UTF-8", file=sys.stderr)
+            continue
+        text = line.strip()
+        if text:
+            yield text
+
+
+def _predict_input(path):
+    """The predict input, as a context manager over its lines, and its name."""
+    if path is None:
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+        return nullcontext(sys.stdin), "<stdin>"
+    try:
+        return open(path, encoding="utf-8", errors="surrogateescape"), path
+    except OSError as exc:
+        raise DataError(f"cannot read input file: {exc}") from exc
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     pipeline = FeaturePipeline(load_lexicons())
-    if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise DataError(f"cannot read input file: {exc}") from exc
-    else:
-        lines = sys.stdin.readlines()
-    for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        label, confidence = predict(model, pipeline.vector(text))
-        name = "sarcastic" if label == 1 else "non-sarcastic"
-        print(f"{name} {confidence:.4f}")
+    opened, source = _predict_input(args.input)
+    with opened as stream:
+        for text in _predict_lines(stream, source):
+            label, confidence = predict(model, pipeline.vector(text))
+            name = "sarcastic" if label == 1 else "non-sarcastic"
+            print(f"{name} {confidence:.4f}", flush=True)
     return EXIT_OK
 
 

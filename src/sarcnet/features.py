@@ -14,12 +14,14 @@ review with no words maps to the zero vector.
 
 import csv
 import enum
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .lexicons import Lexicons, default_lexicons
-from .text import PosTag, TaggedToken, TokenKind, pos_tag, tokenize
+from .text import tokenize
 
 N_FEATURES = 15
 
@@ -47,7 +49,7 @@ class FeatureDescriptor:
 
 _CATALOG = (
     FeatureDescriptor("f1", "interjection_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
-                      "words tagged UH (laughter forms and the interjection lexicon)"),
+                      "laughter forms (haha, hahah, ...) and words in the interjection lexicon"),
     FeatureDescriptor("f2", "invocation_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
                       "words in the invocation lexicon (god, gosh, ...)"),
     FeatureDescriptor("f3", "intensifier_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
@@ -111,8 +113,32 @@ class FeatureCounts:
         return np.array([getattr(self, d.id) for d in _CATALOG], dtype=float)
 
 
-def _is_all_caps(surface: str) -> bool:
-    return len(surface) >= 2 and surface.isalpha() and surface.isupper()
+# laughter: two or more "ha" groups, optional trailing "h" ("haha", "HAHAH", ...)
+_LAUGHTER = re.compile(r"(?:ha){2,}h?")
+
+# three identical characters in a row; elongation also needs them to be letters
+_TRIPLE = re.compile(r"(.)\1\1")
+
+# catalog index (fN is index N-1) -> the lexicon whose words that feature counts
+_LEXICON_FEATURES = (
+    (0, "interjections"),
+    (1, "invocations"),
+    (2, "intensifiers"),
+    (3, "positive_words"),
+    (4, "negative_words"),
+    (13, "second_person"),
+    (14, "first_person_plural"),
+)
+
+
+@lru_cache(maxsize=4)
+def _word_features(lexicons: Lexicons) -> dict:
+    """Lowercased lexicon word -> indices of the features it counts toward."""
+    table = {}
+    for index, field in _LEXICON_FEATURES:
+        for word in getattr(lexicons, field):
+            table[word] = table.get(word, ()) + (index,)
+    return table
 
 
 def _is_elongated(surface: str) -> bool:
@@ -127,48 +153,45 @@ def _is_elongated(surface: str) -> bool:
     return False
 
 
-def extract_counts(tagged: list, lexicons: Lexicons | None = None) -> FeatureCounts:
-    """Count every catalog feature over one review's tagged tokens."""
+def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
+    """Count every catalog feature over one review's text.
+
+    A word counts toward f1 when it is laughter or an interjection, toward
+    each lexicon feature whose list holds its lowercased form, toward f12
+    when it is two or more uppercase letters, and toward f13 when it holds
+    three identical letters in a row.
+    """
     lex = lexicons if lexicons is not None else default_lexicons()
-    c = dict.fromkeys([d.id for d in _CATALOG], 0)
+    words = _word_features(lex)
+    c = [0] * N_FEATURES
     word_count = 0
-    for tt in tagged:
-        token = tt.token
-        if token.kind is TokenKind.WORD:
+    for token in tokenize(text):
+        first = token[0]
+        if first == "!" or first == "?":
+            if token == "!":
+                c[10] += 1  # f11
+            elif "?" not in token:
+                c[6] += 1  # f7: two or more '!'
+            elif "!" in token:
+                c[8] += 1  # f9: mixed
+            elif len(token) > 1:
+                c[7] += 1  # f8: two or more '?'
+        elif first == "." or first == "…":
+            c[9] += 1  # f10
+        else:
             word_count += 1
-            lower = token.surface.lower()
-            if tt.tag is PosTag.UH:
-                c["f1"] += 1
-            if lower in lex.invocations:
-                c["f2"] += 1
-            if lower in lex.intensifiers:
-                c["f3"] += 1
-            if lower in lex.positive_words:
-                c["f4"] += 1
-            if lower in lex.negative_words:
-                c["f5"] += 1
-            if _is_all_caps(token.surface):
-                c["f12"] += 1
-            if _is_elongated(token.surface):
-                c["f13"] += 1
-            if lower in lex.second_person:
-                c["f14"] += 1
-            if lower in lex.first_person_plural:
-                c["f15"] += 1
-        elif token.kind is TokenKind.PUNCT_RUN:
-            s = token.surface
-            if "!" in s and "?" in s:
-                c["f9"] += 1
-            elif s == "!":
-                c["f11"] += 1
-            elif "!" in s:
-                c["f7"] += 1
-            elif len(s) >= 2:
-                c["f8"] += 1
-        elif token.kind is TokenKind.ELLIPSIS:
-            c["f10"] += 1
-    c["f6"] = 1 if c["f4"] > 0 and c["f5"] > 0 else 0
-    return FeatureCounts(word_count=word_count, **c)
+            lower = token.lower()
+            for index in words.get(lower, ()):
+                c[index] += 1
+            if (lower[:4] == "haha" and lower not in lex.interjections
+                    and _LAUGHTER.fullmatch(lower)):
+                c[0] += 1  # f1: laughter
+            if token.isupper() and len(token) >= 2 and token.isalpha():
+                c[11] += 1  # f12
+            if _TRIPLE.search(token) and _is_elongated(token):
+                c[12] += 1  # f13
+    c[5] = 1 if c[3] > 0 and c[4] > 0 else 0
+    return FeatureCounts(*c, word_count=word_count)
 
 
 def normalize(counts: FeatureCounts) -> np.ndarray:
@@ -186,7 +209,7 @@ def normalize(counts: FeatureCounts) -> np.ndarray:
 
 
 class FeaturePipeline:
-    """text -> tokenize -> tag -> count -> normalize, with one lexicon set.
+    """text -> count -> normalize, with one lexicon set.
 
     Instances are cheap and stateless beyond the lexicons, so one pipeline
     can serve a whole corpus (and is safe to share across threads).
@@ -196,7 +219,7 @@ class FeaturePipeline:
         self.lexicons = lexicons if lexicons is not None else default_lexicons()
 
     def counts(self, text: str) -> FeatureCounts:
-        return extract_counts(pos_tag(tokenize(text), self.lexicons), self.lexicons)
+        return extract_counts(text, self.lexicons)
 
     def vector(self, text: str) -> np.ndarray:
         return normalize(self.counts(text))

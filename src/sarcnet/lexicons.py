@@ -1,4 +1,4 @@
-"""Word-list loading for the tagger and the feature extractor.
+"""Word-list loading for the feature extractor.
 
 Lexicons are plain UTF-8 text files, one lowercase entry per line, with
 '#' comment lines. They live in the package's ``data/`` directory by
@@ -9,7 +9,7 @@ files is carried into output artifacts for provenance tracking.
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,11 +22,6 @@ DEFAULT_LEXICON_DIR = Path(__file__).parent / "data"
 # dataclass field name -> file name
 LEXICON_FILES = {
     "interjections": "interjections.txt",
-    "personal_pronouns": "pronouns_personal.txt",
-    "possessive_pronouns": "pronouns_possessive.txt",
-    "determiners": "determiners.txt",
-    "prepositions": "prepositions.txt",
-    "conjunctions": "conjunctions.txt",
     "invocations": "invocations.txt",
     "intensifiers": "intensifiers.txt",
     "positive_words": "positive_words.txt",
@@ -36,16 +31,16 @@ LEXICON_FILES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lexicons:
-    """All closed-class and sentiment word sets, plus their combined digest."""
+    """The seven word sets the features count, plus their combined digest.
+
+    Instances compare and hash by identity, so the feature extractor's
+    per-lexicon-set word table is found without comparing word sets; two
+    loads of the same files have equal digests.
+    """
 
     interjections: frozenset
-    personal_pronouns: frozenset
-    possessive_pronouns: frozenset
-    determiners: frozenset
-    prepositions: frozenset
-    conjunctions: frozenset
     invocations: frozenset
     intensifiers: frozenset
     positive_words: frozenset
@@ -104,6 +99,3 @@ def default_lexicons() -> Lexicons:
     """Cached load of the currently configured lexicon directory."""
     return _cached(str(resolve_lexicon_dir().resolve()))
 
-
-def lexicon_field_names() -> tuple:
-    return tuple(f.name for f in fields(Lexicons) if f.name != "digest")

@@ -334,11 +334,14 @@ def save_model(path, model: MlpModel, provenance: dict | None = None) -> None:
 
 def load_model(path) -> MlpModel:
     """Read a model document back, rejecting version or shape mismatches."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"model file is not valid JSON: {exc.msg}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"model file is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model file is not valid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError("not a model file (missing format marker)")
     if doc.get("version") != MODEL_VERSION:

@@ -1,165 +1,48 @@
-"""Tokenizer and rule-based part-of-speech tagger.
+"""The tokenizer: one regex scan that cuts review text into token surfaces.
 
-The tokenizer recognizes three token kinds and treats everything else as
-delimiter text:
+Three token kinds are recognized; everything else is delimiter text:
 
-* ``WORD``: maximal run of letters, digits, and ASCII apostrophes that
-  contains at least one letter ("Aren't" is a single word). Letters are
-  anything with the Unicode alphabetic property; non-ASCII punctuation
-  other than the ellipsis character is a delimiter.
-* ``PUNCT_RUN``: maximal run of '!' and '?' characters. Mixed runs such
-  as "?!" stay one token; classifying them is the feature extractor's job.
-* ``ELLIPSIS``: a run of three or more '.' characters, or one U+2026
+* word: maximal run of letters, digits, and ASCII apostrophes that
+  contains at least one letter ("Aren't" is a single word). Letters and
+  digits are the characters ``str.isalpha`` and ``str.isdigit`` accept,
+  so non-ASCII punctuation other than the ellipsis character, '_', and
+  numerics that are not digits ('½', 'Ⅻ') separate words.
+* punctuation run: maximal run of '!' and '?' characters. Mixed runs
+  such as "?!" stay one token; classifying them is the feature
+  extractor's job.
+* ellipsis: a run of three or more '.' characters, or one U+2026
   ellipsis character.
 
-Token spans are byte offsets into the UTF-8 encoding of the source text,
-so the surface always equals the decoded source bytes at the span.
-
-The tagger assigns one coarse tag per word from, in priority order:
-a laughter rule plus an interjection lexicon, closed-class lexicons,
-suffix heuristics, and a noun default. Non-word tokens get ``OTHER``.
-Only coarse categories are consumed downstream, so no statistical or
-contextual disambiguation is attempted.
+A token's kind can be read off its first character, so tokens are plain
+strings. The scan finds word runs with the regex class ``[\\w']``, which
+also admits '_' and non-digit numerics; a run that is not all letters is
+re-split by the exact rule above.
 """
 
-import enum
 import re
-from dataclasses import dataclass
+from itertools import groupby
 
-from .lexicons import Lexicons, default_lexicons
-
-ELLIPSIS_CHAR = "…"
-
-
-class TokenKind(enum.Enum):
-    WORD = "word"
-    PUNCT_RUN = "punct_run"
-    ELLIPSIS = "ellipsis"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: TokenKind
-    start: int  # byte offset into the UTF-8 encoded source, inclusive
-    end: int  # byte offset, exclusive
-
-
-class PosTag(enum.Enum):
-    UH = "UH"  # interjection
-    PRP = "PRP"  # personal pronoun
-    PRPS = "PRPS"  # possessive pronoun
-    JJ = "JJ"  # adjective
-    RB = "RB"  # adverb
-    VB = "VB"  # verb
-    NN = "NN"  # noun
-    DT = "DT"  # determiner
-    IN = "IN"  # preposition
-    CC = "CC"  # conjunction
-    OTHER = "OTHER"  # non-word tokens
-
-
-@dataclass(frozen=True)
-class TaggedToken:
-    token: Token
-    tag: PosTag
+# Word runs first: '!', '?', '.' and '…' are not in [\w'], so each match
+# takes exactly one branch, decided by its first character.
+_TOKEN = re.compile(r"[\w']+|[!?]+|\.{3,}|…")
 
 
 def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdigit() or ch == "'"
 
 
+def _words_in(run: str) -> list:
+    """The words of one [\\w']+ run under the exact word rule."""
+    pieces = ("".join(chars) for is_word, chars in groupby(run, _is_word_char) if is_word)
+    return [piece for piece in pieces if any(ch.isalpha() for ch in piece)]
+
+
 def tokenize(text: str) -> list:
-    """Split ``text`` into Word/PunctRun/Ellipsis tokens ordered by span."""
+    """The surfaces of the word, punctuation-run and ellipsis tokens of ``text``, in order."""
     tokens = []
-    i = 0
-    byte_pos = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if _is_word_char(ch):
-            j = i
-            has_letter = False
-            while j < n and _is_word_char(text[j]):
-                has_letter = has_letter or text[j].isalpha()
-                j += 1
-            surface = text[i:j]
-            width = len(surface.encode("utf-8"))
-            if has_letter:
-                tokens.append(Token(surface, TokenKind.WORD, byte_pos, byte_pos + width))
-            byte_pos += width
-            i = j
-        elif ch in "!?":
-            j = i
-            while j < n and text[j] in "!?":
-                j += 1
-            surface = text[i:j]
-            tokens.append(Token(surface, TokenKind.PUNCT_RUN, byte_pos, byte_pos + len(surface)))
-            byte_pos += len(surface)
-            i = j
-        elif ch == ".":
-            j = i
-            while j < n and text[j] == ".":
-                j += 1
-            surface = text[i:j]
-            if j - i >= 3:
-                tokens.append(Token(surface, TokenKind.ELLIPSIS, byte_pos, byte_pos + len(surface)))
-            byte_pos += len(surface)
-            i = j
-        elif ch == ELLIPSIS_CHAR:
-            width = len(ch.encode("utf-8"))
-            tokens.append(Token(ch, TokenKind.ELLIPSIS, byte_pos, byte_pos + width))
-            byte_pos += width
-            i += 1
+    for run in _TOKEN.findall(text):
+        if run.isalpha() or run[0] in "!?.…":
+            tokens.append(run)
         else:
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
+            tokens.extend(_words_in(run))
     return tokens
-
-
-# laughter: two or more "ha" groups, optional trailing "h" ("haha", "HAHAH", ...)
-_LAUGHTER = re.compile(r"(?:ha){2,}h?")
-
-# suffix heuristics tried in order; the word must be longer than the suffix
-_SUFFIX_RULES = (
-    ("ly", PosTag.RB),
-    ("ing", PosTag.VB),
-    ("ed", PosTag.VB),
-    ("ous", PosTag.JJ),
-    ("ful", PosTag.JJ),
-    ("ive", PosTag.JJ),
-    ("less", PosTag.JJ),
-)
-
-
-def tag_word(surface: str, lexicons: Lexicons) -> PosTag:
-    """Tag one word surface. Pure function of the lowercased surface and the lexicons."""
-    lower = surface.lower()
-    if _LAUGHTER.fullmatch(lower) or lower in lexicons.interjections:
-        return PosTag.UH
-    if lower in lexicons.personal_pronouns:
-        return PosTag.PRP
-    if lower in lexicons.possessive_pronouns:
-        return PosTag.PRPS
-    if lower in lexicons.determiners:
-        return PosTag.DT
-    if lower in lexicons.prepositions:
-        return PosTag.IN
-    if lower in lexicons.conjunctions:
-        return PosTag.CC
-    for suffix, tag in _SUFFIX_RULES:
-        if lower.endswith(suffix) and len(lower) > len(suffix):
-            return tag
-    return PosTag.NN
-
-
-def pos_tag(tokens: list, lexicons: Lexicons | None = None) -> list:
-    """Assign exactly one tag to every token; non-word tokens get OTHER."""
-    lex = lexicons if lexicons is not None else default_lexicons()
-    tagged = []
-    for token in tokens:
-        if token.kind is TokenKind.WORD:
-            tagged.append(TaggedToken(token, tag_word(token.surface, lex)))
-        else:
-            tagged.append(TaggedToken(token, PosTag.OTHER))
-    return tagged

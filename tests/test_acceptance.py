@@ -400,17 +400,17 @@ class TestGoldenDigests:
     """
 
     DIGESTS = {
-        "model-1.json": "347dbf30b1e52c6799598d48f53db18b3d38dcc6a585aa3c55c7c8c716623335",
-        "model-2.json": "42122f34ec470c88f87f2e9788608a224a6ccad52a18cccc5d80bc72e793549b",
-        "model-3.json": "d1f727e86135481572c7050ad4c6ae420e9ca83c182a90620422c6ab7d3c9375",
-        "model-4.json": "d16c573c1ac1ba5d40435771ec6ef3d2ba0f26cf105a8af2d4133b1b242cedb2",
-        "model-5.json": "503abe9d6310033bf6d11d901b1768d476147f46d07fb0c300c8bc0b147c30d6",
-        "history-1.jsonl": "1b1f5d03ab185bc05809d3781adcd42ae1779de07d4412078422da6c39655f97",
-        "history-2.jsonl": "73af7576beb021d03d0b37fa20989d8b4f98d64a7667f667ad4477918ed46bf6",
-        "history-3.jsonl": "728993513aee6f2fd6ae8fd080ac8b966600da5d1eb8d22abe44599f1150b42e",
-        "history-4.jsonl": "1797ba0c15f26894f6a4489567b5c666c4c10861110e73862fabf7aaf3d285d8",
-        "history-5.jsonl": "4c85acad9afb9950063ef160ca9e82f8c7419c31340a83f1d3d771930bd54507",
-        "report.json": "64aba7300daaab8c1293ae607d0c87dd1ad02cb68c8355253cb1a3a569c9d8e4",
+        "model-1.json": "f4eb3bd0fa304c436e36a11da893359583f0a85e18230b8e6b106ac41a7d1f36",
+        "model-2.json": "7e09d6f5ef8483a85683622f847571453add372619391b41ec5e48cfd943cb5e",
+        "model-3.json": "495b48e946967527fedc390d1b03000dd87f73c76c60cafb3182788e93754ca6",
+        "model-4.json": "4eeaecc31a59883d730d1132202d4c3d70880d0816e83d31bb13d016cf937f9d",
+        "model-5.json": "c4bfcaaa701ecdf374b26033e5229724f571200826252e8e25909d91ad6e0ff5",
+        "history-1.jsonl": "c2818193e31f52558fa886acf4990bfc6f349f06ea3bebf9e801d004565d7b19",
+        "history-2.jsonl": "9a4f9be831475da6f300989d45801f1e6ad8adbcc6b966ef5989c945915cc28a",
+        "history-3.jsonl": "7b5fdb0c80794d576528a6db6f3e3b819197aec6a3ce5166f537243b8dd8decb",
+        "history-4.jsonl": "df47e7f805f451ed9e2f29e26f8a6c092771d3a0ebcebaeb9382dcc47ce62c43",
+        "history-5.jsonl": "4dde3a963901d837e2de8556372abf43bd6d3275828a8f016c6be3add305087a",
+        "report.json": "15be58bb8cb61139bd8e934b40256d0a3758d2ce7c7417f7e8ebb1af722bcbc8",
     }
 
     def test_artifact_digests(self, minicorpus_dir, tmp_path, capsys):

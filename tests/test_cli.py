@@ -301,6 +301,47 @@ class TestPredict:
                    str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_invalid_utf8_line_in_file_is_skipped(self, trained, tmp_path, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_bytes(b"fine\n\xff bad\nok!!\n")
+        code = run("predict", "--model", str(trained["model"]), str(texts))
+        assert code == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err == f"warning: {texts}:2: invalid UTF-8\n"
+
+    def test_invalid_utf8_line_on_stdin_is_skipped(self, trained, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"fine\n\n\xff bad\nok!!\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code = run("predict", "--model", str(trained["model"]))
+        assert code == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err == "warning: <stdin>:3: invalid UTF-8\n"
+
+    def test_each_prediction_is_flushed_before_the_next_line_is_read(self, trained,
+                                                                      monkeypatch):
+        out = io.BytesIO()
+        written_before_second_line = []
+
+        def lines():
+            yield "Wow!! just what we needed...\n"
+            written_before_second_line.append(out.getvalue())
+            yield "The soup was warm.\n"
+
+        monkeypatch.setattr(sys, "stdin", lines())
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+        assert run("predict", "--model", str(trained["model"])) == 0
+        assert written_before_second_line[0].count(b"\n") == 1
+        assert out.getvalue().count(b"\n") == 2
+
+    def test_model_file_with_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_bytes(b"\xff\xfe{")
+        code = run("predict", "--model", str(model))
+        assert code == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
 
 class TestLabel:
     def write_reviews(self, path):

@@ -1,9 +1,12 @@
 """Feature catalog, counting rules, normalization, and the dump format."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sarcnet.features import (
     N_FEATURES,
@@ -18,7 +21,9 @@ from sarcnet.features import (
     read_feature_dump,
     write_feature_dump,
 )
-from sarcnet.text import pos_tag, tokenize
+from sarcnet.corpus import read_reviews
+from sarcnet.lexicons import default_lexicons
+from reference_text import EDGE_CHARS, reference_counts
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +32,7 @@ def pipeline():
 
 
 def counts_for(text):
-    return extract_counts(pos_tag(tokenize(text)))
+    return extract_counts(text)
 
 
 class TestCatalog:
@@ -193,3 +198,63 @@ class TestFeatureDump:
         mantissa = value.split("e")[0]
         digits = mantissa.replace(".", "").lstrip("-")
         assert len(digits) >= 9
+
+
+def _lexicon_words():
+    lex = default_lexicons()
+    words = set().union(lex.interjections, lex.invocations, lex.intensifiers,
+                        lex.positive_words, lex.negative_words, lex.second_person,
+                        lex.first_person_plural)
+    return sorted(words) + ["haha", "HAHAH", "hahaha", "Haha", "ha", "hahha"]
+
+
+# Any character that UTF-8 can encode, biased toward the edge cases.
+_CHARS = st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8")
+
+# Lexicon words in any case, elongated or glued to arbitrary text.
+_WORD = st.sampled_from(_lexicon_words())
+_PIECE = st.one_of(
+    _WORD,
+    _WORD.map(str.upper),
+    _WORD.map(lambda w: w[:1] + w[1:2] * 3 + w[2:]),
+    st.text(alphabet=_CHARS, max_size=12),
+)
+
+
+class TestMatchesReferencePipeline:
+    """The one-pass extract_counts against tokenize -> pos_tag -> count."""
+
+    @pytest.mark.parametrize("text", [
+        "a²²² b", "x½y", "snake_case", "…", "..",
+        "soooo SO gooood haha HAHAHA wow!! you?! we... ½½½ aaa²",
+        "Haha! I'm trying to imagine you with a personality!!",
+    ])
+    def test_pinned_examples(self, text):
+        assert extract_counts(text) == reference_counts(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=_CHARS))
+    @example("a²²² b")
+    @example("x½y")
+    def test_arbitrary_unicode(self, text):
+        assert extract_counts(text) == reference_counts(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_PIECE, max_size=20), st.lists(st.sampled_from(" ,!?.…'_½"), min_size=1))
+    def test_lexicon_words_in_arbitrary_text(self, pieces, separators):
+        text = "".join(piece + separators[i % len(separators)]
+                       for i, piece in enumerate(pieces))
+        assert extract_counts(text) == reference_counts(text)
+
+    def test_laughter_in_the_interjection_lexicon_counts_once(self):
+        lex = replace(default_lexicons(), interjections=frozenset({"haha", "wow"}))
+        text = "haha HAHAHA wow ha"
+        assert extract_counts(text, lex) == reference_counts(text, lex)
+        assert extract_counts(text, lex).f1 == 3
+
+    def test_minicorpus_vectors_are_bit_identical(self, minicorpus_dir, pipeline):
+        reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
+        assert len(reviews) == 500
+        for review in reviews:
+            expected = normalize(reference_counts(review.text))
+            assert pipeline.vector(review.text).tobytes() == expected.tobytes()

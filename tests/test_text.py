@@ -1,13 +1,22 @@
-"""Tokenizer and tagger behavior, including span bookkeeping under fuzz."""
+"""The reference tokenizer and tagger, and the regex scan held to them.
+
+TestTokenize, TestTagWord and TestPosTag pin the behavior of the
+test-only reference pipeline (reference_text.py), including span
+bookkeeping under fuzz. TestScanMatchesReference holds
+``sarcnet.text.tokenize`` to the reference's surfaces.
+"""
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sarcnet.text import (
+import sarcnet.text
+from reference_text import (
+    EDGE_CHARS,
     ELLIPSIS_CHAR,
     PosTag,
-    Token,
     TokenKind,
     pos_tag,
     tag_word,
@@ -105,40 +114,8 @@ class TestTagWord:
     def test_short_ha_is_not_laughter(self, lex):
         assert tag_word("ha", lex) is PosTag.NN
 
-    @pytest.mark.parametrize("word,tag", [
-        ("you", PosTag.PRP),
-        ("we", PosTag.PRP),
-        ("your", PosTag.PRPS),
-        ("their", PosTag.PRPS),
-        ("the", PosTag.DT),
-        ("with", PosTag.IN),
-        ("and", PosTag.CC),
-    ])
-    def test_closed_classes(self, lex, word, tag):
-        assert tag_word(word, lex) is tag
-
-    @pytest.mark.parametrize("word,tag", [
-        ("quickly", PosTag.RB),
-        ("running", PosTag.VB),
-        ("walked", PosTag.VB),
-        ("famous", PosTag.JJ),
-        ("helpful", PosTag.JJ),
-        ("festive", PosTag.JJ),
-        ("fearless", PosTag.JJ),
-    ])
-    def test_suffixes(self, lex, word, tag):
-        assert tag_word(word, lex) is tag
-
-    @pytest.mark.parametrize("word", ["ly", "ed", "ous", "less"])
-    def test_suffix_needs_a_stem(self, lex, word):
-        assert tag_word(word, lex) is PosTag.NN
-
     def test_default_is_noun(self, lex):
         assert tag_word("table", lex) is PosTag.NN
-
-    def test_closed_class_beats_suffix(self, lex):
-        # "during" ends in -ing but is a preposition first
-        assert tag_word("during", lex) is PosTag.IN
 
 
 class TestPosTag:
@@ -171,3 +148,31 @@ class TestPosTag:
         first = pos_tag(tokenize(text))
         second = pos_tag(tokenize(text))
         assert first == second
+
+
+def reference_surfaces(text):
+    return [t.surface for t in tokenize(text)]
+
+
+class TestScanMatchesReference:
+    @pytest.mark.parametrize("text", [
+        "God! Aren't we clever??",
+        "a²²² b",
+        "x½y",
+        "snake_case",
+        "…",
+        "..",
+        "2nd 234 table4two '' 'tis",
+        "so.. so... so..... well……",
+        "wait, (really) -- no; ¡hola!?!",
+        "café Ⅻ٣x naïve_and_ok",
+    ])
+    def test_examples(self, text):
+        assert sarcnet.text.tokenize(text) == reference_surfaces(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8")))
+    @example("a²²² b")
+    @example("x½y")
+    def test_arbitrary_unicode(self, text):
+        assert sarcnet.text.tokenize(text) == reference_surfaces(text)
