@@ -21,7 +21,6 @@ need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
 import argparse
 import hashlib
 import json
-import re
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -30,6 +29,7 @@ from . import __version__
 from .corpus import (
     DatasetSplit,
     SarcasmLabel,
+    _UNDECODABLE,
     append_labels,
     label_reviews,
     make_split,
@@ -397,11 +397,6 @@ def cmd_eval(args) -> int:
         write_report(_prepare_out(args.out), reports, prov)
     sys.stdout.write(render_metrics_table(reports))
     return EXIT_OK
-
-
-# Lines are read with undecodable bytes kept as these surrogate escapes,
-# so one bad line is found and skipped without costing the others.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _predict_lines(stream, source: str):

@@ -11,6 +11,16 @@ annotator, sarcastic) vote per line. The resolved label is the majority
 vote over annotators, with ties going to non-sarcastic. A later line by
 the same annotator for the same review supersedes the earlier one.
 
+Both files go through one line reader. It decodes each file as UTF-8
+with undecodable bytes kept as surrogate escapes, so a line holding one
+is an ``invalid UTF-8`` error and the lines around it still parse. It
+hands each non-blank line to the C JSON scanner once; bad JSON, a value
+nested too deeply for the scanner, and trailing data are each one error
+for that line. Both files are written through one serializer.
+
+The record types are named tuples: immutable, compared by value, and
+cheap to build in bulk.
+
 Splits shuffle a single-star pool with a seeded Fisher-Yates permutation
 (``random.Random(seed).shuffle``) and cut it into train/test prefixes,
 so identical inputs and seed always give bit-identical membership and
@@ -19,33 +29,31 @@ order.
 
 import json
 import random
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class Review:
+class Review(NamedTuple):
     review_id: str
     stars: int
     text: str
 
 
-@dataclass(frozen=True)
-class SarcasmLabel:
+class SarcasmLabel(NamedTuple):
     review_id: str
     sarcastic: bool
     annotator: str
 
 
-@dataclass(frozen=True)
-class LabeledReview:
+class LabeledReview(NamedTuple):
     review: Review
     sarcastic: bool
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     line_number: int
     reason: str
 
@@ -59,6 +67,55 @@ class DatasetSplit:
 
 
 STAR_VALUES = (1, 2, 3, 4, 5)
+
+# Input text is decoded with undecodable bytes kept as these surrogate
+# escapes, so one bad line is found and skipped without costing the others.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+_JSON_WHITESPACE = " \t\n\r"
+_BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_lines(lines):
+    """Yield (line_number, record, reason) for each non-blank line.
+
+    record is the decoded JSON value and reason None, or record is None
+    and reason says why the line is not one JSON value. The reasons are
+    those of ``json.loads``, plus ``invalid UTF-8`` for a line holding a
+    surrogate escape and one for a value nested too deeply to decode.
+    """
+    for line_number, line in enumerate(lines, start=1):
+        # Trailing whitespace stays: it can be inside an unterminated string.
+        text = line.lstrip(_JSON_WHITESPACE)
+        if not text or text.isspace():  # line.strip() would leave nothing
+            continue
+        if not text.isascii() and _UNDECODABLE.search(text):
+            yield line_number, None, "invalid UTF-8"
+            continue
+        try:
+            record, end = _raw_decode(text)
+        except json.JSONDecodeError as exc:
+            reason = _BOM_MESSAGE if line.startswith("\ufeff") else exc.msg
+            yield line_number, None, f"invalid JSON: {reason}"
+            continue
+        except RecursionError:
+            yield line_number, None, "invalid JSON: nested too deeply"
+            continue
+        except ValueError as exc:
+            yield line_number, None, f"invalid JSON: {exc}"
+            continue
+        if end != len(text) and text[end:].strip(_JSON_WHITESPACE):
+            yield line_number, None, "invalid JSON: Extra data"
+            continue
+        yield line_number, record, None
+
+
+def _shape_problem(record, fields) -> str:
+    """Why a decoded record lacks one of fields: not an object, or which are missing."""
+    if not isinstance(record, dict):
+        return "record is not an object"
+    return f"missing field: {', '.join(k for k in fields if k not in record)}"
 
 
 def _coerce_stars(value):
@@ -76,60 +133,52 @@ def parse_review_stream(lines) -> tuple:
     """Parse JSON-lines review records into (reviews, parse_errors).
 
     ``lines`` is any iterable of strings. Valid records keep input order.
-    Invalid lines (bad JSON, missing field, stars out of range, blank
-    text, duplicate review_id) become ParseError entries; parsing always
-    reaches the end of the stream.
+    Invalid lines (invalid UTF-8, bad JSON, missing field, stars out of
+    range, blank text, duplicate review_id) become ParseError entries;
+    parsing always reaches the end of the stream.
     """
     reviews = []
     errors = []
     seen_ids = set()
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(ParseError(line_number, f"invalid JSON: {exc.msg}"))
-            continue
-        if not isinstance(record, dict):
-            errors.append(ParseError(line_number, "record is not an object"))
-            continue
-        missing = [k for k in ("review_id", "stars", "text") if k not in record]
-        if missing:
-            errors.append(ParseError(line_number, f"missing field: {', '.join(missing)}"))
-            continue
-        review_id = record["review_id"]
-        if not isinstance(review_id, str) or not review_id:
-            errors.append(ParseError(line_number, "review_id must be a non-empty string"))
-            continue
-        stars = _coerce_stars(record["stars"])
-        if stars is None or stars not in STAR_VALUES:
-            errors.append(ParseError(line_number, "stars out of range"))
-            continue
-        text = record["text"]
-        if not isinstance(text, str) or not text.strip():
-            errors.append(ParseError(line_number, "empty text"))
-            continue
-        if review_id in seen_ids:
-            errors.append(ParseError(line_number, f"duplicate review_id: {review_id}"))
-            continue
-        seen_ids.add(review_id)
-        reviews.append(Review(review_id, stars, text))
+    for line_number, record, reason in _json_lines(lines):
+        if reason is None:
+            try:
+                review_id = record["review_id"]
+                stars = _coerce_stars(record["stars"])
+                text = record["text"]
+            except (KeyError, TypeError):
+                reason = _shape_problem(record, ("review_id", "stars", "text"))
+            else:
+                if not isinstance(review_id, str) or not review_id:
+                    reason = "review_id must be a non-empty string"
+                elif stars not in STAR_VALUES:
+                    reason = "stars out of range"
+                elif not isinstance(text, str) or not text.strip():
+                    reason = "empty text"
+                elif review_id in seen_ids:
+                    reason = f"duplicate review_id: {review_id}"
+                else:
+                    seen_ids.add(review_id)
+                    reviews.append(Review(review_id, stars, text))
+                    continue
+        errors.append(ParseError(line_number, reason))
     return reviews, errors
 
 
 def read_reviews(path) -> tuple:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_review_stream(fh)
 
 
+def _write_jsonl(path, mode: str, records) -> None:
+    """Write each named-tuple record as one sorted-key JSON object line."""
+    with open(path, mode, encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record._asdict(), ensure_ascii=False, sort_keys=True) + "\n")
+
+
 def write_reviews(path, reviews) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in reviews:
-            fh.write(json.dumps(
-                {"review_id": r.review_id, "stars": r.stars, "text": r.text},
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
+    _write_jsonl(path, "w", reviews)
 
 
 def segregate_by_stars(reviews) -> dict:
@@ -144,54 +193,40 @@ def parse_label_stream(lines) -> tuple:
     """Parse JSON-lines label votes into (labels, parse_errors)."""
     labels = []
     errors = []
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(ParseError(line_number, f"invalid JSON: {exc.msg}"))
-            continue
-        if not isinstance(record, dict):
-            errors.append(ParseError(line_number, "record is not an object"))
-            continue
-        missing = [k for k in ("review_id", "sarcastic", "annotator") if k not in record]
-        if missing:
-            errors.append(ParseError(line_number, f"missing field: {', '.join(missing)}"))
-            continue
-        review_id = record["review_id"]
-        sarcastic = record["sarcastic"]
-        annotator = record["annotator"]
-        if not isinstance(review_id, str) or not review_id:
-            errors.append(ParseError(line_number, "review_id must be a non-empty string"))
-            continue
-        if not isinstance(sarcastic, bool):
-            errors.append(ParseError(line_number, "sarcastic must be a boolean"))
-            continue
-        if not isinstance(annotator, str) or not annotator:
-            errors.append(ParseError(line_number, "annotator must be a non-empty string"))
-            continue
-        labels.append(SarcasmLabel(review_id, sarcastic, annotator))
+    for line_number, record, reason in _json_lines(lines):
+        if reason is None:
+            try:
+                review_id = record["review_id"]
+                sarcastic = record["sarcastic"]
+                annotator = record["annotator"]
+            except (KeyError, TypeError):
+                reason = _shape_problem(record, ("review_id", "sarcastic", "annotator"))
+            else:
+                if not isinstance(review_id, str) or not review_id:
+                    reason = "review_id must be a non-empty string"
+                elif not isinstance(sarcastic, bool):
+                    reason = "sarcastic must be a boolean"
+                elif not isinstance(annotator, str) or not annotator:
+                    reason = "annotator must be a non-empty string"
+                else:
+                    labels.append(SarcasmLabel(review_id, sarcastic, annotator))
+                    continue
+        errors.append(ParseError(line_number, reason))
     return labels, errors
 
 
 def read_labels(path) -> tuple:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_label_stream(fh)
+
+
+def write_labels(path, labels) -> None:
+    _write_jsonl(path, "w", labels)
 
 
 def append_labels(path, labels) -> None:
     """Append label votes to the labels file (the file is append-only)."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(json.dumps(
-                {
-                    "review_id": label.review_id,
-                    "sarcastic": label.sarcastic,
-                    "annotator": label.annotator,
-                },
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
+    _write_jsonl(path, "a", labels)
 
 
 def resolve_labels(labels) -> dict:

@@ -86,7 +86,10 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
         digest.update(b"\x00")
         digest.update(raw)
         digest.update(b"\x00")
-        sets[field_name] = _parse_wordlist(raw.decode("utf-8"))
+        try:
+            sets[field_name] = _parse_wordlist(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"lexicon file is not valid UTF-8: {path}: {exc}") from exc
     return Lexicons(digest=digest.hexdigest(), **sets)
 
 

@@ -15,12 +15,11 @@ Everything is driven by one fixed seed, so the committed corpus under
     python -m sarcnet.minicorpus data/minicorpus
 """
 
-import json
 import random
 import sys
 from pathlib import Path
 
-from .corpus import Review, SarcasmLabel
+from .corpus import Review, SarcasmLabel, write_labels, write_reviews
 
 GENERATOR_SEED = 613433
 PER_STAR_PER_CLASS = 50
@@ -120,22 +119,8 @@ def write_minicorpus(out_dir, seed: int = GENERATOR_SEED,
     reviews, _, labels = build_minicorpus(seed, per_star_per_class)
     reviews_path = out / "reviews.jsonl"
     labels_path = out / "labels.jsonl"
-    with open(reviews_path, "w", encoding="utf-8") as fh:
-        for r in reviews:
-            fh.write(json.dumps(
-                {"review_id": r.review_id, "stars": r.stars, "text": r.text},
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(json.dumps(
-                {
-                    "review_id": label.review_id,
-                    "sarcastic": label.sarcastic,
-                    "annotator": label.annotator,
-                },
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
+    write_reviews(reviews_path, reviews)
+    write_labels(labels_path, labels)
     return reviews_path, labels_path
 
 

@@ -7,12 +7,14 @@ monkeypatching work; nothing shells out.
 import hashlib
 import io
 import json
+import shutil
 import sys
 
 import pytest
 
 import sarcnet.cli as cli
 from sarcnet.errors import TrainingDivergence
+from sarcnet.lexicons import DEFAULT_LEXICON_DIR, ENV_LEXICON_DIR
 from sarcnet.network import load_model
 
 
@@ -113,6 +115,18 @@ class TestParsingAndExitCodes:
         err = capsys.readouterr().err
         assert "3-star split" in err and "need 1000, have 100" in err
 
+    def test_lexicon_file_with_invalid_utf8_is_data_error(self, corpus, tmp_path,
+                                                          monkeypatch, capsys):
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(DEFAULT_LEXICON_DIR, lexicons)
+        with open(lexicons / "intensifiers.txt", "ab") as fh:
+            fh.write(b"\xff\n")
+        monkeypatch.setenv(ENV_LEXICON_DIR, str(lexicons))
+        code = run("extract", "--reviews", corpus["reviews"],
+                   "--out", str(tmp_path / "features.csv"))
+        assert code == 2
+        assert str(lexicons / "intensifiers.txt") in capsys.readouterr().err
+
     def test_divergence_exits_three(self, corpus, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise TrainingDivergence("non-finite gradient in W1")
@@ -127,6 +141,16 @@ class TestParsingAndExitCodes:
 
 
 class TestIngest:
+    def test_invalid_utf8_vote_costs_one_vote(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_bytes(b'{"review_id": "mc-1s-000", "\xc3(": 1}\n'
+                           + open(corpus["labels"], "rb").read())
+        code = run("ingest", "--reviews", corpus["reviews"], "--labels", str(labels),
+                   "--stars", "1", "--train-size", "70", "--test-size", "30",
+                   "--out", str(tmp_path / "split.json"))
+        assert code == 0
+        assert capsys.readouterr().err == f"warning: {labels}:1: invalid UTF-8\n"
+
     def test_writes_one_manifest_per_star(self, corpus, tmp_path, capsys):
         out = tmp_path / "split-{stars}.json"
         code = run("ingest", "--reviews", corpus["reviews"],
@@ -195,6 +219,19 @@ class TestExtract:
         assert len(rows) == 100
         # without --labels the label column is blank
         assert rows[0].split(",")[2] == ""
+
+    def test_invalid_utf8_review_costs_one_row(self, corpus, tmp_path, capsys):
+        reviews = tmp_path / "reviews.jsonl"
+        with open(corpus["reviews"], "rb") as fh:
+            head = b"".join(fh.readline() for _ in range(20))
+        reviews.write_bytes(head + b'{"review_id": "x", "stars": 1, "text": "caf\xff"}\n')
+        out = tmp_path / "features.csv"
+        code = run("extract", "--reviews", str(reviews), "--stars", "all",
+                   "--out", str(out))
+        assert code == 0
+        assert capsys.readouterr().err == f"warning: {reviews}:21: invalid UTF-8\n"
+        rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 20
 
 
 class TestTrain:

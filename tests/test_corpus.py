@@ -4,21 +4,28 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_corpus
 from sarcnet.corpus import (
     LabeledReview,
+    ParseError,
     Review,
     SarcasmLabel,
+    append_labels,
     curriculum_subset,
     label_reviews,
     make_split,
     parse_label_stream,
     parse_review_stream,
+    read_labels,
+    read_reviews,
     read_split_manifest,
     resolve_labels,
     segregate_by_stars,
+    write_labels,
     write_reviews,
-    read_reviews,
     write_split_manifest,
 )
 from sarcnet.errors import DataError
@@ -248,3 +255,219 @@ class TestFiles:
         path.write_text(json.dumps({"stars": 1}))
         with pytest.raises(DataError, match="missing field"):
             read_split_manifest(path)
+
+
+def label_line(review_id="r1", sarcastic=True, annotator="a", **extra):
+    return json.dumps({"review_id": review_id, "sarcastic": sarcastic,
+                       "annotator": annotator, **extra})
+
+
+# Characters at the edges of a line: JSON's own whitespace, the BOM, and
+# characters that str.strip() removes but JSON does not accept.
+EDGE_CHARS = " \t\r\n\ufeff\x0b\xa0\x85\u2028"
+EDGE_WHITESPACE = ("", "\r\n", *EDGE_CHARS)
+
+JSON_FRAGMENTS = ("{", "}", "[", "]", '"', ":", ",", " ", "null", "true", "false", "1",
+                  "5.0", "-0", "1e3", "NaN", '"review_id"', '"stars"', '"text"',
+                  '"sarcastic"', '"annotator"', '"x"', "\\", "\\u00e9", "\\ud800",
+                  *EDGE_WHITESPACE)
+
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 7),
+    st.sampled_from([1.0, 5.0, 2.5, 1e308, float("nan"), float("inf")]),
+    st.sampled_from(["", " ", "a", "b", "r1", "ok food"]),
+    st.text(st.characters(codec="utf-8"), max_size=6),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _pick(*strategies):
+    """Draw from one of strategies, each equally likely.
+
+    st.one_of flattens nested one_of branches and weighs them all alike,
+    which would starve a single strategy listed beside a seven-way one.
+    """
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+def _field(valid):
+    """Mostly valid values for one field, else anything a field may hold."""
+    return _pick(valid, valid, valid, FIELD_VALUES)
+
+
+REVIEW_FIELDS = {"review_id": _field(st.sampled_from(["r1", "r2", "é"])),
+                 "stars": _field(st.sampled_from([1, 2, 3, 4, 5, 5.0])),
+                 "text": _field(st.text(st.characters(codec="utf-8"), min_size=1))}
+LABEL_FIELDS = {"review_id": REVIEW_FIELDS["review_id"],
+                "sarcastic": _field(st.booleans()),
+                "annotator": _field(st.sampled_from(["a", "b"]))}
+EDGE = st.just("") | st.sampled_from(EDGE_WHITESPACE)  # half the records unpadded
+
+
+def _json_line(pre, record, ensure_ascii, post):
+    return pre + json.dumps(record, ensure_ascii=ensure_ascii) + post
+
+
+RECORD_LINES = st.builds(
+    _json_line,
+    EDGE,
+    _pick(
+        st.fixed_dictionaries(REVIEW_FIELDS, optional={"extra": FIELD_VALUES}),
+        st.fixed_dictionaries(LABEL_FIELDS, optional={"extra": FIELD_VALUES}),
+        st.dictionaries(st.sampled_from([*REVIEW_FIELDS, *LABEL_FIELDS]), FIELD_VALUES,
+                        max_size=5),
+        FIELD_VALUES,
+    ),
+    st.booleans(),
+    EDGE,
+)
+
+LINE = _pick(
+    RECORD_LINES,
+    RECORD_LINES,
+    st.tuples(RECORD_LINES, st.integers(0, 40)).map(lambda t: t[0][:t[1]]),
+    st.lists(st.sampled_from(JSON_FRAGMENTS), max_size=8).map("".join),
+    st.text(st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8"), max_size=20),
+)
+
+# Lines the reference cannot take as well: surrogate escapes, values
+# nested past the scanner's recursion limit, integers too long to convert.
+HOSTILE_LINE = st.one_of(
+    LINE,
+    st.text(st.characters(), max_size=20),
+    st.integers(0, 5000).map(lambda n: "[" * n),
+    st.integers(0, 5000).map(lambda n: '{"text": ' * n),
+    st.integers(4000, 5000).map(lambda n: '{"stars": ' + "1" * n + "}"),
+)
+
+
+def non_blank(lines):
+    return sum(1 for line in lines if line.strip())
+
+
+class TestMatchesReferenceParsers:
+    """The shared line reader gives the json.loads loops' records and errors."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(LINE, max_size=12))
+    @example([review_line(), review_line(), "\ufeff" + review_line(review_id="r2"),
+              " \ufeff{}", "{}\xa0", "\x0b", "{} x", '{"a": 1}\n{"b": 2}', '"\r\n'])
+    @example([label_line(), label_line(sarcastic=1), "\ufeff\ufeff", "\r\n", "[1] ",
+              label_line(annotator="")])
+    def test_reviews_and_labels(self, lines):
+        assert parse_review_stream(lines) == reference_corpus.parse_review_stream(lines)
+        assert parse_label_stream(lines) == reference_corpus.parse_label_stream(lines)
+
+
+    def test_bundled_minicorpus(self, minicorpus_dir):
+        for name, parse, reference in (
+                ("reviews.jsonl", parse_review_stream, reference_corpus.parse_review_stream),
+                ("labels.jsonl", parse_label_stream, reference_corpus.parse_label_stream)):
+            lines = (minicorpus_dir / name).read_text(encoding="utf-8").splitlines()
+            records, errors = parse(lines)
+            assert (records, errors) == reference(lines)
+            assert len(records) in (500, 2000) and errors == []
+
+
+class TestParsersNeverRaise:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(HOSTILE_LINE, max_size=12))
+    def test_every_non_blank_line_is_a_record_or_an_error(self, lines):
+        for records, errors in (parse_review_stream(lines), parse_label_stream(lines)):
+            assert len(records) + len(errors) == non_blank(lines)
+
+
+class TestLineReader:
+    def test_deep_nesting_costs_one_review(self):
+        lines = [review_line(review_id="a"), "[" * 200_000, review_line(review_id="b")]
+        reviews, errors = parse_review_stream(lines)
+        assert [r.review_id for r in reviews] == ["a", "b"]
+        assert errors == [ParseError(2, "invalid JSON: nested too deeply")]
+
+    def test_deep_nesting_costs_one_label(self):
+        lines = ['{"review_id": ' * 200_000, label_line()]
+        labels, errors = parse_label_stream(lines)
+        assert labels == [SarcasmLabel("r1", True, "a")]
+        assert errors == [ParseError(1, "invalid JSON: nested too deeply")]
+
+    def test_integer_too_long_to_convert_costs_one_record(self):
+        lines = [review_line(), '{"review_id": "r2", "stars": ' + "3" * 5000 + "}"]
+        reviews, errors = parse_review_stream(lines)
+        assert len(reviews) == 1
+        assert [e.line_number for e in errors] == [2]
+        assert errors[0].reason.startswith("invalid JSON: Exceeds the limit")
+
+    def test_surrogate_escape_is_invalid_utf8(self):
+        lines = ['{"review_id": "r1", "sarcastic": true, "annotator": "a\udcff"}',
+                 label_line()]
+        labels, errors = parse_label_stream(lines)
+        assert labels == [SarcasmLabel("r1", True, "a")]
+        assert errors == [ParseError(1, "invalid UTF-8")]
+
+    def test_json_reasons(self):
+        lines = ["\ufeff" + review_line(), review_line() + " x", "{", "[]",
+                 json.dumps({"stars": 2})]
+        _, errors = parse_review_stream(lines)
+        assert [e.reason for e in errors] == [
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+            "invalid JSON: Extra data",
+            "invalid JSON: Expecting property name enclosed in double quotes",
+            "record is not an object",
+            "missing field: review_id, text",
+        ]
+
+
+class TestInvalidUtf8File:
+    def test_read_reviews_drops_only_the_bad_line(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        path.write_bytes(b"\n".join([
+            review_line(review_id="a").encode(),
+            b'{"review_id": "b", "stars": 2, "text": "caf\\xe9 \xff"}',
+            review_line(review_id="c", text="café").encode(),
+        ]) + b"\n")
+        reviews, errors = read_reviews(path)
+        assert [(r.review_id, r.text) for r in reviews] == [("a", "ok food"), ("c", "café")]
+        assert errors == [ParseError(2, "invalid UTF-8")]
+
+    def test_read_labels_drops_only_the_bad_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_bytes(label_line().encode() + b"\r\n\xc3(\r"
+                         + label_line(review_id="r2").encode() + b"\r\n")
+        labels, errors = read_labels(path)
+        assert [label.review_id for label in labels] == ["r1", "r2"]
+        assert errors == [ParseError(2, "invalid UTF-8")]
+
+
+class TestRecordTypes:
+    def test_records_are_immutable(self):
+        review = Review("r1", 3, "ok")
+        with pytest.raises(AttributeError):
+            review.stars = 4
+        with pytest.raises(AttributeError):
+            LabeledReview(review, True).sarcastic = False
+
+    def test_field_order(self):
+        assert Review._fields == ("review_id", "stars", "text")
+        assert SarcasmLabel._fields == ("review_id", "sarcastic", "annotator")
+        assert LabeledReview._fields == ("review", "sarcastic")
+        assert ParseError._fields == ("line_number", "reason")
+
+
+class TestWriters:
+    def test_review_bytes(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        write_reviews(path, [Review("r1", 2, "café…")])
+        assert path.read_bytes() == \
+            '{"review_id": "r1", "stars": 2, "text": "café…"}\n'.encode()
+
+    def test_labels_write_then_append(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text("stale\n")
+        write_labels(path, [SarcasmLabel("r1", True, "a")])
+        append_labels(path, [SarcasmLabel("r1", False, "b")])
+        assert path.read_text() == (
+            '{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
+            '{"annotator": "b", "review_id": "r1", "sarcastic": false}\n')
+        labels, errors = read_labels(path)
+        assert errors == []
+        assert labels == [SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")]
