@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -31,9 +32,10 @@ from .corpus import (
     SarcasmLabel,
     _UNDECODABLE,
     append_labels,
+    iter_labels,
     label_reviews,
     make_split,
-    read_labels,
+    open_jsonl,
     read_reviews,
     resolve_labels,
     write_split_manifest,
@@ -185,26 +187,36 @@ def _provenance_lines(prov: dict) -> list:
     return lines
 
 
+def _warn_parse_errors(path, errors) -> None:
+    for err in errors:
+        print(f"warning: {path}:{err.line_number}: {err.reason}", file=sys.stderr)
+
+
 def _load_reviews(path) -> list:
     try:
         reviews, errors = read_reviews(path)
     except OSError as exc:
         raise DataError(f"cannot read reviews file: {exc}") from exc
-    for err in errors:
-        print(f"warning: {path}:{err.line_number}: {err.reason}", file=sys.stderr)
+    _warn_parse_errors(path, errors)
     if not reviews:
         raise DataError(f"no valid reviews in {path}")
     return reviews
 
 
-def _load_labels(path) -> list:
+def _consume_labels(path, consume):
+    """Return consume(votes) over the labels file's valid votes, streamed.
+
+    The votes are parsed as consume reads them and never held as a list;
+    the dropped lines are reported once the file is read.
+    """
+    errors = []
     try:
-        labels, errors = read_labels(path)
+        with open_jsonl(path) as fh:
+            result = consume(iter_labels(fh, errors))
     except OSError as exc:
         raise DataError(f"cannot read labels file: {exc}") from exc
-    for err in errors:
-        print(f"warning: {path}:{err.line_number}: {err.reason}", file=sys.stderr)
-    return labels
+    _warn_parse_errors(path, errors)
+    return result
 
 
 def _star_pool(labeled: list, stars: int) -> list:
@@ -222,7 +234,7 @@ def _split_for_star(labeled, stars, train_n, test_n, seed) -> DatasetSplit:
 def cmd_ingest(args) -> int:
     stars_list = _parse_stars(args.stars)
     reviews = _load_reviews(args.reviews)
-    labeled = label_reviews(reviews, _load_labels(args.labels))
+    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
     lexicons = load_lexicons()
     config = {
         "command": "ingest",
@@ -246,11 +258,11 @@ def cmd_ingest(args) -> int:
 def cmd_label(args) -> int:
     reviews = _load_reviews(args.reviews)
     try:
-        existing = _load_labels(args.labels)
+        voted = _consume_labels(args.labels, lambda votes: {
+            label.review_id for label in votes if label.annotator == args.annotator})
     except DataError:
-        existing = []
-    voted = {(label.review_id, label.annotator) for label in existing}
-    pending = [r for r in reviews if (r.review_id, args.annotator) not in voted]
+        voted = set()
+    pending = [r for r in reviews if r.review_id not in voted]
     print(f"{len(pending)} reviews awaiting a vote from {args.annotator}")
     recorded = 0
     for review in pending:
@@ -283,7 +295,7 @@ def cmd_extract(args) -> int:
     resolved = {}
     corpus_files = {"reviews": args.reviews}
     if args.labels:
-        resolved = resolve_labels(_load_labels(args.labels))
+        resolved = _consume_labels(args.labels, resolve_labels)
         corpus_files["labels"] = args.labels
     lexicons = load_lexicons()
     pipeline = FeaturePipeline(lexicons)
@@ -348,7 +360,7 @@ def cmd_train(args) -> int:
     stars_list = _parse_stars(args.stars)
     _train_configs(args, stars_list[0])  # validate flags before touching data
     reviews = _load_reviews(args.reviews)
-    labeled = label_reviews(reviews, _load_labels(args.labels))
+    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
     lexicons = load_lexicons()
     pipeline = FeaturePipeline(lexicons)
     prov = _train_provenance(args, stars_list, "train", lexicons)
@@ -371,7 +383,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     stars_list = _parse_stars(args.stars)
     reviews = _load_reviews(args.reviews)
-    labeled = label_reviews(reviews, _load_labels(args.labels))
+    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
     lexicons = load_lexicons()
     pipeline = FeaturePipeline(lexicons)
     config = {
@@ -441,7 +453,7 @@ def cmd_sweep(args) -> int:
     stars = stars_list[0]
     _train_configs(args, stars)  # validate flags before touching data
     reviews = _load_reviews(args.reviews)
-    labeled = label_reviews(reviews, _load_labels(args.labels))
+    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
     lexicons = load_lexicons()
     pipeline = FeaturePipeline(lexicons)
     prov = _train_provenance(args, stars_list, "sweep", lexicons)

@@ -10,13 +10,20 @@ Labels are a separate append-only JSON-lines file: one (review_id,
 annotator, sarcastic) vote per line. The resolved label is the majority
 vote over annotators, with ties going to non-sarcastic. A later line by
 the same annotator for the same review supersedes the earlier one.
+``iter_labels`` yields the votes one at a time and ``resolve_labels``
+tallies any iterable of them in one pass, so a labels file can be read
+once, straight into the tally: memory then grows with the number of
+reviews, not with the number of votes.
 
 Both files go through one line reader. It decodes each file as UTF-8
 with undecodable bytes kept as surrogate escapes, so a line holding one
 is an ``invalid UTF-8`` error and the lines around it still parse. It
 hands each non-blank line to the C JSON scanner once; bad JSON, a value
 nested too deeply for the scanner, and trailing data are each one error
-for that line. Both files are written through one serializer.
+for that line. A string field holding a lone surrogate (from a JSON
+``\\u`` escape such as ``"\\udcff"``) cannot be written back as UTF-8, so it
+is one error for that line too. Both files are written through one
+serializer.
 
 The record types are named tuples: immutable, compared by value, and
 cheap to build in bulk.
@@ -71,6 +78,9 @@ STAR_VALUES = (1, 2, 3, 4, 5)
 # Input text is decoded with undecodable bytes kept as these surrogate
 # escapes, so one bad line is found and skipped without costing the others.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+# A JSON \u escape can decode to any lone surrogate. Only a non-ASCII
+# value can hold one, and str.isascii is O(1), so the validators ask it first.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 _JSON_WHITESPACE = " \t\n\r"
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
@@ -134,8 +144,9 @@ def parse_review_stream(lines) -> tuple:
 
     ``lines`` is any iterable of strings. Valid records keep input order.
     Invalid lines (invalid UTF-8, bad JSON, missing field, stars out of
-    range, blank text, duplicate review_id) become ParseError entries;
-    parsing always reaches the end of the stream.
+    range, blank text, a lone surrogate in a string field, duplicate
+    review_id) become ParseError entries; parsing always reaches the end
+    of the stream.
     """
     reviews = []
     errors = []
@@ -151,10 +162,14 @@ def parse_review_stream(lines) -> tuple:
             else:
                 if not isinstance(review_id, str) or not review_id:
                     reason = "review_id must be a non-empty string"
+                elif not review_id.isascii() and _SURROGATE.search(review_id):
+                    reason = "review_id holds a lone surrogate"
                 elif stars not in STAR_VALUES:
                     reason = "stars out of range"
                 elif not isinstance(text, str) or not text.strip():
                     reason = "empty text"
+                elif not text.isascii() and _SURROGATE.search(text):
+                    reason = "text holds a lone surrogate"
                 elif review_id in seen_ids:
                     reason = f"duplicate review_id: {review_id}"
                 else:
@@ -165,8 +180,13 @@ def parse_review_stream(lines) -> tuple:
     return reviews, errors
 
 
+def open_jsonl(path):
+    """Open a corpus file for reading, undecodable bytes kept as surrogate escapes."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def read_reviews(path) -> tuple:
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_jsonl(path) as fh:
         return parse_review_stream(fh)
 
 
@@ -189,10 +209,13 @@ def segregate_by_stars(reviews) -> dict:
     return buckets
 
 
-def parse_label_stream(lines) -> tuple:
-    """Parse JSON-lines label votes into (labels, parse_errors)."""
-    labels = []
-    errors = []
+def iter_labels(lines, errors):
+    """Yield each valid SarcasmLabel of JSON-lines label votes, in input order.
+
+    ``lines`` is any iterable of strings. Each invalid line (invalid
+    UTF-8, bad JSON, missing field, wrong type, a lone surrogate in a
+    string field) appends one ParseError to ``errors`` instead.
+    """
     for line_number, record, reason in _json_lines(lines):
         if reason is None:
             try:
@@ -204,19 +227,28 @@ def parse_label_stream(lines) -> tuple:
             else:
                 if not isinstance(review_id, str) or not review_id:
                     reason = "review_id must be a non-empty string"
+                elif not review_id.isascii() and _SURROGATE.search(review_id):
+                    reason = "review_id holds a lone surrogate"
                 elif not isinstance(sarcastic, bool):
                     reason = "sarcastic must be a boolean"
                 elif not isinstance(annotator, str) or not annotator:
                     reason = "annotator must be a non-empty string"
+                elif not annotator.isascii() and _SURROGATE.search(annotator):
+                    reason = "annotator holds a lone surrogate"
                 else:
-                    labels.append(SarcasmLabel(review_id, sarcastic, annotator))
+                    yield SarcasmLabel(review_id, sarcastic, annotator)
                     continue
         errors.append(ParseError(line_number, reason))
-    return labels, errors
+
+
+def parse_label_stream(lines) -> tuple:
+    """Parse JSON-lines label votes into (labels, parse_errors)."""
+    errors = []
+    return list(iter_labels(lines, errors)), errors
 
 
 def read_labels(path) -> tuple:
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_jsonl(path) as fh:
         return parse_label_stream(fh)
 
 
@@ -233,21 +265,30 @@ def resolve_labels(labels) -> dict:
     """Majority-vote each review's label; ties resolve to non-sarcastic.
 
     One vote per (review_id, annotator): since the file is append-only,
-    the last vote an annotator recorded for a review wins.
+    the last vote an annotator recorded for a review wins. ``labels`` is
+    any iterable of votes and is read once, so a stream from
+    ``iter_labels`` is never held as a list: what stays is one
+    {annotator: vote} dict per review, with each annotator name stored
+    once however many reviews it voted on.
     """
     votes = {}
-    for label in labels:
-        votes.setdefault(label.review_id, {})[label.annotator] = label.sarcastic
-    resolved = {}
+    names = {}
+    for review_id, sarcastic, annotator in labels:
+        per_annotator = votes.get(review_id)
+        if per_annotator is None:
+            per_annotator = votes[review_id] = {}
+        per_annotator[names.setdefault(annotator, annotator)] = sarcastic
+    # Replacing each value in place frees its dict as the tally goes.
     for review_id, per_annotator in votes.items():
-        yes = sum(1 for v in per_annotator.values() if v)
-        no = len(per_annotator) - yes
-        resolved[review_id] = yes > no
-    return resolved
+        votes[review_id] = 2 * sum(per_annotator.values()) > len(per_annotator)
+    return votes
 
 
 def label_reviews(reviews, labels) -> list:
-    """Join reviews with resolved labels; unlabeled reviews are dropped."""
+    """Join reviews with resolved labels; unlabeled reviews are dropped.
+
+    ``labels`` is any iterable of votes, read once (see resolve_labels).
+    """
     resolved = resolve_labels(labels)
     return [
         LabeledReview(review, resolved[review.review_id])
@@ -304,8 +345,16 @@ def write_split_manifest(path, split: DatasetSplit, provenance: dict | None = No
 
 
 def read_split_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Read a split manifest back; malformed content raises DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"split manifest is not valid UTF-8: {exc.reason}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"split manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("split manifest is not a JSON object")
     for key in ("stars", "seed", "train_n", "test_n", "train_review_ids", "test_review_ids"):
         if key not in manifest:
             raise DataError(f"split manifest missing field: {key}")

@@ -9,10 +9,12 @@ import io
 import json
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
 import sarcnet.cli as cli
+import sarcnet.corpus
 from sarcnet.errors import TrainingDivergence
 from sarcnet.lexicons import DEFAULT_LEXICON_DIR, ENV_LEXICON_DIR
 from sarcnet.network import load_model
@@ -127,6 +129,13 @@ class TestParsingAndExitCodes:
         assert code == 2
         assert str(lexicons / "intensifiers.txt") in capsys.readouterr().err
 
+    def test_missing_labels_file_is_data_error(self, corpus, tmp_path, capsys):
+        code = run("ingest", "--reviews", corpus["reviews"],
+                   "--labels", str(tmp_path / "nope.jsonl"),
+                   "--out", str(tmp_path / "split-{stars}.json"))
+        assert code == 2
+        assert "cannot read labels file" in capsys.readouterr().err
+
     def test_divergence_exits_three(self, corpus, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise TrainingDivergence("non-finite gradient in W1")
@@ -144,7 +153,7 @@ class TestIngest:
     def test_invalid_utf8_vote_costs_one_vote(self, corpus, tmp_path, capsys):
         labels = tmp_path / "labels.jsonl"
         labels.write_bytes(b'{"review_id": "mc-1s-000", "\xc3(": 1}\n'
-                           + open(corpus["labels"], "rb").read())
+                           + Path(corpus["labels"]).read_bytes())
         code = run("ingest", "--reviews", corpus["reviews"], "--labels", str(labels),
                    "--stars", "1", "--train-size", "70", "--test-size", "30",
                    "--out", str(tmp_path / "split.json"))
@@ -180,8 +189,7 @@ class TestIngest:
 
     def test_rerun_is_byte_identical_and_leaves_inputs_alone(self, corpus, tmp_path,
                                                              capsys):
-        reviews_sha = hashlib.sha256(
-            open(corpus["reviews"], "rb").read()).hexdigest()
+        reviews_sha = sha(Path(corpus["reviews"]))
         out_a = tmp_path / "a" / "split-{stars}.json"
         out_b = tmp_path / "b" / "split-{stars}.json"
         args = ["ingest", "--reviews", corpus["reviews"], "--labels",
@@ -191,8 +199,82 @@ class TestIngest:
         assert run(*args, "--out", str(out_b)) == 0
         assert sha(tmp_path / "a" / "split-2.json") == \
                sha(tmp_path / "b" / "split-2.json")
-        after = hashlib.sha256(open(corpus["reviews"], "rb").read()).hexdigest()
+        after = sha(Path(corpus["reviews"]))
         assert reviews_sha == after
+
+
+class TestLabelStream:
+    """Every command streams the votes from the labels file into the tally."""
+
+    def commands(self, corpus, out):
+        return [
+            ["ingest", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+             "--stars", "all", "--train-size", "70", "--test-size", "30", "--seed", "3",
+             "--out", str(out / "split-{stars}.json")],
+            ["extract", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+             "--out", str(out / "features.csv")],
+        ]
+
+    def test_no_vote_list_is_built(self, corpus, tmp_path, monkeypatch, capsys):
+        for argv in self.commands(corpus, tmp_path / "listed"):
+            assert run(*argv) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the labels file was read into a list")
+
+        for module in (sarcnet.corpus, cli):
+            for name in ("read_labels", "parse_label_stream"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for argv in self.commands(corpus, tmp_path / "streamed"):
+            assert run(*argv) == 0
+        listed = sorted(p.name for p in (tmp_path / "listed").iterdir())
+        assert listed == sorted(p.name for p in (tmp_path / "streamed").iterdir())
+        assert len(listed) == 6
+        for name in listed:
+            assert sha(tmp_path / "listed" / name) == sha(tmp_path / "streamed" / name)
+
+    def test_label_warnings_follow_review_warnings_in_line_order(self, corpus, tmp_path,
+                                                                   capsys):
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        review_lines = Path(corpus["reviews"]).read_text(encoding="utf-8").splitlines()
+        label_lines = Path(corpus["labels"]).read_text(encoding="utf-8").splitlines()
+        reviews.write_text("\n".join(["{", *review_lines, "[]"]) + "\n", encoding="utf-8")
+        labels.write_text("\n".join([
+            label_lines[0], '{"review_id": "x"}', *label_lines[1:],
+            '{"review_id": "x", "sarcastic": 1, "annotator": "a"}']) + "\n",
+            encoding="utf-8")
+        code = run("ingest", "--reviews", str(reviews), "--labels", str(labels),
+                   "--stars", "1", "--train-size", "70", "--test-size", "30",
+                   "--out", str(tmp_path / "split.json"))
+        assert code == 0
+        last = len(label_lines) + 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {reviews}:1: invalid JSON: Expecting property name enclosed "
+            "in double quotes",
+            f"warning: {reviews}:{len(review_lines) + 2}: record is not an object",
+            f"warning: {labels}:2: missing field: sarcastic, annotator",
+            f"warning: {labels}:{last}: sarcastic must be a boolean",
+        ]
+
+    def test_label_skips_reviews_this_annotator_voted_on(self, tmp_path, capsys,
+                                                         monkeypatch):
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        TestLabel().write_reviews(reviews)
+        labels.write_text("".join(json.dumps(vote) + "\n" for vote in [
+            {"review_id": "a", "sarcastic": True, "annotator": "erin"},
+            {"review_id": "b", "sarcastic": True, "annotator": "frank"},
+        ]) + "{\n")
+        monkeypatch.setattr("builtins.input", lambda prompt: "q")
+        code = run("label", "--reviews", str(reviews), "--labels", str(labels),
+                   "--annotator", "erin")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "2 reviews awaiting a vote from erin" in captured.out
+        assert captured.err == (f"warning: {labels}:3: invalid JSON: Expecting property "
+                                "name enclosed in double quotes\n")
 
 
 class TestExtract:
@@ -230,6 +312,21 @@ class TestExtract:
                    "--out", str(out))
         assert code == 0
         assert capsys.readouterr().err == f"warning: {reviews}:21: invalid UTF-8\n"
+        rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 20
+
+    def test_lone_surrogate_review_costs_one_row(self, corpus, tmp_path, capsys):
+        reviews = tmp_path / "reviews.jsonl"
+        with open(corpus["reviews"], "rb") as fh:
+            head = b"".join(fh.readline() for _ in range(20))
+        reviews.write_bytes(head + rb'{"review_id": "a\udcff", "stars": 1, "text": "ok"}'
+                            + b"\n")
+        out = tmp_path / "features.csv"
+        code = run("extract", "--reviews", str(reviews), "--stars", "all",
+                   "--out", str(out))
+        assert code == 0
+        assert capsys.readouterr().err == \
+            f"warning: {reviews}:21: review_id holds a lone surrogate\n"
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == 20
 

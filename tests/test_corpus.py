@@ -15,6 +15,7 @@ from sarcnet.corpus import (
     SarcasmLabel,
     append_labels,
     curriculum_subset,
+    iter_labels,
     label_reviews,
     make_split,
     parse_label_stream,
@@ -230,6 +231,79 @@ class TestLabels:
         assert [e.line_number for e in errors] == [2, 3]
 
 
+VOTES = st.lists(st.builds(SarcasmLabel, st.sampled_from(["r1", "r2", "r3"]), st.booleans(),
+                           st.sampled_from(["a", "b", "c", "d"])), max_size=24)
+VOTED_REVIEWS = [Review(f"r{i}", 1 + i % 5, f"text {i}") for i in range(5)]
+
+
+class TestTallyMatchesReference:
+    """The one-pass tally gives the two-loop resolve_labels' result, in its order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(VOTES)
+    @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")])
+    @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "a"),
+              SarcasmLabel("r2", True, "b"), SarcasmLabel("r2", True, "b")])
+    def test_resolve_labels(self, votes):
+        expected = list(reference_corpus.resolve_labels(votes).items())
+        assert list(resolve_labels(votes).items()) == expected
+        assert list(resolve_labels(vote for vote in votes).items()) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(VOTES)
+    def test_label_reviews(self, votes):
+        resolved = reference_corpus.resolve_labels(votes)
+        expected = [LabeledReview(review, resolved[review.review_id])
+                    for review in VOTED_REVIEWS if review.review_id in resolved]
+        assert label_reviews(VOTED_REVIEWS, votes) == expected
+        assert label_reviews(VOTED_REVIEWS, (vote for vote in votes)) == expected
+
+
+class TestIterLabels:
+    def test_matches_parse_label_stream(self):
+        lines = [label_line(), "{", label_line(sarcastic=1), "", label_line(review_id="r2")]
+        errors = []
+        labels = list(iter_labels(lines, errors))
+        assert (labels, errors) == parse_label_stream(lines)
+        assert errors == [ParseError(2, "invalid JSON: Expecting property name enclosed "
+                                        "in double quotes"),
+                          ParseError(3, "sarcastic must be a boolean")]
+
+    def test_yields_each_vote_before_reading_the_next_line(self):
+        read = []
+
+        def lines():
+            for review_id in ("r1", "r2"):
+                read.append(review_id)
+                yield label_line(review_id=review_id)
+
+        votes = iter_labels(lines(), [])
+        assert next(votes).review_id == "r1"
+        assert read == ["r1"]
+
+
+class TestLoneSurrogates:
+    """A \\u escape that decodes to a lone surrogate costs its line."""
+
+    def test_review_fields(self):
+        lines = [r'{"review_id": "a\udcff", "stars": 1, "text": "ok"}',
+                 r'{"review_id": "b", "stars": 1, "text": "caf\ud800"}',
+                 r'{"review_id": "c", "stars": 1, "text": "\ud83d\ude00 \u00e9"}']
+        reviews, errors = parse_review_stream(lines)
+        assert reviews == [Review("c", 1, "\U0001f600 é")]
+        assert errors == [ParseError(1, "review_id holds a lone surrogate"),
+                          ParseError(2, "text holds a lone surrogate")]
+
+    def test_label_fields(self):
+        lines = [r'{"review_id": "r\udfff", "sarcastic": true, "annotator": "a"}',
+                 r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800x"}',
+                 r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800\udc00"}']
+        labels, errors = parse_label_stream(lines)
+        assert labels == [SarcasmLabel("r1", True, "\U00010000")]
+        assert errors == [ParseError(1, "review_id holds a lone surrogate"),
+                          ParseError(2, "annotator holds a lone surrogate")]
+
+
 class TestFiles:
     def test_review_file_round_trip(self, tmp_path):
         reviews = [Review("r1", 2, "café was ok…"), Review("r2", 5, "great!")]
@@ -256,6 +330,58 @@ class TestFiles:
         with pytest.raises(DataError, match="missing field"):
             read_split_manifest(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", "not valid JSON"),
+        (b"5", "not a JSON object"),
+        (b'["stars"]', "not a JSON object"),
+        (b'{"stars": 1\xff}', "not valid UTF-8"),
+        (b"[" * 100_000, "not valid JSON"),
+        (b'{"stars": ' + b"1" * 5000 + b"}", "not valid JSON"),
+    ], ids=["bad-json", "number", "list", "bad-utf8", "deep-nesting", "long-integer"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, content, message):
+        path = tmp_path / "split.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            read_split_manifest(path)
+
+
+MANIFEST_KEYS = ("stars", "seed", "train_n", "test_n", "train_review_ids", "test_review_ids")
+
+
+def _manifest_bytes(tmp_path_factory):
+    split = make_split(make_pool(30), 20, 10, seed=5)
+    path = tmp_path_factory.mktemp("manifest") / "split.json"
+    write_split_manifest(path, split, provenance={"seed": 5})
+    return path.read_bytes()
+
+
+class TestReadSplitManifestRaisesOnlyDataError:
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.binary(max_size=64)
+           | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"stars"', b":", b",",
+                                       b"1", b"null", b"\xff", b"\xc3", b" "]),
+                      max_size=12).map(b"".join))
+    def test_arbitrary_bytes(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("garbage") / "split.json"
+        path.write_bytes(content)
+        try:
+            manifest = read_split_manifest(path)
+        except DataError:
+            return
+        assert all(key in manifest for key in MANIFEST_KEYS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dropped=st.sets(st.sampled_from(MANIFEST_KEYS), min_size=1))
+    def test_valid_manifest_with_keys_dropped(self, tmp_path_factory, dropped):
+        doc = json.loads(_manifest_bytes(tmp_path_factory))
+        for key in dropped:
+            del doc[key]
+        path = tmp_path_factory.mktemp("dropped") / "split.json"
+        path.write_text(json.dumps(doc))
+        first = next(key for key in MANIFEST_KEYS if key in dropped)
+        with pytest.raises(DataError, match=f"missing field: {first}$"):
+            read_split_manifest(path)
+
 
 def label_line(review_id="r1", sarcastic=True, annotator="a", **extra):
     return json.dumps({"review_id": review_id, "sarcastic": sarcastic,
@@ -276,6 +402,8 @@ FIELD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-1, 7),
     st.sampled_from([1.0, 5.0, 2.5, 1e308, float("nan"), float("inf")]),
     st.sampled_from(["", " ", "a", "b", "r1", "ok food"]),
+    # Lone surrogates, outside the range that marks an undecodable byte.
+    st.sampled_from(["a\ud800", "\udbff\u00e9", "\udfff"]),
     st.text(st.characters(codec="utf-8"), max_size=6),
     st.lists(st.integers(0, 3), max_size=2),
 )
@@ -354,6 +482,10 @@ class TestMatchesReferenceParsers:
               " \ufeff{}", "{}\xa0", "\x0b", "{} x", '{"a": 1}\n{"b": 2}', '"\r\n'])
     @example([label_line(), label_line(sarcastic=1), "\ufeff\ufeff", "\r\n", "[1] ",
               label_line(annotator="")])
+    @example([r'{"review_id": "a\udcff", "stars": 1, "text": "ok"}',
+              r'{"review_id": "b", "stars": 1, "text": "\ud800"}',
+              r'{"review_id": "r\udfff", "sarcastic": true, "annotator": "a"}',
+              r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800x"}'])
     def test_reviews_and_labels(self, lines):
         assert parse_review_stream(lines) == reference_corpus.parse_review_stream(lines)
         assert parse_label_stream(lines) == reference_corpus.parse_label_stream(lines)
