@@ -10,156 +10,59 @@ Typical use:
     from sarcnet import FeaturePipeline, MlpConfig, TrainConfig, train
 
 See the README for the command-line interface and file formats.
+
+The public names are loaded on first use (PEP 562): ``import sarcnet``
+imports no submodule, and ``sarcnet.train`` imports ``sarcnet.training``
+(and with it numpy) only when it is first looked up. So a program that
+reads only the corpus never loads numpy.
 """
 
-from .corpus import (
-    DatasetSplit,
-    LabeledReview,
-    ParseError,
-    Review,
-    SarcasmLabel,
-    curriculum_subset,
-    iter_labels,
-    label_reviews,
-    make_split,
-    open_jsonl,
-    parse_review_stream,
-    read_labels,
-    read_reviews,
-    resolve_labels,
-    segregate_by_stars,
-)
-from .errors import DataError, SarcnetError, TrainingDivergence
-from .features import (
-    FeatureCategory,
-    FeatureCounts,
-    FeatureDescriptor,
-    FeatureKind,
-    FeaturePipeline,
-    catalog,
-    extract_counts,
-    feature_names,
-    normalize,
-)
-from .lexicons import Lexicons, default_lexicons, load_lexicons
-from .network import (
-    AdamState,
-    ForwardTrace,
-    Gradients,
-    MlpConfig,
-    MlpModel,
-    adam_step,
-    backward,
-    cross_entropy,
-    forward,
-    init_adam_state,
-    init_model,
-    load_model,
-    predict,
-    relu,
-    save_model,
-    softmax,
-)
-from .text import tokenize
-from .training import (
-    ClassMetrics,
-    ConfusionMatrix,
-    EvalResult,
-    HistoryRecord,
-    Main,
-    NonSarcasticDominated,
-    SarcasticOnly,
-    StarReport,
-    SweepResult,
-    TrainConfig,
-    derive_seed,
-    evaluate,
-    f1_score,
-    lr_sweep,
-    macro_average,
-    prf1,
-    render_metrics_table,
-    render_sweep_table,
-    report_to_dict,
-    star_report,
-    train,
-    train_on_vectors,
-    write_history,
-    write_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState",
-    "ClassMetrics",
-    "ConfusionMatrix",
-    "DataError",
-    "DatasetSplit",
-    "EvalResult",
-    "FeatureCategory",
-    "FeatureCounts",
-    "FeatureDescriptor",
-    "FeatureKind",
-    "FeaturePipeline",
-    "ForwardTrace",
-    "Gradients",
-    "HistoryRecord",
-    "LabeledReview",
-    "Lexicons",
-    "Main",
-    "MlpConfig",
-    "MlpModel",
-    "NonSarcasticDominated",
-    "ParseError",
-    "Review",
-    "SarcasmLabel",
-    "SarcasticOnly",
-    "SarcnetError",
-    "StarReport",
-    "SweepResult",
-    "TrainConfig",
-    "TrainingDivergence",
-    "adam_step",
-    "backward",
-    "catalog",
-    "cross_entropy",
-    "curriculum_subset",
-    "default_lexicons",
-    "derive_seed",
-    "evaluate",
-    "extract_counts",
-    "f1_score",
-    "feature_names",
-    "forward",
-    "init_adam_state",
-    "init_model",
-    "iter_labels",
-    "label_reviews",
-    "load_lexicons",
-    "load_model",
-    "lr_sweep",
-    "macro_average",
-    "make_split",
-    "normalize",
-    "open_jsonl",
-    "parse_review_stream",
-    "predict",
-    "prf1",
-    "read_labels",
-    "read_reviews",
-    "relu",
-    "render_metrics_table",
-    "render_sweep_table",
-    "report_to_dict",
-    "resolve_labels",
-    "save_model",
-    "segregate_by_stars",
-    "softmax",
-    "star_report",
-    "tokenize",
-    "train",
-    "train_on_vectors",
-    "write_history",
-    "write_report",
-]
+# submodule -> the public names it defines
+_MODULE_EXPORTS = {
+    "corpus": (
+        "DatasetSplit", "LabeledReview", "ParseError", "Review", "SarcasmLabel",
+        "curriculum_subset", "derive_seed", "iter_labels", "label_reviews",
+        "make_split", "open_jsonl", "parse_review_stream", "read_labels",
+        "read_reviews", "resolve_labels", "segregate_by_stars",
+    ),
+    "errors": ("DataError", "SarcnetError", "TrainingDivergence"),
+    "features": (
+        "FeatureCategory", "FeatureCounts", "FeatureDescriptor", "FeatureKind",
+        "FeaturePipeline", "catalog", "extract_counts", "feature_names", "normalize",
+    ),
+    "lexicons": ("Lexicons", "default_lexicons", "load_lexicons"),
+    "network": (
+        "AdamState", "ForwardTrace", "Gradients", "MlpConfig", "MlpModel",
+        "adam_step", "backward", "cross_entropy", "forward", "init_adam_state",
+        "init_model", "load_model", "predict", "relu", "save_model", "softmax",
+    ),
+    "text": ("tokenize",),
+    "training": (
+        "ClassMetrics", "ConfusionMatrix", "EvalResult", "HistoryRecord", "Main",
+        "NonSarcasticDominated", "SarcasticOnly", "StarReport", "SweepResult",
+        "TrainConfig", "evaluate", "f1_score", "lr_sweep", "macro_average", "prf1",
+        "render_metrics_table", "render_sweep_table", "report_to_dict",
+        "star_report", "train", "train_on_vectors", "write_history", "write_report",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Looked up afresh on every access and never bound here, so a function
+    # replaced in its submodule (a test's monkeypatch, a tracer) is what
+    # ``sarcnet.<name>`` returns too, and nothing outlives its restore.
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -16,6 +16,10 @@ reproduces it byte for byte.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
+
+Each command imports the modules it runs when it starts, not when this
+module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
+``predict`` never loads the trainer.
 """
 
 import argparse
@@ -32,6 +36,7 @@ from .corpus import (
     SarcasmLabel,
     _UNDECODABLE,
     append_labels,
+    derive_seed,
     iter_labels,
     label_reviews,
     make_split,
@@ -41,24 +46,7 @@ from .corpus import (
     write_split_manifest,
 )
 from .errors import DataError, TrainingDivergence
-from .features import FeaturePipeline, normalize, write_feature_dump
 from .lexicons import load_lexicons
-from .network import MlpConfig, load_model, predict, save_model
-from .training import (
-    Main,
-    NonSarcasticDominated,
-    SarcasticOnly,
-    TrainConfig,
-    derive_seed,
-    evaluate,
-    lr_sweep,
-    render_metrics_table,
-    render_sweep_table,
-    star_report,
-    train,
-    write_history,
-    write_report,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,6 +98,8 @@ def _parse_lr_grid(value: str) -> tuple:
 
 def _parse_stages(value: str | None):
     """Stage spec: comma list of sarcastic[:n], dominated[:n[:ratio]], main."""
+    from .training import Main, NonSarcasticDominated, SarcasticOnly
+
     if value is None:
         return (SarcasticOnly(), NonSarcasticDominated(), Main())
     stages = []
@@ -288,6 +278,8 @@ def cmd_label(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .features import FeaturePipeline, normalize, write_feature_dump
+
     stars_list = _parse_stars(args.stars)
     reviews = [r for r in _load_reviews(args.reviews) if r.stars in set(stars_list)]
     if not reviews:
@@ -301,17 +293,21 @@ def cmd_extract(args) -> int:
     pipeline = FeaturePipeline(lexicons)
     config = {"command": "extract", "stars": stars_list}
     prov = _provenance(args.seed, config, lexicons, corpus_files)
-    rows = []
-    for review in reviews:
-        counts = pipeline.counts(review.text)
-        rows.append((review.review_id, resolved.get(review.review_id), counts,
-                     normalize(counts)))
-    write_feature_dump(_prepare_out(args.out), rows, _provenance_lines(prov))
-    print(f"wrote {len(rows)} feature rows -> {args.out}")
+
+    def rows():
+        for review in reviews:
+            counts = pipeline.counts(review.text)
+            yield review.review_id, resolved.get(review.review_id), counts, normalize(counts)
+
+    written = write_feature_dump(_prepare_out(args.out), rows(), _provenance_lines(prov))
+    print(f"wrote {written} feature rows -> {args.out}")
     return EXIT_OK
 
 
 def _train_configs(args, stars: int) -> tuple:
+    from .network import MlpConfig
+    from .training import TrainConfig
+
     stages = _parse_stages(args.stages)
     train_config = TrainConfig(
         lr=args.lr,
@@ -334,6 +330,8 @@ def _train_configs(args, stars: int) -> tuple:
 
 
 def _train_provenance(args, stars_list, command: str, lexicons) -> dict:
+    from .training import TrainConfig
+
     config = {
         "command": command,
         "stars": stars_list,
@@ -357,6 +355,10 @@ def _train_provenance(args, stars_list, command: str, lexicons) -> dict:
 
 
 def cmd_train(args) -> int:
+    from .features import FeaturePipeline
+    from .network import save_model
+    from .training import train, write_history
+
     stars_list = _parse_stars(args.stars)
     _train_configs(args, stars_list[0])  # validate flags before touching data
     reviews = _load_reviews(args.reviews)
@@ -381,6 +383,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .features import FeaturePipeline
+    from .network import load_model
+    from .training import evaluate, render_metrics_table, star_report, write_report
+
     stars_list = _parse_stars(args.stars)
     reviews = _load_reviews(args.reviews)
     labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
@@ -435,6 +441,9 @@ def _predict_input(path):
 
 
 def cmd_predict(args) -> int:
+    from .features import FeaturePipeline
+    from .network import load_model, predict
+
     model = load_model(args.model)
     pipeline = FeaturePipeline(load_lexicons())
     opened, source = _predict_input(args.input)
@@ -447,6 +456,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .features import FeaturePipeline
+    from .training import lr_sweep, render_sweep_table
+
     stars_list = _parse_stars(args.stars)
     if len(stars_list) != 1:
         raise ValueError("sweep works on exactly one star rating")

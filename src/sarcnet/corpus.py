@@ -31,9 +31,11 @@ cheap to build in bulk.
 Splits shuffle a single-star pool with a seeded Fisher-Yates permutation
 (``random.Random(seed).shuffle``) and cut it into train/test prefixes,
 so identical inputs and seed always give bit-identical membership and
-order.
+order. ``derive_seed`` mixes one base seed into the seed of each split,
+subset and training stream.
 """
 
+import hashlib
 import json
 import random
 import re
@@ -295,6 +297,18 @@ def label_reviews(reviews, labels) -> list:
         for review in reviews
         if review.review_id in resolved
     ]
+
+
+def derive_seed(base: int, *salts) -> int:
+    """Mix a base seed with context salts into a fresh 63-bit seed.
+
+    Hash-based so unrelated consumers (stage shuffles, dropout streams,
+    curriculum subsets) never collide just because their salts are close
+    integers.
+    """
+    payload = "\x1f".join([str(base), *(str(s) for s in salts)])
+    digest = hashlib.sha256(payload.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def make_split(pool, train_n: int, test_n: int, seed: int) -> DatasetSplit:

@@ -17,6 +17,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,8 @@ def feature_names() -> list:
     return [d.name for d in _CATALOG]
 
 
-@dataclass(frozen=True)
-class FeatureCounts:
+class FeatureCounts(NamedTuple):
+    """Raw counts of the catalog features, in catalog order, then the word count."""
     f1: int = 0
     f2: int = 0
     f3: int = 0
@@ -110,7 +111,7 @@ class FeatureCounts:
     word_count: int = 0
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, d.id) for d in _CATALOG], dtype=float)
+        return np.array(self[:N_FEATURES], dtype=float)
 
 
 # laughter: two or more "ha" groups, optional trailing "h" ("haha", "HAHAH", ...)
@@ -194,18 +195,15 @@ def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts
     return FeatureCounts(*c, word_count=word_count)
 
 
+_IS_FLAG = np.array([desc.kind is FeatureKind.FLAG for desc in _CATALOG])
+
+
 def normalize(counts: FeatureCounts) -> np.ndarray:
     """Map raw counts to the 15-component vector in [0, 1]."""
     if counts.word_count == 0:
         return np.zeros(N_FEATURES)
-    out = np.empty(N_FEATURES)
-    for i, desc in enumerate(_CATALOG):
-        raw = getattr(counts, desc.id)
-        if desc.kind is FeatureKind.FLAG:
-            out[i] = float(raw)
-        else:
-            out[i] = min(1.0, raw / counts.word_count)
-    return out
+    raw = counts.as_array()
+    return np.where(_IS_FLAG, raw, np.minimum(raw / counts.word_count, 1.0))
 
 
 class FeaturePipeline:
@@ -225,12 +223,14 @@ class FeaturePipeline:
         return normalize(self.counts(text))
 
 
-def write_feature_dump(path, rows, provenance=None) -> None:
+def write_feature_dump(path, rows, provenance=None) -> int:
     """Write a feature dump: '#' provenance stanza, then a CSV table.
 
     ``rows`` yields (review_id, label, FeatureCounts, vector) tuples; label
-    may be None for unlabeled reviews. Values are printed with 10 decimal
-    digits of mantissa so a reread loses nothing at float32 scale.
+    may be None for unlabeled reviews. It is read once, each row written
+    as it comes, so a generator never holds the rows. Values are printed
+    with 10 decimal digits of mantissa so a reread loses nothing at
+    float32 scale. Returns the number of rows written.
     """
     names = feature_names()
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -238,12 +238,15 @@ def write_feature_dump(path, rows, provenance=None) -> None:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["review_id", "word_count", "label"] + names)
+        written = 0
         for review_id, label, counts, vector in rows:
             label_field = "" if label is None else str(int(label))
             writer.writerow(
                 [review_id, counts.word_count, label_field]
                 + [f"{v:.10e}" for v in vector]
             )
+            written += 1
+    return written
 
 
 def read_feature_dump(path):

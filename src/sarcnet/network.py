@@ -34,6 +34,10 @@ MODEL_FORMAT = "sarcnet-model"
 MODEL_VERSION = 1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     hidden: tuple
@@ -56,6 +60,8 @@ class MlpConfig:
                 raise ValueError(f"hidden width {width} outside {lo}..{hi}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -137,13 +143,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dropout_mask(rng: np.random.Generator, size, keep_prob: float) -> np.ndarray:
+# The generator annotations are strings: evaluated when the function is
+# defined, they would import numpy.random into every process that loads
+# this module, predict and eval included, which never draw a random number.
+def dropout_mask(rng: "np.random.Generator", size, keep_prob: float) -> np.ndarray:
     """Inverted-dropout mask of the given size: entries are 0 or 1/keep_prob."""
     return (rng.random(size) < keep_prob).astype(float) / keep_prob
 
 
 def forward(model: MlpModel, x, mode: str = "infer",
-            rng: np.random.Generator | None = None) -> ForwardTrace:
+            rng: "np.random.Generator | None" = None) -> ForwardTrace:
     """Run a (15,) input or a (B, 15) batch through the network.
 
     The trace records everything backward needs, at the rank of x. Train
@@ -301,7 +310,26 @@ def _array_to_hex(a: np.ndarray) -> list:
 
 
 def _hex_to_array(values, shape) -> np.ndarray:
+    # A string is iterable too, and float.fromhex reads "1" as 1.0.
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError("parameters must be a list of hex strings")
     return np.array([float.fromhex(v) for v in values]).reshape(shape)
+
+
+def _config_from_doc(cfg) -> MlpConfig:
+    """The MlpConfig a model document's config object describes."""
+    hidden, keep_prob, seed = cfg["hidden"], cfg["keep_prob"], cfg["seed"]
+    if not isinstance(hidden, list) or not all(_is_int(w) for w in hidden):
+        raise TypeError("hidden must be a list of integers")
+    if not isinstance(keep_prob, (int, float)) or isinstance(keep_prob, bool):
+        raise TypeError("keep_prob must be a number")
+    for key in ("input_dim", "output_dim"):
+        if not _is_int(cfg[key]):
+            raise TypeError(f"{key} must be an integer")
+    config = MlpConfig(hidden=tuple(hidden), keep_prob=keep_prob, seed=seed)
+    if cfg["input_dim"] != config.input_dim or cfg["output_dim"] != config.output_dim:
+        raise DataError("model config dimensions are invalid")
+    return config
 
 
 def save_model(path, model: MlpModel, provenance: dict | None = None) -> None:
@@ -333,7 +361,11 @@ def save_model(path, model: MlpModel, provenance: dict | None = None) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Read a model document back, rejecting version or shape mismatches."""
+    """Read a model document back, rejecting version or shape mismatches.
+
+    Content that is not a valid model document raises DataError; only a
+    file that cannot be opened or read raises OSError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -342,18 +374,18 @@ def load_model(path) -> MlpModel:
         raise DataError(f"model file is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model file is not valid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nested too deeply
+        raise DataError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError("not a model file (missing format marker)")
-    if doc.get("version") != MODEL_VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != MODEL_VERSION:
         raise DataError(
             f"unsupported model version {doc.get('version')!r}, expected {MODEL_VERSION}")
     try:
-        cfg = doc["config"]
-        config = MlpConfig(hidden=tuple(cfg["hidden"]), keep_prob=cfg["keep_prob"],
-                           seed=cfg["seed"])
-        if cfg["input_dim"] != config.input_dim or cfg["output_dim"] != config.output_dim:
-            raise DataError("model config dimensions are invalid")
+        config = _config_from_doc(doc["config"])
         layers = doc["layers"]
+        if not isinstance(layers, list):
+            raise TypeError("layers must be a list")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
     dims = config.layer_dims
@@ -373,7 +405,7 @@ def load_model(path) -> MlpModel:
             b = _hex_to_array(layer["bias"], (shape[0],))
         except DataError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed layer {l}: {exc}") from exc
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise DataError(f"layer {l} contains non-finite parameters")

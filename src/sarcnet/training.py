@@ -21,7 +21,6 @@ with the sarcastic class as positive. Metrics use the 0-for-0/0 convention so
 degenerate classifiers still produce a report.
 """
 
-import hashlib
 import json
 import math
 import random
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import DatasetSplit, curriculum_subset
+from .corpus import DatasetSplit, curriculum_subset, derive_seed
 from .errors import DataError, TrainingDivergence
 from .features import FeaturePipeline
 from .network import (
@@ -46,18 +45,6 @@ from .network import (
     init_model,
     predicted_classes,
 )
-
-
-def derive_seed(base: int, *salts) -> int:
-    """Mix a base seed with context salts into a fresh 63-bit seed.
-
-    Hash-based so unrelated consumers (stage shuffles, dropout streams,
-    curriculum subsets) never collide just because their salts are close
-    integers.
-    """
-    payload = "\x1f".join([str(base), *(str(s) for s in salts)])
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 @dataclass(frozen=True)

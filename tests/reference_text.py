@@ -1,8 +1,11 @@
-"""Reference feature pipeline for differential tests: tokenize -> tag -> count.
+"""Reference feature pipeline for differential tests: tokenize -> tag -> count -> normalize.
 
 This is the character-loop tokenizer and the token-by-token counter that
 ``sarcnet.features.extract_counts`` replaced with one regex scan, kept
 unchanged so the tests can hold the new pass to exactly the same counts.
+``normalize`` is the per-feature loop that the vectorized
+``sarcnet.features.normalize`` replaced, kept so the tests can hold the
+new one to the same bits.
 Tokens carry byte spans into the UTF-8 encoding of the source text, so
 the surface always equals the decoded source bytes at the span.
 
@@ -15,7 +18,9 @@ import enum
 import re
 from dataclasses import dataclass
 
-from sarcnet.features import FeatureCounts, catalog
+import numpy as np
+
+from sarcnet.features import FeatureCounts, FeatureKind, catalog
 from sarcnet.lexicons import Lexicons, default_lexicons
 
 ELLIPSIS_CHAR = "…"
@@ -191,3 +196,17 @@ def extract_counts(tagged: list, lexicons: Lexicons | None = None) -> FeatureCou
 def reference_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
     """tokenize -> pos_tag -> extract_counts over ``text``."""
     return extract_counts(pos_tag(tokenize(text), lexicons), lexicons)
+
+
+def normalize(counts: FeatureCounts) -> np.ndarray:
+    """Map raw counts to the 15-component vector in [0, 1], one feature at a time."""
+    if counts.word_count == 0:
+        return np.zeros(len(catalog()))
+    out = np.empty(len(catalog()))
+    for i, desc in enumerate(catalog()):
+        raw = getattr(counts, desc.id)
+        if desc.kind is FeatureKind.FLAG:
+            out[i] = float(raw)
+        else:
+            out[i] = min(1.0, raw / counts.word_count)
+    return out

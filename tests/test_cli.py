@@ -15,6 +15,7 @@ import pytest
 
 import sarcnet.cli as cli
 import sarcnet.corpus
+import sarcnet.training
 from sarcnet.errors import TrainingDivergence
 from sarcnet.lexicons import DEFAULT_LEXICON_DIR, ENV_LEXICON_DIR
 from sarcnet.network import load_model
@@ -140,7 +141,7 @@ class TestParsingAndExitCodes:
         def explode(*args, **kwargs):
             raise TrainingDivergence("non-finite gradient in W1")
 
-        monkeypatch.setattr(cli, "train", explode)
+        monkeypatch.setattr(sarcnet.training, "train", explode)
         code = run("train", "--reviews", corpus["reviews"],
                    "--labels", corpus["labels"], "--stars", "1", *FAST_TRAIN,
                    "--model", str(tmp_path / "m.json"),
@@ -475,6 +476,30 @@ class TestPredict:
         code = run("predict", "--model", str(model))
         assert code == 2
         assert "not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hole, raw, message", [
+        (lambda doc: doc["config"].update(hidden="HOLE"), "[1e400]", "hidden"),
+        (None, "[" * 200_000, "not valid JSON"),
+        (lambda doc: doc.update(version="HOLE"), "9" * 5000, "not valid JSON"),
+        (lambda doc: doc["layers"][0].update(bias="HOLE"), '"' + "1" * 15 + '"',
+         "hex strings"),
+    ], ids=["infinite-width", "deep-nesting", "long-version", "string-parameters"])
+    def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys, monkeypatch,
+                                         hole, raw, message):
+        """raw replaces the whole model file, or the value that hole marks in it."""
+        model = tmp_path / "corrupt.json"
+        if hole is None:
+            model.write_text(raw)
+        else:
+            doc = json.loads(trained["model"].read_text())
+            hole(doc)
+            model.write_text(json.dumps(doc).replace('"HOLE"', raw))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("hi\n"))
+        assert run("predict", "--model", str(model)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sarcnet: data error:")
+        assert message in captured.err
 
 
 class TestLabel:

@@ -24,6 +24,7 @@ from sarcnet.features import (
 from sarcnet.corpus import read_reviews
 from sarcnet.lexicons import default_lexicons
 from reference_text import EDGE_CHARS, reference_counts
+from reference_text import normalize as reference_normalize
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,20 @@ class TestNormalize:
         vec = normalize(FeatureCounts(f4=1, f5=1, f6=1, word_count=50))
         assert vec[5] == 1.0
 
+    def test_as_array_is_the_catalog_counts(self):
+        counts = FeatureCounts(*range(1, N_FEATURES + 2))
+        assert counts.as_array().tolist() == [getattr(counts, d.id) for d in catalog()]
+        assert counts.as_array().dtype == np.float64
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(0, 40) | st.integers(0, 2**40),
+                    min_size=N_FEATURES + 1, max_size=N_FEATURES + 1))
+    @example([3] * N_FEATURES + [7])
+    @example([0] * N_FEATURES + [1])
+    def test_bit_identical_to_the_per_feature_loop(self, values):
+        counts = FeatureCounts(*values)
+        assert normalize(counts).tobytes() == reference_normalize(counts).tobytes()
+
     def test_boundedness_fuzz(self, pipeline):
         rng = random.Random(5150)
         alphabet = "abcdefgh stuvwxyz!?.…'SO GREAT we you "
@@ -173,7 +188,10 @@ class TestFeatureDump:
             counts = pipeline.counts(text)
             rows.append((rid, labels[rid], counts, normalize(counts)))
         path = tmp_path / "dump.csv"
-        write_feature_dump(path, rows, provenance=["tool: test", "seed: 9"])
+        assert write_feature_dump(path, rows, provenance=["tool: test", "seed: 9"]) == 3
+        streamed = tmp_path / "streamed.csv"
+        assert write_feature_dump(streamed, iter(rows), ["tool: test", "seed: 9"]) == 3
+        assert streamed.read_bytes() == path.read_bytes()
         provenance, parsed = read_feature_dump(path)
         assert provenance == ["tool: test", "seed: 9"]
         assert [r["review_id"] for r in parsed] == ["r1", "r2", "r3"]
@@ -256,5 +274,5 @@ class TestMatchesReferencePipeline:
         reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
         assert len(reviews) == 500
         for review in reviews:
-            expected = normalize(reference_counts(review.text))
+            expected = reference_normalize(reference_counts(review.text))
             assert pipeline.vector(review.text).tobytes() == expected.tobytes()

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.network import (
@@ -96,6 +98,12 @@ class TestConfig:
             MlpConfig(hidden=(9,), keep_prob=0.0)
         with pytest.raises(ValueError, match="keep_prob"):
             MlpConfig(hidden=(9,), keep_prob=1.25)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # Else save_model would write a model that load_model rejects.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MlpConfig(hidden=(9,), seed=seed)
 
     def test_boundary_widths_accepted(self):
         assert MlpConfig(hidden=(7, 15)).layer_dims == (15, 7, 15, 2)
@@ -444,4 +452,104 @@ class TestSerialization:
         path = tmp_path / "m.json"
         path.write_text("{truncated")
         with pytest.raises(DataError, match="JSON"):
+            load_model(path)
+
+
+def _paths(value, prefix=()):
+    """Every key or index path into a JSON document, parents before children."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _parent(doc, path):
+    """The container that holds path's last step, or None if path is gone."""
+    for step in path[:-1]:
+        try:
+            doc = doc[step]
+        except (KeyError, IndexError, TypeError):
+            return None
+    if isinstance(doc, dict) and path[-1] in doc:
+        return doc
+    if isinstance(doc, list) and isinstance(path[-1], int) and path[-1] < len(doc):
+        return doc
+    return None
+
+
+# Values a mutated document may hold in place of a valid one: wrong
+# types, non-finite and over-range numbers, and hex strings that do not
+# parse, overflow, or parse to NaN or infinity.
+JUNK = (st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=4)
+        | st.sampled_from(["nan", "inf", "-inf", "0x1p99999", "0x1.8p1", "1" * 15, ""])
+        | st.lists(st.integers(-1, 20) | st.text(max_size=2), max_size=3)
+        | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(path, init_model(MlpConfig(hidden=(9, 7), seed=3)), {"seed": 3})
+    return json.loads(path.read_text())
+
+
+class TestLoadModelRaisesOnlyDataError:
+    """Whatever a model file holds, load_model returns a valid model or raises DataError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.binary(max_size=64)
+           | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b":", b",", b" ", b"1",
+                                       b"NaN", b"1e400", b"null", b"\xff", b'"format"',
+                                       b'"sarcnet-model"', b'"version"', b'"layers"']),
+                      max_size=16).map(b"".join))
+    def test_arbitrary_bytes(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("garbage") / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError):
+            load_model(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_valid_document(self, tmp_path_factory, model_doc, data):
+        doc = json.loads(json.dumps(model_doc))
+        paths = list(_paths(doc))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            path = data.draw(st.sampled_from(paths), label="path")
+            parent = _parent(doc, path)
+            if parent is None:
+                continue
+            if data.draw(st.booleans(), label="drop"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JUNK, label="value")
+        path = tmp_path_factory.mktemp("mutated") / "m.json"
+        path.write_text(json.dumps(doc))
+        try:
+            model = load_model(path)
+        except DataError:
+            return
+        dims = model.config.layer_dims
+        assert [w.shape for w in model.weights] == list(zip(dims[1:], dims))
+        assert [b.shape for b in model.biases] == [(d,) for d in dims[1:]]
+        assert all(np.all(np.isfinite(a)) for a in model.weights + model.biases)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["config"].update(hidden=[float("inf")]), "hidden"),
+        (lambda doc: doc["config"].update(hidden="99"), "hidden"),
+        (lambda doc: doc["config"].update(seed=2.5), "seed"),
+        (lambda doc: doc["config"].update(input_dim=15.0), "input_dim"),
+        (lambda doc: doc.update(version=True), "version"),
+        (lambda doc: doc["config"].update(keep_prob="0.5"), "keep_prob"),
+        (lambda doc: doc.update(layers=5), "layers"),
+        (lambda doc: doc["layers"][1].update(bias="1" * 7), "hex strings"),
+        (lambda doc: doc["layers"][0]["weights"].__setitem__(0, "0x1p99999"), "too large"),
+    ])
+    def test_named_defects(self, tmp_path, model_doc, mutate, message):
+        doc = json.loads(json.dumps(model_doc))
+        mutate(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
             load_model(path)
