@@ -32,7 +32,6 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
-    DatasetSplit,
     SarcasmLabel,
     _UNDECODABLE,
     append_labels,
@@ -82,37 +81,34 @@ def _parse_stars(value: str) -> list:
     return stars
 
 
+def _parse_list(value: str, parse, expects: str) -> tuple:
+    try:
+        return tuple(parse(part) for part in value.split(",") if part != "")
+    except ValueError:
+        raise ValueError(f"{expects}, got {value!r}") from None
+
+
 def _parse_hidden(value: str) -> tuple:
-    try:
-        return tuple(int(part) for part in value.split(",") if part != "")
-    except ValueError:
-        raise ValueError(f"--hidden expects a comma list of widths, got {value!r}") from None
-
-
-def _parse_lr_grid(value: str) -> tuple:
-    try:
-        return tuple(float(part) for part in value.split(",") if part != "")
-    except ValueError:
-        raise ValueError(f"--lr-grid expects a comma list of rates, got {value!r}") from None
+    return _parse_list(value, int, "--hidden expects a comma list of widths")
 
 
 def _parse_stages(value: str | None):
     """Stage spec: comma list of sarcastic[:n], dominated[:n[:ratio]], main."""
-    from .training import Main, NonSarcasticDominated, SarcasticOnly
+    from .training import DEFAULT_STAGES, Main, NonSarcasticDominated, SarcasticOnly
 
     if value is None:
-        return (SarcasticOnly(), NonSarcasticDominated(), Main())
+        return DEFAULT_STAGES
     stages = []
     for token in value.split(","):
         name, _, rest = token.strip().partition(":")
         params = rest.split(":") if rest else []
         try:
+            # Parameters left out take the stage's own defaults.
             if name in ("sarcastic", "sarcastic_only"):
-                stages.append(SarcasticOnly(int(params[0])) if params else SarcasticOnly())
+                stages.append(SarcasticOnly(*map(int, params[:1])))
             elif name in ("dominated", "non_sarcastic_dominated"):
-                n = int(params[0]) if params else 500
-                ratio = float(params[1]) if len(params) > 1 else 3.0
-                stages.append(NonSarcasticDominated(n, ratio))
+                stages.append(NonSarcasticDominated(
+                    *(parse(p) for parse, p in zip((int, float), params))))
             elif name == "main":
                 stages.append(Main())
             else:
@@ -127,7 +123,7 @@ def _parse_stages(value: str | None):
 
 def _star_path(template: str, stars: int, multi: bool) -> str:
     if "{stars}" in template:
-        return template.format(stars=stars)
+        return template.replace("{stars}", str(stars))
     if multi:
         raise ValueError(
             f"output path {template!r} needs a {{stars}} placeholder when "
@@ -137,9 +133,7 @@ def _star_path(template: str, stars: int, multi: bool) -> str:
 
 def _prepare_out(path: str) -> str:
     """Create the parent directory of an output path if needed."""
-    parent = Path(path).parent
-    if parent and not parent.exists():
-        parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -209,35 +203,35 @@ def _consume_labels(path, consume):
     return result
 
 
-def _star_pool(labeled: list, stars: int) -> list:
-    return [lr for lr in labeled if lr.review.stars == stars]
+def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
+    """(lexicons, provenance, {stars: split}) of a command over labeled reviews.
 
-
-def _split_for_star(labeled, stars, train_n, test_n, seed) -> DatasetSplit:
-    pool = _star_pool(labeled, stars)
-    try:
-        return make_split(pool, train_n, test_n, derive_seed(seed, "split", stars))
-    except DataError as exc:
-        raise DataError(f"{stars}-star split: {exc}") from exc
+    flags are the command's own entries in the provenance config, beside
+    the command, the stars and the split sizes.
+    """
+    reviews = _load_reviews(args.reviews)
+    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
+    lexicons = load_lexicons()
+    config = {"command": command, "stars": stars_list,
+              "train_size": args.train_size, "test_size": args.test_size, **flags}
+    prov = _provenance(args.seed, config, lexicons,
+                       {"reviews": args.reviews, "labels": args.labels})
+    splits = {}
+    for stars in stars_list:
+        pool = [lr for lr in labeled if lr.review.stars == stars]
+        try:
+            splits[stars] = make_split(pool, args.train_size, args.test_size,
+                                       derive_seed(args.seed, "split", stars))
+        except DataError as exc:
+            raise DataError(f"{stars}-star split: {exc}") from exc
+    return lexicons, prov, splits
 
 
 def cmd_ingest(args) -> int:
     stars_list = _parse_stars(args.stars)
-    reviews = _load_reviews(args.reviews)
-    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
-    lexicons = load_lexicons()
-    config = {
-        "command": "ingest",
-        "train_size": args.train_size,
-        "test_size": args.test_size,
-        "stars": stars_list,
-    }
-    prov = _provenance(args.seed, config, lexicons,
-                       {"reviews": args.reviews, "labels": args.labels})
+    _, prov, splits = _load_splits(args, stars_list, "ingest", {})
     multi = len(stars_list) > 1
-    for stars in stars_list:
-        split = _split_for_star(labeled, stars, args.train_size, args.test_size,
-                                args.seed)
+    for stars, split in splits.items():
         out_path = _prepare_out(_star_path(args.out, stars, multi))
         write_split_manifest(out_path, split, prov)
         print(f"{stars}-star: train {len(split.train)}, test {len(split.test)} "
@@ -306,16 +300,15 @@ def cmd_extract(args) -> int:
 
 def _train_configs(args, stars: int) -> tuple:
     from .network import MlpConfig
-    from .training import TrainConfig
+    from .training import DEFAULT_LR_GRID, TrainConfig
 
-    stages = _parse_stages(args.stages)
     train_config = TrainConfig(
         lr=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        stages=stages,
-        lr_grid=_parse_lr_grid(args.lr_grid) if getattr(args, "lr_grid", None)
-        else TrainConfig().lr_grid,
+        stages=_parse_stages(args.stages),
+        lr_grid=_parse_list(args.lr_grid, float, "--lr-grid expects a comma list of rates")
+        if getattr(args, "lr_grid", None) else DEFAULT_LR_GRID,
         seed=derive_seed(args.seed, "train", stars),
         reshuffle_each_epoch=args.reshuffle_each_epoch,
         carry_adam_state=args.carry_adam_state,
@@ -329,48 +322,30 @@ def _train_configs(args, stars: int) -> tuple:
     return train_config, mlp_config
 
 
-def _train_provenance(args, stars_list, command: str, lexicons) -> dict:
-    from .training import TrainConfig
+# The flags _add_train_flags defines, as named in the provenance config.
+TRAIN_FLAGS = ("lr", "hidden", "epochs", "batch_size", "keep_prob", "stages", "lr_decay",
+               "reshuffle_each_epoch", "carry_adam_state")
 
-    config = {
-        "command": command,
-        "stars": stars_list,
-        "train_size": args.train_size,
-        "test_size": args.test_size,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "hidden": list(_parse_hidden(args.hidden)),
-        "keep_prob": args.keep_prob,
-        "stages": args.stages,
-        "reshuffle_each_epoch": args.reshuffle_each_epoch,
-        "carry_adam_state": args.carry_adam_state,
-        "lr_decay": args.lr_decay,
-    }
-    if command == "sweep":
-        config["lr_grid"] = list(_parse_lr_grid(args.lr_grid)) if args.lr_grid \
-            else list(TrainConfig().lr_grid)
-    return _provenance(args.seed, config, lexicons,
-                       {"reviews": args.reviews, "labels": args.labels})
+
+def _train_flags(args) -> dict:
+    """The training flags' entries in the provenance config of train and sweep."""
+    return {**{flag: getattr(args, flag) for flag in TRAIN_FLAGS},
+            "hidden": list(_parse_hidden(args.hidden))}
 
 
 def cmd_train(args) -> int:
     from .features import FeaturePipeline
     from .network import save_model
-    from .training import train, write_history
+    from .training import check_stage_pools, train, write_history
 
     stars_list = _parse_stars(args.stars)
-    _train_configs(args, stars_list[0])  # validate flags before touching data
-    reviews = _load_reviews(args.reviews)
-    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
-    lexicons = load_lexicons()
+    configs = {stars: _train_configs(args, stars) for stars in stars_list}
+    lexicons, prov, splits = _load_splits(args, stars_list, "train", _train_flags(args))
+    check_stage_pools(_parse_stages(args.stages), splits.values())
     pipeline = FeaturePipeline(lexicons)
-    prov = _train_provenance(args, stars_list, "train", lexicons)
     multi = len(stars_list) > 1
-    for stars in stars_list:
-        split = _split_for_star(labeled, stars, args.train_size, args.test_size,
-                                args.seed)
-        train_config, mlp_config = _train_configs(args, stars)
+    for stars, split in splits.items():
+        train_config, mlp_config = configs[stars]
         model, history = train(split, train_config, mlp_config, pipeline)
         model_path = _prepare_out(_star_path(args.model, stars, multi))
         history_path = _prepare_out(_star_path(args.out, stars, multi))
@@ -388,29 +363,18 @@ def cmd_eval(args) -> int:
     from .training import evaluate, render_metrics_table, star_report, write_report
 
     stars_list = _parse_stars(args.stars)
-    reviews = _load_reviews(args.reviews)
-    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
-    lexicons = load_lexicons()
+    lexicons, prov, splits = _load_splits(args, stars_list, "eval", {})
     pipeline = FeaturePipeline(lexicons)
-    config = {
-        "command": "eval",
-        "stars": stars_list,
-        "train_size": args.train_size,
-        "test_size": args.test_size,
-    }
-    prov = _provenance(args.seed, config, lexicons,
-                       {"reviews": args.reviews, "labels": args.labels})
     multi = len(stars_list) > 1
     reports = {}
-    for stars in stars_list:
-        split = _split_for_star(labeled, stars, args.train_size, args.test_size,
-                                args.seed)
+    for stars, split in splits.items():
         model = load_model(_star_path(args.model, stars, multi))
         outcome = evaluate(model, list(split.test), pipeline)
         reports[stars] = star_report(stars, outcome)
     if "{stars}" in args.out:
         for stars, report in reports.items():
-            write_report(_prepare_out(args.out.format(stars=stars)), {stars: report}, prov)
+            write_report(_prepare_out(_star_path(args.out, stars, True)), {stars: report},
+                         prov)
     else:
         write_report(_prepare_out(args.out), reports, prov)
     sys.stdout.write(render_metrics_table(reports))
@@ -457,22 +421,17 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .features import FeaturePipeline
-    from .training import lr_sweep, render_sweep_table
+    from .training import check_stage_pools, lr_sweep, render_sweep_table
 
     stars_list = _parse_stars(args.stars)
     if len(stars_list) != 1:
         raise ValueError("sweep works on exactly one star rating")
-    stars = stars_list[0]
-    _train_configs(args, stars)  # validate flags before touching data
-    reviews = _load_reviews(args.reviews)
-    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
-    lexicons = load_lexicons()
-    pipeline = FeaturePipeline(lexicons)
-    prov = _train_provenance(args, stars_list, "sweep", lexicons)
-    split = _split_for_star(labeled, stars, args.train_size, args.test_size,
-                            args.seed)
-    train_config, mlp_config = _train_configs(args, stars)
-    results = lr_sweep(split, train_config, mlp_config, pipeline)
+    train_config, mlp_config = _train_configs(args, stars_list[0])
+    flags = {**_train_flags(args), "lr_grid": list(train_config.lr_grid)}
+    lexicons, prov, splits = _load_splits(args, stars_list, "sweep", flags)
+    check_stage_pools(train_config.stages, splits.values())
+    results = lr_sweep(splits[stars_list[0]], train_config, mlp_config,
+                       FeaturePipeline(lexicons))
     table = render_sweep_table(results)
     if args.out:
         with open(_prepare_out(args.out), "w", encoding="utf-8") as fh:
@@ -496,6 +455,7 @@ def _add_split_flags(parser):
                         help="train reviews per star (default 700)")
     parser.add_argument("--test-size", type=int, default=300,
                         help="test reviews per star (default 300)")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_train_flags(parser):
@@ -531,7 +491,6 @@ def build_parser() -> CliParser:
     p = sub.add_parser("ingest", help="write per-star split manifests")
     _add_corpus_flags(p)
     _add_split_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="split-{stars}.json",
                    help="manifest path, {stars} expanded per star")
     p.set_defaults(func=cmd_ingest)
@@ -553,7 +512,6 @@ def build_parser() -> CliParser:
     _add_corpus_flags(p)
     _add_split_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="model-{stars}.json",
                    help="output model path, {stars} expanded per star")
     p.add_argument("--out", default="history-{stars}.jsonl",
@@ -563,7 +521,6 @@ def build_parser() -> CliParser:
     p = sub.add_parser("eval", help="evaluate saved models on the test split")
     _add_corpus_flags(p)
     _add_split_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="model-{stars}.json",
                    help="model path, {stars} expanded per star")
     p.add_argument("--out", default="report.json",
@@ -580,7 +537,6 @@ def build_parser() -> CliParser:
     _add_corpus_flags(p)
     _add_split_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr-grid", default=None,
                    help="comma list of learning rates (default 1e-4,1e-3,1e-2)")
     p.add_argument("--out", default=None, help="optional path for the ranked table")
@@ -600,15 +556,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"sarcnet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"sarcnet: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergence as exc:
         print(f"sarcnet: training failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"sarcnet: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -313,6 +313,9 @@ def derive_seed(base: int, *salts) -> int:
 
 def make_split(pool, train_n: int, test_n: int, seed: int) -> DatasetSplit:
     """Shuffle a single-star pool and cut train/test prefixes."""
+    if train_n < 0 or test_n < 0:
+        raise ValueError(
+            f"split sizes must be nonnegative, got train {train_n}, test {test_n}")
     need = train_n + test_n
     if len(pool) < need:
         raise DataError(f"need {need}, have {len(pool)}")

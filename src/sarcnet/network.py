@@ -14,13 +14,17 @@ Dropout is the inverted kind: surviving activations are scaled by
 rescaling. Train-mode forward therefore needs a caller-supplied seeded
 generator; infer-mode forward and predict are pure.
 
+A model's parameters are one float64 vector laid out W1, b1, W2, b2, ...,
+with writable per-layer views. Gradients and Adam's moments share that
+layout, so an Adam step is one elementwise pass over one vector.
+
 Models serialize to a versioned JSON document with float.hex() encoded
 parameters, which round-trips exactly.
 """
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,22 +73,48 @@ class MlpConfig:
     def layer_dims(self) -> tuple:
         return (self.input_dim, *self.hidden, self.output_dim)
 
+    @property
+    def n_params(self) -> int:
+        dims = self.layer_dims
+        return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def _layer_views(config: MlpConfig, flat: np.ndarray) -> tuple:
+    """(weights, biases): per-layer views into a vector laid out W1, b1, W2, b2, ..."""
+    dims = config.layer_dims
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        end = start + fan_out * fan_in
+        weights.append(flat[start:end].reshape(fan_out, fan_in))
+        biases.append(flat[end:end + fan_out])
+        start = end + fan_out
+    return tuple(weights), tuple(biases)
+
 
 @dataclass(frozen=True)
 class MlpModel:
+    """Parameters and per-layer views; writing into weights[l] changes params."""
     config: MlpConfig
-    weights: tuple  # W_l with shape (fan_out, fan_in)
-    biases: tuple  # b_l with shape (fan_out,)
+    params: np.ndarray  # (config.n_params,), laid out W1, b1, W2, b2, ...
+    weights: tuple = field(init=False, repr=False, compare=False)  # W_l, (fan_out, fan_in)
+    biases: tuple = field(init=False, repr=False, compare=False)  # b_l, (fan_out,)
+
+    def __post_init__(self):
+        if self.params.shape != (self.config.n_params,):
+            raise ValueError(f"expected {self.config.n_params} parameters, "
+                             f"got shape {self.params.shape}")
+        weights, biases = _layer_views(self.config, self.params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class Gradients:
-    weights: tuple
-    biases: tuple
+# A gradient has its model's config and parameter layout.
+Gradients = MlpModel
 
 
 @dataclass(frozen=True)
@@ -100,10 +130,8 @@ class ForwardTrace:
 
 @dataclass(frozen=True)
 class AdamState:
-    m_weights: tuple
-    v_weights: tuple
-    m_biases: tuple
-    v_biases: tuple
+    m: np.ndarray  # first moment, one entry per parameter
+    v: np.ndarray  # second moment
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -113,23 +141,16 @@ class AdamState:
 def init_model(config: MlpConfig) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(config.seed)
-    dims = config.layer_dims
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
+    model = MlpModel(config, np.zeros(config.n_params))
+    for w in model.weights:
+        fan_out, fan_in = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(config, tuple(weights), tuple(biases))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def init_adam_state(model: MlpModel) -> AdamState:
-    return AdamState(
-        m_weights=tuple(np.zeros_like(w) for w in model.weights),
-        v_weights=tuple(np.zeros_like(w) for w in model.weights),
-        m_biases=tuple(np.zeros_like(b) for b in model.biases),
-        v_biases=tuple(np.zeros_like(b) for b in model.biases),
-    )
+    return AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -229,25 +250,21 @@ def backward(model: MlpModel, trace: ForwardTrace, y) -> Gradients:
     n = model.n_layers
     delta = np.atleast_2d(trace.p).copy()
     delta[np.arange(delta.shape[0]), classes] -= 1.0
-    grad_w = [None] * n
-    grad_b = [None] * n
+    grads = zero_gradients(model)
     for l in range(n - 1, -1, -1):
         a_prev = trace.x if l == 0 else trace.activations[l - 1]
-        grad_w[l] = delta.T @ np.atleast_2d(a_prev)
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, np.atleast_2d(a_prev), out=grads.weights[l])
+        delta.sum(axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l]
             if trace.mode == "train":
                 delta = delta * trace.masks[l - 1]
             delta = delta * (trace.zs[l - 1] > 0)
-    return Gradients(tuple(grad_w), tuple(grad_b))
+    return grads
 
 
 def zero_gradients(model: MlpModel) -> Gradients:
-    return Gradients(
-        tuple(np.zeros_like(w) for w in model.weights),
-        tuple(np.zeros_like(b) for b in model.biases),
-    )
+    return Gradients(model.config, np.zeros_like(model.params))
 
 
 def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
@@ -255,39 +272,22 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
     """One Adam update. Returns (new model, new state); inputs are untouched."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    for l, (gw, gb) in enumerate(zip(grads.weights, grads.biases), start=1):
-        if not np.all(np.isfinite(gw)):
-            raise TrainingDivergence(f"non-finite gradient in W{l}")
-        if not np.all(np.isfinite(gb)):
-            raise TrainingDivergence(f"non-finite gradient in b{l}")
+    g = grads.params
+    finite = np.isfinite(g)
+    if not finite.all():
+        # Name the first bad parameter block, in layout order.
+        for l, blocks in enumerate(zip(*_layer_views(model.config, finite)), start=1):
+            for name, ok in zip("Wb", blocks):
+                if not ok.all():
+                    raise TrainingDivergence(f"non-finite gradient in {name}{l}")
     b1, b2, eps = state.beta1, state.beta2, state.eps
     t = state.t + 1
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
-
-    def update(param, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        m_hat = m_new / bc1
-        v_hat = v_new / bc2
-        return param - lr * m_hat / (np.sqrt(v_hat) + eps), m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for w, g, m, v in zip(model.weights, grads.weights, state.m_weights, state.v_weights):
-        p, mn, vn = update(w, g, m, v)
-        new_w.append(p)
-        new_mw.append(mn)
-        new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for b, g, m, v in zip(model.biases, grads.biases, state.m_biases, state.v_biases):
-        p, mn, vn = update(b, g, m, v)
-        new_b.append(p)
-        new_mb.append(mn)
-        new_vb.append(vn)
-    new_model = MlpModel(model.config, tuple(new_w), tuple(new_b))
-    new_state = replace(state, m_weights=tuple(new_mw), v_weights=tuple(new_vw),
-                        m_biases=tuple(new_mb), v_biases=tuple(new_vb), t=t)
-    return new_model, new_state
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    params = model.params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return MlpModel(model.config, params), replace(state, m=m, v=v, t=t)
 
 
 def predicted_classes(p: np.ndarray) -> np.ndarray:
@@ -388,27 +388,22 @@ def load_model(path) -> MlpModel:
             raise TypeError("layers must be a list")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
-    dims = config.layer_dims
-    expected_shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(dims, dims[1:])]
-    if len(layers) != len(expected_shapes):
-        raise DataError(
-            f"model has {len(layers)} layers, config implies {len(expected_shapes)}")
-    weights = []
-    biases = []
-    for l, (layer, shape) in enumerate(zip(layers, expected_shapes), start=1):
+    # Filled layer by layer below; np.empty, unlike init_model, draws nothing.
+    model = MlpModel(config, np.empty(config.n_params))
+    if len(layers) != model.n_layers:
+        raise DataError(f"model has {len(layers)} layers, config implies {model.n_layers}")
+    for l, (layer, w, b) in enumerate(zip(layers, model.weights, model.biases), start=1):
         try:
             stored_shape = tuple(layer["shape"])
-            if stored_shape != shape:
+            if stored_shape != w.shape:
                 raise DataError(
-                    f"layer {l} shape {stored_shape} does not match config {shape}")
-            w = _hex_to_array(layer["weights"], shape)
-            b = _hex_to_array(layer["bias"], (shape[0],))
+                    f"layer {l} shape {stored_shape} does not match config {w.shape}")
+            w[...] = _hex_to_array(layer["weights"], w.shape)
+            b[...] = _hex_to_array(layer["bias"], b.shape)
         except DataError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed layer {l}: {exc}") from exc
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise DataError(f"layer {l} contains non-finite parameters")
-        weights.append(w)
-        biases.append(b)
-    return MlpModel(config, tuple(weights), tuple(biases))
+    return model

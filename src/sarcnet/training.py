@@ -24,7 +24,7 @@ degenerate classifiers still produce a report.
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .features import FeaturePipeline
 from .network import (
     INPUT_DIM,
     AdamState,
-    Gradients,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -53,6 +52,13 @@ class SarcasticOnly:
     n: int = 500
     name: str = field(default="sarcastic_only", init=False)
 
+    def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"{self.name} stage size must be at least 1, got {self.n}")
+
+    def class_sizes(self) -> tuple:
+        return self.n, 0  # (sarcastic, non-sarcastic)
+
 
 @dataclass(frozen=True)
 class NonSarcasticDominated:
@@ -60,6 +66,13 @@ class NonSarcasticDominated:
     n: int = 500
     ratio: float = 3.0
     name: str = field(default="non_sarcastic_dominated", init=False)
+
+    def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"{self.name} stage size must be at least 1, got {self.n}")
+        if not 0.0 < self.ratio < math.inf:
+            raise ValueError(
+                f"{self.name} stage ratio must be positive and finite, got {self.ratio}")
 
     def class_sizes(self) -> tuple:
         n_non = round(self.n * self.ratio / (self.ratio + 1.0))
@@ -91,8 +104,9 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "lr_grid", tuple(float(v) for v in self.lr_grid))
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        for rate in (self.lr, *self.lr_grid):
+            if not 0.0 < rate < math.inf:
+                raise ValueError(f"lr must be positive and finite, got {rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -147,9 +161,7 @@ def _run_stage(model: MlpModel, state: AdamState, examples: list,
                     f"non-finite loss in stage {stage_name!r}, "
                     f"epoch {epoch}, batch {batch_index}")
             total = backward(model, trace, y_batch)
-            scale = 1.0 / len(y_batch)
-            mean_grads = Gradients(tuple(g * scale for g in total.weights),
-                                   tuple(g * scale for g in total.biases))
+            mean_grads = MlpModel(model.config, total.params * (1.0 / len(y_batch)))
             model, state = adam_step(model, mean_grads, state, lr)
             loss_sum += batch_loss
         correct = int(np.sum(predicted_classes(forward(model, xs).p) == ys))
@@ -184,23 +196,41 @@ def train_on_vectors(staged_examples: list, config: TrainConfig,
 
 
 def build_stage_pool(stage, pool: list, base_seed: int, stage_index: int) -> list:
-    """Select the labeled reviews one curriculum stage trains on."""
-    if isinstance(stage, SarcasticOnly):
-        return curriculum_subset(
-            pool, True, stage.n,
-            derive_seed(base_seed, "curriculum", stage_index, "sarcastic"))
-    if isinstance(stage, NonSarcasticDominated):
-        n_sarcastic, n_non = stage.class_sizes()
-        chosen = curriculum_subset(
-            pool, False, n_non,
-            derive_seed(base_seed, "curriculum", stage_index, "non-sarcastic"))
-        chosen += curriculum_subset(
-            pool, True, n_sarcastic,
-            derive_seed(base_seed, "curriculum", stage_index, "sarcastic"))
-        return chosen
+    """Select the labeled reviews one curriculum stage trains on.
+
+    A warm-up stage draws its non-sarcastic reviews, if any, then its
+    sarcastic ones, each class by its own seeded permutation.
+    """
     if isinstance(stage, Main):
         return list(pool)
-    raise ValueError(f"unknown stage type: {type(stage).__name__}")
+    if not isinstance(stage, (SarcasticOnly, NonSarcasticDominated)):
+        raise ValueError(f"unknown stage type: {type(stage).__name__}")
+    n_sarcastic, n_non = stage.class_sizes()
+    chosen = []
+    for sarcastic, n, kind in ((False, n_non, "non-sarcastic"),
+                               (True, n_sarcastic, "sarcastic")):
+        if n:
+            chosen += curriculum_subset(
+                pool, sarcastic, n, derive_seed(base_seed, "curriculum", stage_index, kind))
+    return chosen
+
+
+def check_stage_pools(stages, splits) -> None:
+    """Raise DataError if a split's train side cannot fill a warm-up stage.
+
+    The message names the star, stage, class, need and have. Run it
+    before training any split, so that no model is written first.
+    """
+    for split in splits:
+        n_sarcastic = sum(lr.sarcastic for lr in split.train)
+        have = {"sarcastic": n_sarcastic, "non-sarcastic": len(split.train) - n_sarcastic}
+        for index, stage in enumerate(stages, start=1):
+            sizes = () if isinstance(stage, Main) else stage.class_sizes()
+            for (kind, available), need in zip(have.items(), sizes):
+                if need > available:
+                    raise DataError(
+                        f"{split.stars}-star stage {index} ({stage.name}) needs "
+                        f"{need} {kind} reviews, the train side has {available}")
 
 
 def _staged_vectors(split: DatasetSplit, config: TrainConfig,
@@ -221,10 +251,7 @@ def _staged_vectors(split: DatasetSplit, config: TrainConfig,
 
     staged = []
     for index, stage in enumerate(config.stages):
-        if isinstance(stage, Main):
-            members = pool
-        else:
-            members = build_stage_pool(stage, pool, config.seed, index)
+        members = build_stage_pool(stage, pool, config.seed, index)
         staged.append((stage.name, [(vector(lr.review.text), 1 if lr.sarcastic else 0)
                                     for lr in members]))
     return staged
@@ -419,17 +446,9 @@ def report_to_dict(reports: dict, provenance: dict | None = None) -> dict:
     """Machine-readable eval report with full-precision values."""
     doc = {
         "per_star": {
-            str(s): {
-                "confusion": {
-                    "tp": rep.cm.tp, "fp": rep.cm.fp,
-                    "fn": rep.cm.fn, "tn": rep.cm.tn,
-                },
-                "precision": rep.metrics.precision,
-                "recall": rep.metrics.recall,
-                "f1": rep.metrics.f1,
-                "accuracy": rep.metrics.accuracy,
-                "excluded": rep.excluded,
-            }
+            # confusion: tp, fp, fn, tn; then precision, recall, f1, accuracy
+            str(s): {"confusion": asdict(rep.cm), **asdict(rep.metrics),
+                     "excluded": rep.excluded}
             for s, rep in sorted(reports.items())
         },
     }
@@ -453,9 +472,4 @@ def write_history(path, history: list, provenance: dict | None = None) -> None:
         if provenance is not None:
             fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
         for record in history:
-            fh.write(json.dumps({
-                "stage": record.stage,
-                "epoch": record.epoch,
-                "mean_loss": record.mean_loss,
-                "train_accuracy": record.train_accuracy,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")

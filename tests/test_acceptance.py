@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 import pytest
+from model_layers import from_layers
 
 import sarcnet.cli as cli
 from sarcnet.corpus import LabeledReview, Review, make_split
@@ -183,9 +184,9 @@ class TestCriterion2GradientOracle:
 class TestCriterion3AdamOracle:
     def zero_model(self) -> MlpModel:
         base = init_model(MlpConfig(hidden=(7,), seed=0))
-        return MlpModel(base.config,
-                        tuple(np.zeros_like(w) for w in base.weights),
-                        tuple(np.zeros_like(b) for b in base.biases))
+        return from_layers(base.config,
+                           [np.zeros_like(w) for w in base.weights],
+                           [np.zeros_like(b) for b in base.biases])
 
     def test_first_step_is_minus_lr(self):
         model = self.zero_model()

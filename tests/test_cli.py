@@ -16,6 +16,7 @@ import pytest
 import sarcnet.cli as cli
 import sarcnet.corpus
 import sarcnet.training
+from sarcnet.corpus import Review, SarcasmLabel, write_labels, write_reviews
 from sarcnet.errors import TrainingDivergence
 from sarcnet.lexicons import DEFAULT_LEXICON_DIR, ENV_LEXICON_DIR
 from sarcnet.network import load_model
@@ -117,6 +118,23 @@ class TestParsingAndExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "3-star split" in err and "need 1000, have 100" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--train-size", "-5"], "got train -5, test 10"),
+        (["--stages", "sarcastic:-3,main"], "size must be at least 1, got -3"),
+        (["--stages", "dominated:10:-1,main"], "ratio must be positive and finite, got -1.0"),
+        (["--stages", "dominated:10:nan,main"], "ratio must be positive and finite, got nan"),
+        (["--lr", "nan"], "lr must be positive and finite, got nan"),
+    ])
+    def test_bad_size_or_ratio_is_usage_error(self, corpus, tmp_path, capsys, flags,
+                                              message):
+        code = run("train", "--reviews", corpus["reviews"],
+                   "--labels", corpus["labels"], "--stars", "1", *FAST_TRAIN, *flags,
+                   "--model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "h.jsonl"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_lexicon_file_with_invalid_utf8_is_data_error(self, corpus, tmp_path,
                                                           monkeypatch, capsys):
@@ -378,6 +396,42 @@ class TestTrain:
         assert model.exists()
 
 
+class TestStageFeasibility:
+    """Every selected star's warm-up stages are checked before any model is trained."""
+
+    @pytest.fixture
+    def skewed(self, tmp_path):
+        # 1-star: 30 sarcastic of 50; 2-star: 10 sarcastic of 50.
+        reviews = [Review(f"r{stars}-{i}", stars, "Wow!! sooo good..." if i < n else "Fine.")
+                   for stars, n in ((1, 30), (2, 10)) for i in range(50)]
+        labels = [SarcasmLabel(r.review_id, r.text.startswith("Wow"), "a") for r in reviews]
+        write_reviews(tmp_path / "reviews.jsonl", reviews)
+        write_labels(tmp_path / "labels.jsonl", labels)
+        return ["--reviews", str(tmp_path / "reviews.jsonl"),
+                "--labels", str(tmp_path / "labels.jsonl"),
+                "--train-size", "50", "--test-size", "0", "--stages", "sarcastic:20,main",
+                "--epochs", "1", "--batch-size", "10"]
+
+    def test_later_star_short_writes_nothing(self, skewed, tmp_path, capsys):
+        code = run("train", *skewed, "--stars", "1,2",
+                   "--model", str(tmp_path / "m-{stars}.json"),
+                   "--out", str(tmp_path / "h-{stars}.jsonl"))
+        assert code == 2
+        assert ("2-star stage 1 (sarcastic_only) needs 20 sarcastic reviews, "
+                "the train side has 10") in capsys.readouterr().err
+        assert not list(tmp_path.glob("m-*")) and not list(tmp_path.glob("h-*"))
+
+    def test_fillable_star_trains(self, skewed, tmp_path, capsys):
+        code = run("train", *skewed, "--stars", "1",
+                   "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "h.jsonl"))
+        assert code == 0
+
+    def test_sweep_is_checked_too(self, skewed, tmp_path, capsys):
+        code = run("sweep", *skewed, "--stars", "2")
+        assert code == 2
+        assert "2-star stage 1 (sarcastic_only) needs 20" in capsys.readouterr().err
+
+
 class TestEval:
     def test_report_and_table(self, trained, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -402,6 +456,15 @@ class TestEval:
                    "--out", str(tmp_path / "report-{stars}.json"))
         assert code == 0
         assert (tmp_path / "report-2.json").exists()
+
+    def test_other_braces_in_a_template_are_kept(self, trained, tmp_path, capsys):
+        code = run("eval", "--reviews", trained["reviews"],
+                   "--labels", trained["labels"], "--stars", "2",
+                   "--train-size", "40", "--test-size", "10", "--seed", "42",
+                   "--model", str(trained["model"]),
+                   "--out", str(tmp_path / "report-{stars}{x}.json"))
+        assert code == 0
+        assert (tmp_path / "report-2{x}.json").exists()
 
     def test_missing_model_is_data_error(self, trained, tmp_path, capsys):
         code = run("eval", "--reviews", trained["reviews"],

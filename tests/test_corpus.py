@@ -153,6 +153,12 @@ class TestMakeSplit:
         assert [lr.review.review_id for lr in a.train] != \
                [lr.review.review_id for lr in b.train]
 
+    @pytest.mark.parametrize("train_n, test_n", [(-5, 10), (10, -1)])
+    def test_negative_size_rejected(self, train_n, test_n):
+        # A negative size would slice from the end: train -5 took all but 5.
+        with pytest.raises(ValueError, match=f"got train {train_n}, test {test_n}"):
+            make_split(make_pool(100), train_n, test_n, seed=0)
+
     def test_mixed_star_pool_rejected(self):
         pool = make_pool(5, stars=1) + make_pool(5, stars=2)
         with pytest.raises(DataError, match="mixes star ratings"):
@@ -239,7 +245,7 @@ VOTED_REVIEWS = [Review(f"r{i}", 1 + i % 5, f"text {i}") for i in range(5)]
 class TestTallyMatchesReference:
     """The one-pass tally gives the two-loop resolve_labels' result, in its order."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(VOTES)
     @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")])
     @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "a"),
@@ -249,7 +255,7 @@ class TestTallyMatchesReference:
         assert list(resolve_labels(votes).items()) == expected
         assert list(resolve_labels(vote for vote in votes).items()) == expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(VOTES)
     def test_label_reviews(self, votes):
         resolved = reference_corpus.resolve_labels(votes)
@@ -356,7 +362,7 @@ def _manifest_bytes(tmp_path_factory):
 
 
 class TestReadSplitManifestRaisesOnlyDataError:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(content=st.binary(max_size=64)
            | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"stars"', b":", b",",
                                        b"1", b"null", b"\xff", b"\xc3", b" "]),
@@ -370,7 +376,7 @@ class TestReadSplitManifestRaisesOnlyDataError:
             return
         assert all(key in manifest for key in MANIFEST_KEYS)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(dropped=st.sets(st.sampled_from(MANIFEST_KEYS), min_size=1))
     def test_valid_manifest_with_keys_dropped(self, tmp_path_factory, dropped):
         doc = json.loads(_manifest_bytes(tmp_path_factory))
@@ -476,7 +482,7 @@ def non_blank(lines):
 class TestMatchesReferenceParsers:
     """The shared line reader gives the json.loads loops' records and errors."""
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(LINE, max_size=12))
     @example([review_line(), review_line(), "\ufeff" + review_line(review_id="r2"),
               " \ufeff{}", "{}\xa0", "\x0b", "{} x", '{"a": 1}\n{"b": 2}', '"\r\n'])
@@ -502,7 +508,7 @@ class TestMatchesReferenceParsers:
 
 
 class TestParsersNeverRaise:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(HOSTILE_LINE, max_size=12))
     def test_every_non_blank_line_is_a_record_or_an_error(self, lines):
         for records, errors in (parse_review_stream(lines), parse_label_stream(lines)):

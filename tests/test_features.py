@@ -138,7 +138,7 @@ class TestNormalize:
         assert counts.as_array().tolist() == [getattr(counts, d.id) for d in catalog()]
         assert counts.as_array().dtype == np.float64
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(st.integers(0, 40) | st.integers(0, 2**40),
                     min_size=N_FEATURES + 1, max_size=N_FEATURES + 1))
     @example([3] * N_FEATURES + [7])
@@ -250,14 +250,14 @@ class TestMatchesReferencePipeline:
     def test_pinned_examples(self, text):
         assert extract_counts(text) == reference_counts(text)
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.text(alphabet=_CHARS))
     @example("a²²² b")
     @example("x½y")
     def test_arbitrary_unicode(self, text):
         assert extract_counts(text) == reference_counts(text)
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(_PIECE, max_size=20), st.lists(st.sampled_from(" ,!?.…'_½"), min_size=1))
     def test_lexicon_words_in_arbitrary_text(self, pieces, separators):
         text = "".join(piece + separators[i % len(separators)]

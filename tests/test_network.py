@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from model_layers import from_layers
 
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.network import (
-    Gradients,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -30,6 +30,7 @@ from sarcnet.network import (
     relu,
     save_model,
     softmax,
+    zero_gradients,
 )
 
 
@@ -70,14 +71,14 @@ def reference_example(model, x, y, rng=None):
                 delta = delta * masks[l - 1]
             delta = delta * (zs[l - 1] > 0)
     loss = -math.log(max(float(activations[-1][y]), 1e-12))
-    return Gradients(tuple(grad_w), tuple(grad_b)), masks, loss
+    return from_layers(model.config, grad_w, grad_b), masks, loss
 
 
 def zero_model(hidden=(7,), keep_prob=1.0):
     base = init_model(MlpConfig(hidden=hidden, keep_prob=keep_prob, seed=0))
-    return MlpModel(base.config,
-                    tuple(np.zeros_like(w) for w in base.weights),
-                    tuple(np.zeros_like(b) for b in base.biases))
+    return from_layers(base.config,
+                       [np.zeros_like(w) for w in base.weights],
+                       [np.zeros_like(b) for b in base.biases])
 
 
 class TestConfig:
@@ -322,8 +323,8 @@ class TestBatchParity:
 class TestAdam:
     def test_first_step_closed_form(self):
         model = zero_model(hidden=(7,))
-        grads = Gradients(tuple(np.ones_like(w) for w in model.weights),
-                          tuple(np.ones_like(b) for b in model.biases))
+        grads = from_layers(model.config, [np.ones_like(w) for w in model.weights],
+                            [np.ones_like(b) for b in model.biases])
         stepped, state = adam_step(model, grads, init_adam_state(model), lr=0.01)
         m_hat = (0.1 * 1.0) / (1.0 - 0.9)
         v_hat = (0.001 * 1.0) / (1.0 - 0.999)
@@ -335,8 +336,8 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_bit_identical(self):
         model = init_model(MlpConfig(hidden=(9,), seed=1))
         state = init_adam_state(model)
-        grads = Gradients(tuple(np.zeros_like(w) for w in model.weights),
-                          tuple(np.zeros_like(b) for b in model.biases))
+        grads = from_layers(model.config, [np.zeros_like(w) for w in model.weights],
+                            [np.zeros_like(b) for b in model.biases])
         stepped, state = adam_step(model, grads, state, lr=0.01)
         stepped, state = adam_step(stepped, grads, state, lr=0.01)
         for a, b in zip(stepped.weights, model.weights):
@@ -346,8 +347,8 @@ class TestAdam:
     def test_inputs_not_mutated(self):
         model = init_model(MlpConfig(hidden=(9,), seed=1))
         snapshot = [w.copy() for w in model.weights]
-        grads = Gradients(tuple(np.ones_like(w) for w in model.weights),
-                          tuple(np.ones_like(b) for b in model.biases))
+        grads = from_layers(model.config, [np.ones_like(w) for w in model.weights],
+                            [np.ones_like(b) for b in model.biases])
         adam_step(model, grads, init_adam_state(model), lr=0.1)
         for w, s in zip(model.weights, snapshot):
             assert np.array_equal(w, s)
@@ -356,31 +357,98 @@ class TestAdam:
         model = init_model(MlpConfig(hidden=(9,), seed=1))
         bad_w = [np.ones_like(w) for w in model.weights]
         bad_w[1][0, 0] = np.nan
-        grads = Gradients(tuple(bad_w), tuple(np.ones_like(b) for b in model.biases))
+        grads = from_layers(model.config, bad_w, [np.ones_like(b) for b in model.biases])
         with pytest.raises(TrainingDivergence, match="W2"):
             adam_step(model, grads, init_adam_state(model), lr=0.01)
 
         bad_b = [np.ones_like(b) for b in model.biases]
         bad_b[0][0] = np.inf
-        grads = Gradients(tuple(np.ones_like(w) for w in model.weights), tuple(bad_b))
+        grads = from_layers(model.config, [np.ones_like(w) for w in model.weights], bad_b)
         with pytest.raises(TrainingDivergence, match="b1"):
             adam_step(model, grads, init_adam_state(model), lr=0.01)
 
     def test_determinism(self):
         model = init_model(MlpConfig(hidden=(10,), seed=3))
-        grads = Gradients(tuple(np.full_like(w, 0.25) for w in model.weights),
-                          tuple(np.full_like(b, -0.5) for b in model.biases))
+        grads = from_layers(model.config, [np.full_like(w, 0.25) for w in model.weights],
+                            [np.full_like(b, -0.5) for b in model.biases])
         a, _ = adam_step(model, grads, init_adam_state(model), lr=0.02)
         b, _ = adam_step(model, grads, init_adam_state(model), lr=0.02)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
 
+class TestFlatParameters:
+    """One float64 vector per model, gradient and Adam moment."""
+
+    def test_params_is_one_contiguous_vector(self, tmp_path):
+        model = init_model(MlpConfig(hidden=(15, 15), seed=1))
+        dims = model.config.layer_dims
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
+        assert size == model.config.n_params == 512
+        save_model(tmp_path / "m.json", model)
+        trace = forward(model, np.ones((3, 15)))
+        grads = backward(model, trace, np.array([0, 1, 1]))
+        state = init_adam_state(model)
+        stepped, state = adam_step(model, grads, state, lr=0.01)
+        for vector in (model.params, load_model(tmp_path / "m.json").params, grads.params,
+                       stepped.params, state.m, state.v):
+            assert vector.shape == (512,)
+            assert vector.dtype == np.float64 and vector.flags.c_contiguous
+
+    def test_layout_is_w1_b1_w2_b2(self):
+        model = init_model(MlpConfig(hidden=(9,), seed=2))
+        w1, w2 = model.weights
+        b1, b2 = model.biases
+        assert np.array_equal(model.params, np.concatenate(
+            [w1.ravel(), b1, w2.ravel(), b2]))
+        for view in model.weights + model.biases:
+            assert np.shares_memory(view, model.params)
+
+    def test_views_write_through(self):
+        model = init_model(MlpConfig(hidden=(9, 8), seed=3))
+        before = model.params.copy()
+        model.weights[1][2, 3] += 0.5
+        model.biases[2][1] = 7.0
+        changed = np.flatnonzero(model.params != before)
+        assert len(changed) == 2
+        assert model.params[changed[1]] == 7.0
+
+    def test_wrong_length_rejected(self):
+        config = MlpConfig(hidden=(9,))
+        with pytest.raises(ValueError, match=f"expected {config.n_params} parameters"):
+            MlpModel(config, np.zeros(config.n_params + 1))
+
+    def test_adam_step_leaves_input_buffers_untouched(self):
+        model = init_model(MlpConfig(hidden=(9, 8), seed=4))
+        trace = forward(model, np.full((4, 15), 0.3))
+        grads = backward(model, trace, np.array([0, 1, 0, 1]))
+        _, state = adam_step(model, grads, init_adam_state(model), lr=0.01)
+        inputs = (model.params, grads.params, state.m, state.v)
+        snapshot = [a.copy() for a in inputs]
+        stepped, new_state = adam_step(model, grads, state, lr=0.01)
+        for a, s in zip(inputs, snapshot):
+            assert np.array_equal(a, s)
+        for new in (stepped.params, new_state.m, new_state.v):
+            assert not any(np.shares_memory(new, a) for a in inputs)
+        assert state.t == 1 and new_state.t == 2
+
+    @pytest.mark.parametrize("block, name", [("W", "W1"), ("b", "b1"), ("W", "W2"),
+                                             ("b", "b2"), ("W", "W3"), ("b", "b3")])
+    def test_non_finite_gradient_names_its_block_only(self, block, name):
+        model = init_model(MlpConfig(hidden=(9, 8), seed=1))
+        grads = zero_gradients(model)
+        layer = int(name[1:]) - 1
+        (grads.weights if block == "W" else grads.biases)[layer].flat[-1] = np.nan
+        assert np.count_nonzero(~np.isfinite(grads.params)) == 1
+        with pytest.raises(TrainingDivergence, match=f"non-finite gradient in {name}$"):
+            adam_step(model, grads, init_adam_state(model), lr=0.01)
+
+
 class TestPredict:
     def test_argmax_and_confidence(self):
         model = zero_model(hidden=(7,))
-        biased = MlpModel(model.config, model.weights,
-                          (model.biases[0], np.array([0.0, 2.0])))
+        biased = from_layers(model.config, model.weights,
+                             (model.biases[0], np.array([0.0, 2.0])))
         cls, confidence = predict(biased, np.zeros(15))
         assert cls == 1
         assert confidence == pytest.approx(1 / (1 + math.exp(-2)))
@@ -498,7 +566,7 @@ def model_doc(tmp_path_factory):
 class TestLoadModelRaisesOnlyDataError:
     """Whatever a model file holds, load_model returns a valid model or raises DataError."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(content=st.binary(max_size=64)
            | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b":", b",", b" ", b"1",
                                        b"NaN", b"1e400", b"null", b"\xff", b'"format"',
@@ -510,7 +578,7 @@ class TestLoadModelRaisesOnlyDataError:
         with pytest.raises(DataError):
             load_model(path)
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(data=st.data())
     def test_mutated_valid_document(self, tmp_path_factory, model_doc, data):
         doc = json.loads(json.dumps(model_doc))

@@ -170,7 +170,7 @@ class TestScanMatchesReference:
     def test_examples(self, text):
         assert sarcnet.text.tokenize(text) == reference_surfaces(text)
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.text(alphabet=st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8")))
     @example("a²²² b")
     @example("x½y")

@@ -3,10 +3,12 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from model_layers import from_layers
 
 import sarcnet.training as training
 from sarcnet.corpus import LabeledReview, Review, make_split
@@ -96,6 +98,19 @@ class TestStages:
         assert NonSarcasticDominated(500, 1.0).class_sizes() == (250, 250)
         assert NonSarcasticDominated(10, 4.0).class_sizes() == (2, 8)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SarcasticOnly(0), "size must be at least 1, got 0"),
+        (lambda: SarcasticOnly(-3), "size must be at least 1, got -3"),
+        (lambda: NonSarcasticDominated(0, 3.0), "size must be at least 1, got 0"),
+        (lambda: NonSarcasticDominated(10, -1.0), "ratio must be positive and finite, got -1.0"),
+        (lambda: NonSarcasticDominated(10, 0.0), "ratio must be positive and finite, got 0.0"),
+        (lambda: NonSarcasticDominated(10, math.nan), "finite, got nan"),
+        (lambda: NonSarcasticDominated(10, math.inf), "finite, got inf"),
+    ])
+    def test_rejects_bad_sizes_and_ratios(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_default_stage_order(self):
         names = [s.name for s in TrainConfig().stages]
         assert names == ["sarcastic_only", "non_sarcastic_dominated", "main"]
@@ -105,6 +120,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lr": 0.0},
         {"lr": -1.0},
+        {"lr": math.nan},
+        {"lr": math.inf},
+        {"lr_grid": (1e-3, math.nan)},
         {"epochs": 0},
         {"batch_size": 0},
         {"stages": ()},
@@ -254,6 +272,40 @@ class TestCurriculumTrain:
             train(split, config, MlpConfig(hidden=(8,), seed=0))
 
 
+class TestCheckStagePools:
+    """check_stage_pools against what build_stage_pool can actually draw."""
+
+    def split(self, stars, n_sarcastic, n_plain):
+        pool = [LabeledReview(Review(f"{stars}-{i}", stars, "text"), i < n_sarcastic)
+                for i in range(n_sarcastic + n_plain)]
+        return make_split(pool, n_sarcastic + n_plain, 0, seed=0)
+
+    def test_fillable_stages_pass(self):
+        stages = (SarcasticOnly(5), NonSarcasticDominated(20, 3.0), Main())
+        split = self.split(1, 5, 15)
+        training.check_stage_pools(stages, [split])
+        for index, stage in enumerate(stages):
+            training.build_stage_pool(stage, list(split.train), 0, index)
+
+    @pytest.mark.parametrize("stage, message", [
+        (SarcasticOnly(6), "1-star stage 2 (sarcastic_only) needs 6 sarcastic reviews, "
+                           "the train side has 5"),
+        (NonSarcasticDominated(20, 4.0), "1-star stage 2 (non_sarcastic_dominated) needs "
+                                         "16 non-sarcastic reviews, the train side has 15"),
+    ])
+    def test_names_star_stage_class_need_and_have(self, stage, message):
+        split = self.split(1, 5, 15)
+        with pytest.raises(DataError, match=re.escape(message)):
+            training.check_stage_pools((Main(), stage), [split])
+        with pytest.raises(DataError, match="requested"):
+            training.build_stage_pool(stage, list(split.train), 0, 1)
+
+    def test_every_split_is_checked(self):
+        splits = [self.split(1, 10, 10), self.split(2, 3, 10)]
+        with pytest.raises(DataError, match="2-star stage 1"):
+            training.check_stage_pools((SarcasticOnly(4),), splits)
+
+
 class CountingPipeline(FeaturePipeline):
     def __init__(self):
         super().__init__()
@@ -294,9 +346,9 @@ def constant_classifier(always: int):
     """A model whose output bias forces one class regardless of input."""
     base = init_model(MlpConfig(hidden=(7,), seed=0))
     bias = np.array([0.0, 50.0]) if always == 1 else np.array([50.0, 0.0])
-    return MlpModel(base.config,
-                    tuple(np.zeros_like(w) for w in base.weights),
-                    (np.zeros(7), bias))
+    return from_layers(base.config,
+                       [np.zeros_like(w) for w in base.weights],
+                       (np.zeros(7), bias))
 
 
 class TestEvaluate:
@@ -327,7 +379,7 @@ class TestEvaluate:
 
     def test_ties_go_to_non_sarcastic(self):
         zero = constant_classifier(0)
-        tied = MlpModel(zero.config, zero.weights, (np.zeros(7), np.zeros(2)))
+        tied = from_layers(zero.config, zero.weights, (np.zeros(7), np.zeros(2)))
         test = [LabeledReview(Review(f"r{i}", 1, "so?!"), i < 4) for i in range(6)]
         assert evaluate(tied, test).cm == ConfusionMatrix(tp=0, fp=0, fn=4, tn=2)
 
