@@ -121,14 +121,13 @@ def _parse_stages(value: str | None):
     return tuple(stages)
 
 
-def _star_path(template: str, stars: int, multi: bool) -> str:
-    if "{stars}" in template:
-        return template.replace("{stars}", str(stars))
-    if multi:
+def _star_paths(template: str, stars_list: list) -> dict:
+    """{stars: path} with {stars} replaced; run it before any work is done."""
+    if "{stars}" not in template and len(stars_list) > 1:
         raise ValueError(
             f"output path {template!r} needs a {{stars}} placeholder when "
             "more than one star is selected")
-    return template
+    return {stars: template.replace("{stars}", str(stars)) for stars in stars_list}
 
 
 def _prepare_out(path: str) -> str:
@@ -229,10 +228,10 @@ def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
 
 def cmd_ingest(args) -> int:
     stars_list = _parse_stars(args.stars)
+    out_paths = _star_paths(args.out, stars_list)
     _, prov, splits = _load_splits(args, stars_list, "ingest", {})
-    multi = len(stars_list) > 1
     for stars, split in splits.items():
-        out_path = _prepare_out(_star_path(args.out, stars, multi))
+        out_path = _prepare_out(out_paths[stars])
         write_split_manifest(out_path, split, prov)
         print(f"{stars}-star: train {len(split.train)}, test {len(split.test)} "
               f"-> {out_path}")
@@ -310,9 +309,6 @@ def _train_configs(args, stars: int) -> tuple:
         lr_grid=_parse_list(args.lr_grid, float, "--lr-grid expects a comma list of rates")
         if getattr(args, "lr_grid", None) else DEFAULT_LR_GRID,
         seed=derive_seed(args.seed, "train", stars),
-        reshuffle_each_epoch=args.reshuffle_each_epoch,
-        carry_adam_state=args.carry_adam_state,
-        lr_decay=args.lr_decay,
     )
     mlp_config = MlpConfig(
         hidden=_parse_hidden(args.hidden),
@@ -323,8 +319,7 @@ def _train_configs(args, stars: int) -> tuple:
 
 
 # The flags _add_train_flags defines, as named in the provenance config.
-TRAIN_FLAGS = ("lr", "hidden", "epochs", "batch_size", "keep_prob", "stages", "lr_decay",
-               "reshuffle_each_epoch", "carry_adam_state")
+TRAIN_FLAGS = ("lr", "hidden", "epochs", "batch_size", "keep_prob", "stages")
 
 
 def _train_flags(args) -> dict:
@@ -340,15 +335,16 @@ def cmd_train(args) -> int:
 
     stars_list = _parse_stars(args.stars)
     configs = {stars: _train_configs(args, stars) for stars in stars_list}
+    model_paths = _star_paths(args.model, stars_list)
+    history_paths = _star_paths(args.out, stars_list)
     lexicons, prov, splits = _load_splits(args, stars_list, "train", _train_flags(args))
     check_stage_pools(_parse_stages(args.stages), splits.values())
     pipeline = FeaturePipeline(lexicons)
-    multi = len(stars_list) > 1
     for stars, split in splits.items():
         train_config, mlp_config = configs[stars]
         model, history = train(split, train_config, mlp_config, pipeline)
-        model_path = _prepare_out(_star_path(args.model, stars, multi))
-        history_path = _prepare_out(_star_path(args.out, stars, multi))
+        model_path = _prepare_out(model_paths[stars])
+        history_path = _prepare_out(history_paths[stars])
         save_model(model_path, model, prov)
         write_history(history_path, history, prov)
         final = history[-1]
@@ -363,18 +359,16 @@ def cmd_eval(args) -> int:
     from .training import evaluate, render_metrics_table, star_report, write_report
 
     stars_list = _parse_stars(args.stars)
+    model_paths = _star_paths(args.model, stars_list)
     lexicons, prov, splits = _load_splits(args, stars_list, "eval", {})
     pipeline = FeaturePipeline(lexicons)
-    multi = len(stars_list) > 1
     reports = {}
     for stars, split in splits.items():
-        model = load_model(_star_path(args.model, stars, multi))
-        outcome = evaluate(model, list(split.test), pipeline)
+        outcome = evaluate(load_model(model_paths[stars]), list(split.test), pipeline)
         reports[stars] = star_report(stars, outcome)
     if "{stars}" in args.out:
-        for stars, report in reports.items():
-            write_report(_prepare_out(_star_path(args.out, stars, True)), {stars: report},
-                         prov)
+        for stars, path in _star_paths(args.out, stars_list).items():
+            write_report(_prepare_out(path), {stars: reports[stars]}, prov)
     else:
         write_report(_prepare_out(args.out), reports, prov)
     sys.stdout.write(render_metrics_table(reports))
@@ -472,12 +466,6 @@ def _add_train_flags(parser):
     parser.add_argument("--stages", default=None,
                         help="comma list: sarcastic[:n], dominated[:n[:ratio]], main "
                              "(default sarcastic:500,dominated:500:3.0,main)")
-    parser.add_argument("--lr-decay", type=float, default=None,
-                        help="optional per-epoch multiplicative lr decay, e.g. 0.9")
-    parser.add_argument("--reshuffle-each-epoch", action="store_true",
-                        help="reshuffle stage examples every epoch instead of once")
-    parser.add_argument("--carry-adam-state", action="store_true",
-                        help="carry Adam moments across stages instead of resetting")
 
 
 def build_parser() -> CliParser:

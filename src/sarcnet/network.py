@@ -24,7 +24,7 @@ parameters, which round-trips exactly.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .errors import DataError, TrainingDivergence
 INPUT_DIM = 15
 OUTPUT_DIM = 2
 HIDDEN_WIDTH_RANGE = (7, 15)
+
+# Adam's decay rates and denominator guard, at Kingma & Ba's defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 MODEL_FORMAT = "sarcnet-model"
 MODEL_VERSION = 1
@@ -47,15 +52,9 @@ class MlpConfig:
     hidden: tuple
     keep_prob: float = 0.75
     seed: int = 0
-    input_dim: int = INPUT_DIM
-    output_dim: int = OUTPUT_DIM
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.input_dim != INPUT_DIM:
-            raise ValueError(f"input_dim must be {INPUT_DIM}, got {self.input_dim}")
-        if self.output_dim != OUTPUT_DIM:
-            raise ValueError(f"output_dim must be {OUTPUT_DIM}, got {self.output_dim}")
         if not 1 <= len(self.hidden) <= 2:
             raise ValueError(f"hidden must have 1 or 2 layers, got {len(self.hidden)}")
         lo, hi = HIDDEN_WIDTH_RANGE
@@ -71,7 +70,7 @@ class MlpConfig:
 
     @property
     def layer_dims(self) -> tuple:
-        return (self.input_dim, *self.hidden, self.output_dim)
+        return (INPUT_DIM, *self.hidden, OUTPUT_DIM)
 
     @property
     def n_params(self) -> int:
@@ -133,9 +132,6 @@ class AdamState:
     m: np.ndarray  # first moment, one entry per parameter
     v: np.ndarray  # second moment
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_model(config: MlpConfig) -> MlpModel:
@@ -186,10 +182,10 @@ def forward(model: MlpModel, x, mode: str = "infer",
     if mode == "train" and rng is None:
         raise ValueError("train mode requires a random generator for dropout")
     x = np.asarray(x, dtype=float)
-    dim = model.config.input_dim
-    if x.ndim not in (1, 2) or x.shape[-1] != dim:
-        raise ValueError(f"expected input shape ({dim},) or (B, {dim}), got {x.shape}")
-    a = x.reshape(-1, dim)
+    if x.ndim not in (1, 2) or x.shape[-1] != INPUT_DIM:
+        raise ValueError(
+            f"expected input shape ({INPUT_DIM},) or (B, {INPUT_DIM}), got {x.shape}")
+    a = x.reshape(-1, INPUT_DIM)
     masks = []
     if mode == "train":
         hidden = model.config.hidden
@@ -280,14 +276,13 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
             for name, ok in zip("Wb", blocks):
                 if not ok.all():
                     raise TrainingDivergence(f"non-finite gradient in {name}{l}")
-    b1, b2, eps = state.beta1, state.beta2, state.eps
     t = state.t + 1
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1 ** t)
-    v_hat = v / (1.0 - b2 ** t)
-    params = model.params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return MlpModel(model.config, params), replace(state, m=m, v=v, t=t)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    params = model.params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return MlpModel(model.config, params), AdamState(m, v, t)
 
 
 def predicted_classes(p: np.ndarray) -> np.ndarray:
@@ -327,7 +322,7 @@ def _config_from_doc(cfg) -> MlpConfig:
         if not _is_int(cfg[key]):
             raise TypeError(f"{key} must be an integer")
     config = MlpConfig(hidden=tuple(hidden), keep_prob=keep_prob, seed=seed)
-    if cfg["input_dim"] != config.input_dim or cfg["output_dim"] != config.output_dim:
+    if cfg["input_dim"] != INPUT_DIM or cfg["output_dim"] != OUTPUT_DIM:
         raise DataError("model config dimensions are invalid")
     return config
 
@@ -338,9 +333,9 @@ def save_model(path, model: MlpModel, provenance: dict | None = None) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": {
-            "input_dim": model.config.input_dim,
+            "input_dim": INPUT_DIM,
             "hidden": list(model.config.hidden),
-            "output_dim": model.config.output_dim,
+            "output_dim": OUTPUT_DIM,
             "keep_prob": model.config.keep_prob,
             "seed": model.config.seed,
         },

@@ -5,8 +5,8 @@ network up on class-skewed subsets before the real split: first an
 all-sarcastic stage, then a non-sarcastic-dominated stage, then the main
 train set. Each stage shuffles its examples once with a stage seed,
 partitions them into fixed minibatches (a trailing short batch is kept),
-and takes one Adam step per batch on the mean cross-entropy gradient.
-Adam state is reset between stages by default; a flag carries it across.
+and takes one Adam step per batch on the mean cross-entropy gradient at
+a constant learning rate. Every stage starts from fresh Adam moments.
 
 Every random choice flows from a single base seed through derive_seed,
 so a (corpus, config, seed) triple always reproduces the same weights,
@@ -33,7 +33,6 @@ from .errors import DataError, TrainingDivergence
 from .features import FeaturePipeline
 from .network import (
     INPUT_DIM,
-    AdamState,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -97,9 +96,6 @@ class TrainConfig:
     stages: tuple = DEFAULT_STAGES
     lr_grid: tuple = DEFAULT_LR_GRID
     seed: int = 0
-    reshuffle_each_epoch: bool = False
-    carry_adam_state: bool = False
-    lr_decay: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -117,8 +113,6 @@ class TrainConfig:
             raise ValueError("lr_grid must be non-empty")
         if list(self.lr_grid) != sorted(self.lr_grid):
             raise ValueError("lr_grid must be ascending")
-        if self.lr_decay is not None and not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
 
 @dataclass(frozen=True)
@@ -129,10 +123,9 @@ class HistoryRecord:
     train_accuracy: float
 
 
-def _run_stage(model: MlpModel, state: AdamState, examples: list,
-               config: TrainConfig, stage_name: str, stage_seed: int,
-               history: list) -> tuple:
-    """Run all epochs of one stage; returns (model, adam state)."""
+def _run_stage(model: MlpModel, examples: list, config: TrainConfig,
+               stage_name: str, stage_seed: int, history: list) -> MlpModel:
+    """Run all epochs of one stage from fresh Adam moments; returns the model."""
     if not examples:
         raise DataError(f"stage {stage_name!r} has no examples")
     if config.batch_size > len(examples):
@@ -143,17 +136,15 @@ def _run_stage(model: MlpModel, state: AdamState, examples: list,
     # Shuffling indices gives the same permutation as shuffling the examples.
     order = list(range(len(examples)))
     random.Random(stage_seed).shuffle(order)
+    x_shuffled, y_shuffled = xs[order], ys[order]
     dropout_rng = np.random.default_rng(derive_seed(stage_seed, "dropout"))
-    lr = config.lr
+    state = init_adam_state(model)
     for epoch in range(1, config.epochs + 1):
-        if config.reshuffle_each_epoch and epoch > 1:
-            random.Random(derive_seed(stage_seed, "epoch", epoch)).shuffle(order)
-        x_epoch, y_epoch = xs[order], ys[order]
         loss_sum = 0.0
         starts = range(0, len(order), config.batch_size)
         for batch_index, start in enumerate(starts, start=1):
-            x_batch = x_epoch[start:start + config.batch_size]
-            y_batch = y_epoch[start:start + config.batch_size]
+            x_batch = x_shuffled[start:start + config.batch_size]
+            y_batch = y_shuffled[start:start + config.batch_size]
             trace = forward(model, x_batch, mode="train", rng=dropout_rng)
             batch_loss = cross_entropy(trace.p, y_batch)
             if not math.isfinite(batch_loss):
@@ -162,7 +153,7 @@ def _run_stage(model: MlpModel, state: AdamState, examples: list,
                     f"epoch {epoch}, batch {batch_index}")
             total = backward(model, trace, y_batch)
             mean_grads = MlpModel(model.config, total.params * (1.0 / len(y_batch)))
-            model, state = adam_step(model, mean_grads, state, lr)
+            model, state = adam_step(model, mean_grads, state, config.lr)
             loss_sum += batch_loss
         correct = int(np.sum(predicted_classes(forward(model, xs).p) == ys))
         history.append(HistoryRecord(
@@ -171,9 +162,7 @@ def _run_stage(model: MlpModel, state: AdamState, examples: list,
             mean_loss=loss_sum / len(order),
             train_accuracy=correct / len(order),
         ))
-        if config.lr_decay is not None:
-            lr *= config.lr_decay
-    return model, state
+    return model
 
 
 def train_on_vectors(staged_examples: list, config: TrainConfig,
@@ -182,16 +171,16 @@ def train_on_vectors(staged_examples: list, config: TrainConfig,
 
     Returns (model, history). This is the core loop; ``train`` wraps it
     with review vectorization and curriculum subset selection.
+
+    Overflow in a diverging run is left to the loss and gradient checks,
+    which raise TrainingDivergence, so numpy prints no warnings first.
     """
     model = init_model(mlp_config)
-    state = init_adam_state(model)
     history = []
-    for index, (stage_name, examples) in enumerate(staged_examples):
-        if not config.carry_adam_state:
-            state = init_adam_state(model)
-        stage_seed = derive_seed(config.seed, "stage", index, stage_name)
-        model, state = _run_stage(model, state, examples, config,
-                                  stage_name, stage_seed, history)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, (stage_name, examples) in enumerate(staged_examples):
+            stage_seed = derive_seed(config.seed, "stage", index, stage_name)
+            model = _run_stage(model, examples, config, stage_name, stage_seed, history)
     return model, history
 
 

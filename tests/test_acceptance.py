@@ -401,16 +401,16 @@ class TestGoldenDigests:
     """
 
     DIGESTS = {
-        "model-1.json": "f4eb3bd0fa304c436e36a11da893359583f0a85e18230b8e6b106ac41a7d1f36",
-        "model-2.json": "7e09d6f5ef8483a85683622f847571453add372619391b41ec5e48cfd943cb5e",
-        "model-3.json": "495b48e946967527fedc390d1b03000dd87f73c76c60cafb3182788e93754ca6",
-        "model-4.json": "4eeaecc31a59883d730d1132202d4c3d70880d0816e83d31bb13d016cf937f9d",
-        "model-5.json": "c4bfcaaa701ecdf374b26033e5229724f571200826252e8e25909d91ad6e0ff5",
-        "history-1.jsonl": "c2818193e31f52558fa886acf4990bfc6f349f06ea3bebf9e801d004565d7b19",
-        "history-2.jsonl": "9a4f9be831475da6f300989d45801f1e6ad8adbcc6b966ef5989c945915cc28a",
-        "history-3.jsonl": "7b5fdb0c80794d576528a6db6f3e3b819197aec6a3ce5166f537243b8dd8decb",
-        "history-4.jsonl": "df47e7f805f451ed9e2f29e26f8a6c092771d3a0ebcebaeb9382dcc47ce62c43",
-        "history-5.jsonl": "4dde3a963901d837e2de8556372abf43bd6d3275828a8f016c6be3add305087a",
+        "model-1.json": "b803da172a40e6ed259c2da69b038a240b2f36589e8309538763ac96f4c4aaaf",
+        "model-2.json": "6f71ccb787d2a0ba6e82891bd31a97e14acb21985f55571577525d654c6bc860",
+        "model-3.json": "fd198e7fcd0db2efc1d47a49d312af96bcb69025494ca3e5c2d36b52a8ec7c43",
+        "model-4.json": "ffebb9e9594f81c9a9c4f5d1467841447d930a01d073aea2fcfd0d2b9e2e3251",
+        "model-5.json": "ee3aecc36c6c2289a6e21522759418468993f751b4070cf4a5d815bfef51ea38",
+        "history-1.jsonl": "b4cc783589e2198e52950526b478503c03536bde1f8e7d9f577bc41e28b0ce84",
+        "history-2.jsonl": "b33f12dadfd9297db8ba0e9249f6be17b8b0af7863167320ef2102e453352c43",
+        "history-3.jsonl": "bb2fd320f22fc5c8b6cf0f92439a8a57c9511524de0a4ff9d1707e1414e276c6",
+        "history-4.jsonl": "c0fd8c81fb3227c27d1522a62312bb2fa51e4a2dc1e47c5e5a992c7446f1b49f",
+        "history-5.jsonl": "36b3e1d09b78043b0dfa333bcea49d0f45c0497307377bd483fbe421e4718227",
         "report.json": "15be58bb8cb61139bd8e934b40256d0a3758d2ce7c7417f7e8ebb1af722bcbc8",
     }
 

@@ -155,6 +155,18 @@ class TestParsingAndExitCodes:
         assert code == 2
         assert "cannot read labels file" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_learning_rate_prints_one_line(self, corpus, tmp_path, capsys):
+        code = run("train", "--reviews", corpus["reviews"],
+                   "--labels", corpus["labels"], "--stars", "1", *FAST_TRAIN,
+                   "--lr", "1e308",
+                   "--model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "h.jsonl"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "sarcnet: training failed: non-finite loss in stage 'main', epoch 1, batch 2\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_divergence_exits_three(self, corpus, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise TrainingDivergence("non-finite gradient in W1")
@@ -166,6 +178,30 @@ class TestParsingAndExitCodes:
                    "--out", str(tmp_path / "h.jsonl"))
         assert code == 3
         assert "training failed" in capsys.readouterr().err
+
+
+class TestOutputTemplates:
+    """A per-star path without {stars} on a multi-star run fails before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", *FAST_TRAIN, "--model", "m.json"],
+        ["train", *FAST_TRAIN, "--out", "h.jsonl"],
+        ["ingest", "--out", "split.json"],
+        ["eval", "--model", "m.json"],
+    ])
+    def test_usage_error_before_the_corpus_is_read(self, corpus, tmp_path, monkeypatch,
+                                                   capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the output paths were checked")
+
+        monkeypatch.setattr(cli, "read_reviews", refuse)
+        monkeypatch.setattr(sarcnet.training, "train", refuse)
+        monkeypatch.chdir(tmp_path)
+        code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "1,2", *argv[1:])
+        assert code == 1
+        assert "needs a {stars} placeholder" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestIngest:

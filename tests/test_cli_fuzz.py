@@ -66,10 +66,7 @@ VALUES = {
                  "dominated:10:inf,main", "dominated:3:0,main", "dominated:1:1e-9,main",
                  "sarcastic:0", "sarcastic:x", "sarcastic:1000,main", "warmup", "", ",",
                  "main,main", "dominated:2:3:4,main", "sarcastic:2:9"],
-    "--lr-decay": ["0.9", "1", "0", "-1", "2", "nan"],
     "--lr-grid": ["0.01", "0.001,0.01", "0.01,0.001", "", ",", "0", "nan", "inf", "x"],
-    "--reshuffle-each-epoch": [None],
-    "--carry-adam-state": [None],
     "--model": ["model-{stars}.json", "model-1.json", "bad_model.json", "missing.json",
                 *TEMPLATES],
     "--out": TEMPLATES,
@@ -77,8 +74,7 @@ VALUES = {
 }
 
 _SPLIT_FLAGS = ["--reviews", "--labels", "--stars", "--train-size", "--test-size", "--seed"]
-_TRAIN_FLAGS = ["--lr", "--hidden", "--epochs", "--batch-size", "--keep-prob", "--stages",
-                "--lr-decay", "--reshuffle-each-epoch", "--carry-adam-state"]
+_TRAIN_FLAGS = ["--lr", "--hidden", "--epochs", "--batch-size", "--keep-prob", "--stages"]
 # Each command's own flags; test_vocabulary_is_the_parsers checks them.
 FLAGS = {
     "ingest": _SPLIT_FLAGS + ["--out"],

@@ -608,6 +608,8 @@ class TestLoadModelRaisesOnlyDataError:
         (lambda doc: doc["config"].update(hidden="99"), "hidden"),
         (lambda doc: doc["config"].update(seed=2.5), "seed"),
         (lambda doc: doc["config"].update(input_dim=15.0), "input_dim"),
+        (lambda doc: doc["config"].update(input_dim=14), "dimensions"),
+        (lambda doc: doc["config"].update(output_dim=3), "dimensions"),
         (lambda doc: doc.update(version=True), "version"),
         (lambda doc: doc["config"].update(keep_prob="0.5"), "keep_prob"),
         (lambda doc: doc.update(layers=5), "layers"),

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -128,8 +129,6 @@ class TestTrainConfig:
         {"stages": ()},
         {"lr_grid": ()},
         {"lr_grid": (1e-2, 1e-3)},
-        {"lr_decay": 0.0},
-        {"lr_decay": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -218,11 +217,20 @@ class TestTrainLoop:
     def test_huge_finite_inputs_diverge_with_coordinates(self):
         examples = [(np.full(15, 1e308), i % 2) for i in range(10)]
         config = TrainConfig(stages=(Main(),), epochs=1, batch_size=5, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(TrainingDivergence,
-                              match="stage 'main', epoch 1, batch 1"):
-            train_on_vectors([("main", examples)], config,
-                             MlpConfig(hidden=(7,), seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence, match="stage 'main', epoch 1, batch 1"):
+                train_on_vectors([("main", examples)], config,
+                                 MlpConfig(hidden=(7,), seed=0))
+
+    def test_overflowing_learning_rate_diverges_without_warnings(self):
+        examples = separable_vectors(10)
+        config = TrainConfig(stages=(Main(),), epochs=3, batch_size=5, lr=1e308, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence):
+                train_on_vectors([("main", examples)], config,
+                                 MlpConfig(hidden=(7,), seed=0))
 
     def test_accuracy_pass_matches_per_row_predict(self):
         examples = separable_vectors(20)
