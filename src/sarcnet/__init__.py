@@ -43,10 +43,10 @@ _MODULE_EXPORTS = {
     "text": ("tokenize",),
     "training": (
         "ClassMetrics", "ConfusionMatrix", "EvalResult", "HistoryRecord", "Main",
-        "NonSarcasticDominated", "SarcasticOnly", "StarReport", "SweepResult",
-        "TrainConfig", "evaluate", "f1_score", "lr_sweep", "macro_average", "prf1",
-        "render_metrics_table", "render_sweep_table", "report_to_dict",
-        "star_report", "train", "train_on_vectors", "write_history", "write_report",
+        "NonSarcasticDominated", "SarcasticOnly", "SweepResult", "TrainConfig",
+        "evaluate", "f1_score", "lr_sweep", "macro_average", "prf1",
+        "render_metrics_table", "render_sweep_table", "report_to_dict", "train",
+        "train_on_vectors", "write_history", "write_report",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}

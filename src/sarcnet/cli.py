@@ -16,6 +16,7 @@ reproduces it byte for byte.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
+Each flag has one spelling: an abbreviated flag is a usage error.
 
 Each command imports the modules it runs when it starts, not when this
 module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
@@ -32,6 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    STAR_VALUES,
     SarcasmLabel,
     _UNDECODABLE,
     append_labels,
@@ -52,11 +54,15 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-STAR_CHOICES = (1, 2, 3, 4, 5)
-
 
 class CliParser(argparse.ArgumentParser):
-    """argparse parser whose usage failures exit with code 1, not 2."""
+    """argparse parser whose usage failures exit with code 1, not 2.
+
+    A flag's prefix is not the flag: ``--batch`` is an unknown argument.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -66,18 +72,18 @@ class CliParser(argparse.ArgumentParser):
 
 def _parse_stars(value: str) -> list:
     if value == "all":
-        return list(STAR_CHOICES)
+        return list(STAR_VALUES)
     stars = []
     for part in value.split(","):
         try:
             number = int(part)
         except ValueError:
             raise ValueError(f"stars must be 1..5 or 'all', got {part!r}") from None
-        if number not in STAR_CHOICES:
+        if number not in STAR_VALUES:
             raise ValueError(f"stars must be 1..5 or 'all', got {part!r}")
+        if number in stars:
+            raise ValueError(f"star {number} is selected twice in {value!r}")
         stars.append(number)
-    if not stars:
-        raise ValueError("stars list is empty")
     return stars
 
 
@@ -92,32 +98,31 @@ def _parse_hidden(value: str) -> tuple:
     return _parse_list(value, int, "--hidden expects a comma list of widths")
 
 
-def _parse_stages(value: str | None):
+def _parse_stages(value: str | None) -> tuple:
     """Stage spec: comma list of sarcastic[:n], dominated[:n[:ratio]], main."""
     from .training import DEFAULT_STAGES, Main, NonSarcasticDominated, SarcasticOnly
 
     if value is None:
         return DEFAULT_STAGES
+    # name -> (stage type, parsers of its optional parameters in order);
+    # parameters left out take the stage's own defaults.
+    kinds = {"sarcastic": (SarcasticOnly, (int,)),
+             "dominated": (NonSarcasticDominated, (int, float)),
+             "main": (Main, ())}
     stages = []
     for token in value.split(","):
         name, _, rest = token.strip().partition(":")
         params = rest.split(":") if rest else []
         try:
-            # Parameters left out take the stage's own defaults.
-            if name in ("sarcastic", "sarcastic_only"):
-                stages.append(SarcasticOnly(*map(int, params[:1])))
-            elif name in ("dominated", "non_sarcastic_dominated"):
-                stages.append(NonSarcasticDominated(
-                    *(parse(p) for parse, p in zip((int, float), params))))
-            elif name == "main":
-                stages.append(Main())
-            else:
+            if name not in kinds:
+                raise ValueError(f"unknown stage {name!r} (expected {', '.join(kinds)})")
+            kind, parsers = kinds[name]
+            if len(params) > len(parsers):
                 raise ValueError(
-                    f"unknown stage {name!r} (expected sarcastic, dominated, or main)")
-        except (IndexError, ValueError) as exc:
+                    f"{name} takes at most {len(parsers)} parameters, got {len(params)}")
+            stages.append(kind(*(parse(p) for parse, p in zip(parsers, params))))
+        except ValueError as exc:
             raise ValueError(f"bad stage spec {token!r}: {exc}") from None
-    if not stages:
-        raise ValueError("stage list is empty")
     return tuple(stages)
 
 
@@ -297,18 +302,17 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _train_configs(args, stars: int) -> tuple:
+def _train_configs(args, stars: int, stages: tuple, **run) -> tuple:
+    """(TrainConfig, MlpConfig) of one star; run is train's lr or sweep's lr_grid."""
     from .network import MlpConfig
-    from .training import DEFAULT_LR_GRID, TrainConfig
+    from .training import TrainConfig
 
     train_config = TrainConfig(
-        lr=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        stages=_parse_stages(args.stages),
-        lr_grid=_parse_list(args.lr_grid, float, "--lr-grid expects a comma list of rates")
-        if getattr(args, "lr_grid", None) else DEFAULT_LR_GRID,
+        stages=stages,
         seed=derive_seed(args.seed, "train", stars),
+        **run,
     )
     mlp_config = MlpConfig(
         hidden=_parse_hidden(args.hidden),
@@ -318,14 +322,11 @@ def _train_configs(args, stars: int) -> tuple:
     return train_config, mlp_config
 
 
-# The flags _add_train_flags defines, as named in the provenance config.
-TRAIN_FLAGS = ("lr", "hidden", "epochs", "batch_size", "keep_prob", "stages")
-
-
 def _train_flags(args) -> dict:
-    """The training flags' entries in the provenance config of train and sweep."""
-    return {**{flag: getattr(args, flag) for flag in TRAIN_FLAGS},
-            "hidden": list(_parse_hidden(args.hidden))}
+    """The entries of the flags _add_train_flags defines in the provenance config."""
+    return {"hidden": list(_parse_hidden(args.hidden)), "epochs": args.epochs,
+            "batch_size": args.batch_size, "keep_prob": args.keep_prob,
+            "stages": args.stages}
 
 
 def cmd_train(args) -> int:
@@ -334,11 +335,13 @@ def cmd_train(args) -> int:
     from .training import check_stage_pools, train, write_history
 
     stars_list = _parse_stars(args.stars)
-    configs = {stars: _train_configs(args, stars) for stars in stars_list}
+    stages = _parse_stages(args.stages)
+    configs = {stars: _train_configs(args, stars, stages, lr=args.lr) for stars in stars_list}
     model_paths = _star_paths(args.model, stars_list)
     history_paths = _star_paths(args.out, stars_list)
-    lexicons, prov, splits = _load_splits(args, stars_list, "train", _train_flags(args))
-    check_stage_pools(_parse_stages(args.stages), splits.values())
+    lexicons, prov, splits = _load_splits(args, stars_list, "train",
+                                          {**_train_flags(args), "lr": args.lr})
+    check_stage_pools(stages, splits.values())
     pipeline = FeaturePipeline(lexicons)
     for stars, split in splits.items():
         train_config, mlp_config = configs[stars]
@@ -356,16 +359,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .features import FeaturePipeline
     from .network import load_model
-    from .training import evaluate, render_metrics_table, star_report, write_report
+    from .training import evaluate, render_metrics_table, write_report
 
     stars_list = _parse_stars(args.stars)
     model_paths = _star_paths(args.model, stars_list)
     lexicons, prov, splits = _load_splits(args, stars_list, "eval", {})
     pipeline = FeaturePipeline(lexicons)
-    reports = {}
-    for stars, split in splits.items():
-        outcome = evaluate(load_model(model_paths[stars]), list(split.test), pipeline)
-        reports[stars] = star_report(stars, outcome)
+    reports = {stars: evaluate(load_model(model_paths[stars]), list(split.test), pipeline)
+               for stars, split in splits.items()}
     if "{stars}" in args.out:
         for stars, path in _star_paths(args.out, stars_list).items():
             write_report(_prepare_out(path), {stars: reports[stars]}, prov)
@@ -415,12 +416,15 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .features import FeaturePipeline
-    from .training import check_stage_pools, lr_sweep, render_sweep_table
+    from .training import DEFAULT_LR_GRID, check_stage_pools, lr_sweep, render_sweep_table
 
     stars_list = _parse_stars(args.stars)
     if len(stars_list) != 1:
         raise ValueError("sweep works on exactly one star rating")
-    train_config, mlp_config = _train_configs(args, stars_list[0])
+    lr_grid = (_parse_list(args.lr_grid, float, "--lr-grid expects a comma list of rates")
+               if args.lr_grid else DEFAULT_LR_GRID)
+    train_config, mlp_config = _train_configs(args, stars_list[0],
+                                              _parse_stages(args.stages), lr_grid=lr_grid)
     flags = {**_train_flags(args), "lr_grid": list(train_config.lr_grid)}
     lexicons, prov, splits = _load_splits(args, stars_list, "sweep", flags)
     check_stage_pools(train_config.stages, splits.values())
@@ -453,8 +457,6 @@ def _add_split_flags(parser):
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--lr", type=float, default=0.01,
-                        help="learning rate (default 0.01)")
     parser.add_argument("--hidden", default="15,15",
                         help="comma list of hidden widths, 1 or 2 layers of 7..15")
     parser.add_argument("--epochs", type=int, default=10,
@@ -500,6 +502,8 @@ def build_parser() -> CliParser:
     _add_corpus_flags(p)
     _add_split_flags(p)
     _add_train_flags(p)
+    p.add_argument("--lr", type=float, default=0.01,
+                   help="learning rate (default 0.01)")
     p.add_argument("--model", default="model-{stars}.json",
                    help="output model path, {stars} expanded per star")
     p.add_argument("--out", default="history-{stars}.jsonl",

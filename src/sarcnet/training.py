@@ -155,7 +155,11 @@ def _run_stage(model: MlpModel, examples: list, config: TrainConfig,
             mean_grads = MlpModel(model.config, total.params * (1.0 / len(y_batch)))
             model, state = adam_step(model, mean_grads, state, config.lr)
             loss_sum += batch_loss
-        correct = int(np.sum(predicted_classes(forward(model, xs).p) == ys))
+        p = forward(model, xs).p
+        if not np.isfinite(p).all():
+            raise TrainingDivergence(
+                f"non-finite output in stage {stage_name!r}, epoch {epoch}")
+        correct = int(np.sum(predicted_classes(p) == ys))
         history.append(HistoryRecord(
             stage=stage_name,
             epoch=epoch,
@@ -172,8 +176,8 @@ def train_on_vectors(staged_examples: list, config: TrainConfig,
     Returns (model, history). This is the core loop; ``train`` wraps it
     with review vectorization and curriculum subset selection.
 
-    Overflow in a diverging run is left to the loss and gradient checks,
-    which raise TrainingDivergence, so numpy prints no warnings first.
+    Overflow in a diverging run is left to the loss, gradient and output
+    checks, which raise TrainingDivergence, so numpy prints no warnings first.
     """
     model = init_model(mlp_config)
     history = []
@@ -347,14 +351,6 @@ def macro_average(per_star: list) -> tuple:
 
 
 @dataclass(frozen=True)
-class StarReport:
-    stars: int
-    cm: ConfusionMatrix
-    metrics: ClassMetrics
-    excluded: int
-
-
-@dataclass(frozen=True)
 class SweepResult:
     lr: float
     accuracy: float
@@ -389,24 +385,21 @@ def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
     return sorted(results, key=lambda r: (-r.accuracy, r.lr))
 
 
-def star_report(stars: int, outcome: EvalResult) -> StarReport:
-    return StarReport(stars, outcome.cm, prf1(outcome.cm), outcome.excluded)
-
-
 def render_metrics_table(reports: dict) -> str:
     """Format per-star metrics as an aligned text table.
 
     Rows are Precision/Recall/F1 plus an accuracy line; columns are the
-    star ratings present in ``reports`` (a dict of stars -> StarReport).
+    star ratings present in ``reports`` (a dict of stars -> EvalResult).
     When all five stars are present, a macro-average line is appended.
     """
     stars = sorted(reports)
+    metrics = [prf1(reports[s].cm) for s in stars]
     header = ["Metric"] + [f"{s}-star" for s in stars]
     rows = [
-        ["Precision"] + [f"{reports[s].metrics.precision:.2f}" for s in stars],
-        ["Recall"] + [f"{reports[s].metrics.recall:.2f}" for s in stars],
-        ["F1"] + [f"{reports[s].metrics.f1:.2f}" for s in stars],
-        ["Accuracy"] + [f"{reports[s].metrics.accuracy:.2f}" for s in stars],
+        ["Precision"] + [f"{m.precision:.2f}" for m in metrics],
+        ["Recall"] + [f"{m.recall:.2f}" for m in metrics],
+        ["F1"] + [f"{m.f1:.2f}" for m in metrics],
+        ["Accuracy"] + [f"{m.accuracy:.2f}" for m in metrics],
     ]
     widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
     lines = []
@@ -415,7 +408,7 @@ def render_metrics_table(reports: dict) -> str:
         cells += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
         lines.append("  ".join(cells).rstrip())
     if len(stars) == 5:
-        p, r, f1 = macro_average([reports[s].metrics for s in stars])
+        p, r, f1 = macro_average(metrics)
         lines.append("")
         lines.append(f"Macro averages: precision {p:.2f}, recall {r:.2f}, F1 {f1:.2f}")
     return "\n".join(lines) + "\n"
@@ -432,17 +425,18 @@ def render_sweep_table(results: list) -> str:
 
 
 def report_to_dict(reports: dict, provenance: dict | None = None) -> dict:
-    """Machine-readable eval report with full-precision values."""
+    """Machine-readable eval report of stars -> EvalResult, full precision."""
+    metrics = {s: prf1(rep.cm) for s, rep in sorted(reports.items())}
     doc = {
         "per_star": {
             # confusion: tp, fp, fn, tn; then precision, recall, f1, accuracy
-            str(s): {"confusion": asdict(rep.cm), **asdict(rep.metrics),
-                     "excluded": rep.excluded}
-            for s, rep in sorted(reports.items())
+            str(s): {"confusion": asdict(reports[s].cm), **asdict(m),
+                     "excluded": reports[s].excluded}
+            for s, m in metrics.items()
         },
     }
     if len(reports) == 5:
-        p, r, f1 = macro_average([reports[s].metrics for s in sorted(reports)])
+        p, r, f1 = macro_average(list(metrics.values()))
         doc["macro"] = {"precision": p, "recall": r, "f1": f1}
     if provenance is not None:
         doc["provenance"] = provenance

@@ -77,11 +77,14 @@ class TestParsingAndExitCodes:
         assert "data error" in capsys.readouterr().err
 
     def test_bad_star_value(self, corpus, tmp_path, capsys):
-        code = run("ingest", "--reviews", corpus["reviews"],
-                   "--labels", corpus["labels"], "--stars", "7",
-                   "--out", str(tmp_path / "s.json"))
-        assert code == 1
-        assert "1..5" in capsys.readouterr().err
+        for stars, message in [("7", "1..5"), ("2,1,2", "star 2 is selected twice")]:
+            for out in ("s.json", "s-{stars}.json"):
+                code = run("ingest", "--reviews", corpus["reviews"],
+                           "--labels", corpus["labels"], "--stars", stars,
+                           "--out", str(tmp_path / out))
+                assert code == 1
+                assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_hidden_width_out_of_range(self, corpus, tmp_path, capsys):
         code = run("train", "--reviews", corpus["reviews"],
@@ -109,6 +112,31 @@ class TestParsingAndExitCodes:
                    "--out", str(tmp_path / "h.jsonl"))
         assert code == 1
         assert "unknown stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, token", [
+        (["sweep", "--lr", "0.1"], "--lr"),
+        (["train", "--batch", "7"], "--batch"),
+        (["train", "--stages", "sarcastic:2:9,main"], "'sarcastic:2:9'"),
+        (["train", "--stages", "dominated:2:3:4,main"], "'dominated:2:3:4'"),
+        (["train", "--stages", "main:7"], "'main:7'"),
+        (["train", "--stages", "sarcastic_only:3,main"], "unknown stage 'sarcastic_only'"),
+    ], ids=["sweep-lr", "flag-prefix", "sarcastic-extra", "dominated-extra", "main-extra",
+            "stage-alias"])
+    def test_one_spelling_per_setting(self, corpus, tmp_path, monkeypatch, capsys, argv,
+                                      token):
+        """Flag prefixes, sweep's --lr and extra or aliased stage parts are refused."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(sarcnet.training, "train", refuse)
+        monkeypatch.setattr(sarcnet.training, "lr_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        command, *flags = argv
+        code = run(command, "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "1", *FAST_TRAIN, *flags, "--out", "out.txt")
+        assert code == 1
+        assert token in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_insufficient_pool_is_data_error(self, corpus, tmp_path, capsys):
         code = run("ingest", "--reviews", corpus["reviews"],
@@ -165,6 +193,20 @@ class TestParsingAndExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (
             "sarcnet: training failed: non-finite loss in stage 'main', epoch 1, batch 2\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_output_after_the_last_step_prints_one_line(self, corpus, tmp_path,
+                                                                   capsys):
+        code = run("train", "--reviews", corpus["reviews"],
+                   "--labels", corpus["labels"], "--stars", "1",
+                   "--train-size", "40", "--test-size", "10", "--stages", "main",
+                   "--epochs", "1", "--batch-size", "40", "--lr", "1e300",
+                   "--model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "h.jsonl"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "sarcnet: training failed: non-finite output in stage 'main', epoch 1\n")
         assert not (tmp_path / "m.json").exists()
 
     def test_divergence_exits_three(self, corpus, tmp_path, monkeypatch, capsys):
@@ -689,3 +731,14 @@ class TestSweep:
         assert any("lexicon_digest" in l for l in stanza)
         table = [l for l in lines if not l.startswith("#")]
         assert len(table) == 3  # header plus one row per grid point
+
+    def test_out_file_reruns_byte_for_byte(self, corpus, tmp_path, capsys):
+        outs = [tmp_path / "first.txt", tmp_path / "second.txt"]
+        for out in outs:
+            code = run("sweep", "--reviews", corpus["reviews"],
+                       "--labels", corpus["labels"], "--stars", "3",
+                       "--train-size", "40", "--test-size", "10",
+                       "--stages", "main", "--epochs", "2", "--batch-size", "10",
+                       "--seed", "3", "--lr-grid", "0.001,0.01", "--out", str(out))
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()

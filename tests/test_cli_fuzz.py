@@ -74,13 +74,13 @@ VALUES = {
 }
 
 _SPLIT_FLAGS = ["--reviews", "--labels", "--stars", "--train-size", "--test-size", "--seed"]
-_TRAIN_FLAGS = ["--lr", "--hidden", "--epochs", "--batch-size", "--keep-prob", "--stages"]
+_TRAIN_FLAGS = ["--hidden", "--epochs", "--batch-size", "--keep-prob", "--stages"]
 # Each command's own flags; test_vocabulary_is_the_parsers checks them.
 FLAGS = {
     "ingest": _SPLIT_FLAGS + ["--out"],
     "label": ["--reviews", "--labels", "--annotator"],
     "extract": ["--reviews", "--labels", "--stars", "--seed", "--out"],
-    "train": _SPLIT_FLAGS + _TRAIN_FLAGS + ["--model", "--out"],
+    "train": _SPLIT_FLAGS + _TRAIN_FLAGS + ["--lr", "--model", "--out"],
     "eval": _SPLIT_FLAGS + ["--model", "--out"],
     "predict": ["--model"],
     "sweep": _SPLIT_FLAGS + _TRAIN_FLAGS + ["--lr-grid", "--out"],

@@ -31,7 +31,6 @@ from sarcnet.training import (
     prf1,
     render_metrics_table,
     render_sweep_table,
-    star_report,
     train,
     train_on_vectors,
     write_history,
@@ -229,6 +228,18 @@ class TestTrainLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergence):
+                train_on_vectors([("main", examples)], config,
+                                 MlpConfig(hidden=(7,), seed=0))
+
+    def test_non_finite_output_after_the_last_step_diverges(self):
+        # One batch: no later loss sees the overflowing step, the accuracy pass does.
+        examples = separable_vectors(10)
+        config = TrainConfig(stages=(Main(),), epochs=1, batch_size=len(examples),
+                             lr=1e300, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence,
+                               match=r"^non-finite output in stage 'main', epoch 1$"):
                 train_on_vectors([("main", examples)], config,
                                  MlpConfig(hidden=(7,), seed=0))
 
@@ -497,7 +508,7 @@ class TestReports:
             4: ConfusionMatrix(9, 5, 3, 13),
             5: ConfusionMatrix(7, 6, 3, 14),
         }
-        return {s: star_report(s, training.EvalResult(cm)) for s, cm in cms.items()}
+        return {s: training.EvalResult(cm) for s, cm in cms.items()}
 
     def test_table_layout(self):
         text = render_metrics_table(self.make_reports())
@@ -522,7 +533,7 @@ class TestReports:
         assert set(doc["per_star"]) == {"1", "2", "3", "4", "5"}
         metrics = prf1(reports[3].cm)
         assert doc["per_star"]["3"]["precision"] == metrics.precision
-        expected_macro = macro_average([reports[s].metrics for s in range(1, 6)])
+        expected_macro = macro_average([prf1(reports[s].cm) for s in range(1, 6)])
         assert doc["macro"]["f1"] == expected_macro[2]
         assert doc["provenance"] == {"seed": 0}
 
