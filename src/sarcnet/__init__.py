@@ -1,9 +1,9 @@
 """Sarcasm detection for star-rated review text.
 
-The pipeline: parse reviews and annotator votes, segregate by star
-rating, extract a 15-component lexical/punctuation/orthographic feature
-vector per review, train a small from-scratch feed-forward network with
-curriculum stages, and report per-star precision/recall/F1.
+The pipeline: parse reviews and annotator votes, extract a
+15-component lexical/punctuation/orthographic feature vector per
+review, train a small from-scratch feed-forward network per star rating
+with curriculum stages, and report per-star precision/recall/F1.
 
 Typical use:
 
@@ -27,7 +27,7 @@ _MODULE_EXPORTS = {
         "DatasetSplit", "LabeledReview", "ParseError", "Review", "SarcasmLabel",
         "curriculum_subset", "derive_seed", "iter_labels", "label_reviews",
         "make_split", "open_jsonl", "parse_review_stream", "read_labels",
-        "read_reviews", "resolve_labels", "segregate_by_stars",
+        "read_reviews", "resolve_labels",
     ),
     "errors": ("DataError", "SarcnetError", "TrainingDivergence"),
     "features": (

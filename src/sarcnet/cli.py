@@ -88,8 +88,9 @@ def _parse_stars(value: str) -> list:
 
 
 def _parse_list(value: str, parse, expects: str) -> tuple:
+    """Parse every comma-separated part; an empty part or list is an error."""
     try:
-        return tuple(parse(part) for part in value.split(",") if part != "")
+        return tuple(parse(part) for part in value.split(","))
     except ValueError:
         raise ValueError(f"{expects}, got {value!r}") from None
 
@@ -422,7 +423,7 @@ def cmd_sweep(args) -> int:
     if len(stars_list) != 1:
         raise ValueError("sweep works on exactly one star rating")
     lr_grid = (_parse_list(args.lr_grid, float, "--lr-grid expects a comma list of rates")
-               if args.lr_grid else DEFAULT_LR_GRID)
+               if args.lr_grid is not None else DEFAULT_LR_GRID)
     train_config, mlp_config = _train_configs(args, stars_list[0],
                                               _parse_stages(args.stages), lr_grid=lr_grid)
     flags = {**_train_flags(args), "lr_grid": list(train_config.lr_grid)}

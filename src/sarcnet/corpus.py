@@ -1,4 +1,4 @@
-"""Review ingestion, sarcasm labels, star buckets, and seeded splits.
+"""Review ingestion, sarcasm labels, and seeded splits.
 
 Reviews arrive as UTF-8 JSON lines with at least review_id, stars, and
 text; extra fields are ignored, which keeps the reader compatible with
@@ -203,14 +203,6 @@ def write_reviews(path, reviews) -> None:
     _write_jsonl(path, "w", reviews)
 
 
-def segregate_by_stars(reviews) -> dict:
-    """Partition reviews into the five star buckets, preserving order."""
-    buckets = {stars: [] for stars in STAR_VALUES}
-    for review in reviews:
-        buckets[review.stars].append(review)
-    return buckets
-
-
 def iter_labels(lines, errors):
     """Yield each valid SarcasmLabel of JSON-lines label votes, in input order.
 
@@ -359,20 +351,3 @@ def write_split_manifest(path, split: DatasetSplit, provenance: dict | None = No
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_split_manifest(path) -> dict:
-    """Read a split manifest back; malformed content raises DataError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"split manifest is not valid UTF-8: {exc.reason}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise DataError(f"split manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError("split manifest is not a JSON object")
-    for key in ("stars", "seed", "train_n", "test_n", "train_review_ids", "test_review_ids"):
-        if key not in manifest:
-            raise DataError(f"split manifest missing field: {key}")
-    return manifest

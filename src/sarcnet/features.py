@@ -247,28 +247,3 @@ def write_feature_dump(path, rows, provenance=None) -> int:
             )
             written += 1
     return written
-
-
-def read_feature_dump(path):
-    """Read back a feature dump as (provenance_lines, list of row dicts)."""
-    provenance = []
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("#"):
-                provenance.append(line[1:].strip())
-            else:
-                data_lines.append(line)
-        reader = csv.DictReader(data_lines)
-        for record in reader:
-            vector = np.array([float(record[name]) for name in feature_names()])
-            rows.append(
-                {
-                    "review_id": record["review_id"],
-                    "word_count": int(record["word_count"]),
-                    "label": None if record["label"] == "" else int(record["label"]),
-                    "vector": vector,
-                }
-            )
-    return provenance, rows

@@ -246,7 +246,8 @@ def backward(model: MlpModel, trace: ForwardTrace, y) -> Gradients:
     n = model.n_layers
     delta = np.atleast_2d(trace.p).copy()
     delta[np.arange(delta.shape[0]), classes] -= 1.0
-    grads = zero_gradients(model)
+    # No zero fill: the loop writes every weight and bias view, which tile the vector.
+    grads = Gradients(model.config, np.empty_like(model.params))
     for l in range(n - 1, -1, -1):
         a_prev = trace.x if l == 0 else trace.activations[l - 1]
         np.matmul(delta.T, np.atleast_2d(a_prev), out=grads.weights[l])

@@ -391,13 +391,15 @@ class TestCriterion8EndToEndDeterminism:
 
 
 class TestGoldenDigests:
-    """Pins the bytes of criterion 8's mini-corpus artifacts.
+    """Pins the bytes of the mini-corpus artifacts of criterion 8, ingest and extract.
 
     Criterion 8 only checks that two reruns agree, so a change that drifts
-    the floats would pass it silently. These digests were taken on x86-64
-    (AVX-512) with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31;
-    the last bits of the float math can differ on another BLAS or CPU. A
-    change that alters artifact bytes on purpose re-pins them and says why.
+    the floats would pass it silently. No command reads a manifest or a
+    feature dump back, so only these digests see their bytes move. The
+    digests were taken on x86-64 (AVX-512) with Python 3.11.7, numpy 2.4.6
+    and scipy-openblas 0.3.31; the last bits of the float math can differ
+    on another BLAS or CPU. A change that alters artifact bytes on purpose
+    re-pins them and says why.
     """
 
     DIGESTS = {
@@ -414,10 +416,29 @@ class TestGoldenDigests:
         "report.json": "15be58bb8cb61139bd8e934b40256d0a3758d2ce7c7417f7e8ebb1af722bcbc8",
     }
 
+    INPUT_DIGESTS = {
+        "split-1.json": "36eed381d353882ef9d26609fe4683cacb7d5ca57d5f37b12338491ada1a8814",
+        "split-2.json": "4f05bfad0a97ed3fd07c0bedebe5ce28359c512df8b0d1930a4c42a2dd22f708",
+        "split-3.json": "c01461510bcd0192d1f47389092af515e6b5a640dbeeb41f661775a4db6a625c",
+        "split-4.json": "b4d402842d9fffa9f5ee37db2c8148da83dbb480e0ac489ee0d918470ba9072e",
+        "split-5.json": "d054f30e5107ab4733afd7f967da0dcf35a98baa8d184ad1c8768ed16e008042",
+        "features.csv": "00a053204ec4ed51af12b6806af1c23ea0969abe2671e8b9b8816ad9c4365321",
+    }
+
     def test_artifact_digests(self, minicorpus_dir, tmp_path, capsys):
         TestCriterion8EndToEndDeterminism().run_pipeline(minicorpus_dir, tmp_path)
         actual = {name: sha(tmp_path / name) for name in self.DIGESTS}
         assert actual == self.DIGESTS
+
+    def test_manifest_and_feature_dump_digests(self, minicorpus_dir, tmp_path, capsys):
+        corpus = ["--reviews", str(minicorpus_dir / "reviews.jsonl"),
+                  "--labels", str(minicorpus_dir / "labels.jsonl")]
+        assert cli.main(["ingest", *corpus, "--stars", "all",
+                         *TestCriterion8EndToEndDeterminism.ARGS,
+                         "--out", str(tmp_path / "split-{stars}.json")]) == 0
+        assert cli.main(["extract", *corpus, "--out", str(tmp_path / "features.csv")]) == 0
+        actual = {name: sha(tmp_path / name) for name in self.INPUT_DIGESTS}
+        assert actual == self.INPUT_DIGESTS
 
 
 @pytest.mark.acceptance(9)

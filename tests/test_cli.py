@@ -120,11 +120,18 @@ class TestParsingAndExitCodes:
         (["train", "--stages", "dominated:2:3:4,main"], "'dominated:2:3:4'"),
         (["train", "--stages", "main:7"], "'main:7'"),
         (["train", "--stages", "sarcastic_only:3,main"], "unknown stage 'sarcastic_only'"),
+        (["train", "--hidden", "9,"], "got '9,'"),
+        (["train", "--hidden", ",9"], "got ',9'"),
+        (["sweep", "--lr-grid", ""], "got ''"),
+        (["sweep", "--lr-grid", "1e-3,"], "got '1e-3,'"),
     ], ids=["sweep-lr", "flag-prefix", "sarcastic-extra", "dominated-extra", "main-extra",
-            "stage-alias"])
+            "stage-alias", "hidden-trailing-comma", "hidden-leading-comma", "lr-grid-empty",
+            "lr-grid-trailing-comma"])
     def test_one_spelling_per_setting(self, corpus, tmp_path, monkeypatch, capsys, argv,
                                       token):
-        """Flag prefixes, sweep's --lr and extra or aliased stage parts are refused."""
+        """Flag prefixes, sweep's --lr, extra or aliased stage parts and empty list parts
+        are refused.
+        """
         def refuse(*args, **kwargs):
             raise AssertionError("training started")
 

@@ -1,4 +1,4 @@
-"""Ingestion, label resolution, star buckets, and seeded splits."""
+"""Ingestion, label resolution, and seeded splits."""
 
 import json
 import random
@@ -22,9 +22,7 @@ from sarcnet.corpus import (
     parse_review_stream,
     read_labels,
     read_reviews,
-    read_split_manifest,
     resolve_labels,
-    segregate_by_stars,
     write_labels,
     write_reviews,
     write_split_manifest,
@@ -103,28 +101,6 @@ class TestParseReviewStream:
         reviews, errors = parse_review_stream(["", "   ", review_line(), "\n"])
         assert len(reviews) == 1
         assert errors == []
-
-
-class TestSegregate:
-    def test_counting_example(self):
-        reviews = [Review("a", 1, "x"), Review("b", 1, "y"), Review("c", 5, "z")]
-        buckets = segregate_by_stars(reviews)
-        assert sorted(buckets) == [1, 2, 3, 4, 5]
-        assert [r.review_id for r in buckets[1]] == ["a", "b"]
-        assert buckets[2] == buckets[3] == buckets[4] == []
-        assert [r.review_id for r in buckets[5]] == ["c"]
-
-    def test_empty_input(self):
-        buckets = segregate_by_stars([])
-        assert all(buckets[s] == [] for s in range(1, 6))
-
-    def test_partition_property(self):
-        rng = random.Random(3)
-        reviews = [Review(f"r{i}", rng.randint(1, 5), "t") for i in range(1000)]
-        buckets = segregate_by_stars(reviews)
-        merged = [r for s in range(1, 6) for r in buckets[s]]
-        assert sorted(r.review_id for r in merged) == sorted(r.review_id for r in reviews)
-        assert all(r.stars == s for s in buckets for r in buckets[s])
 
 
 class TestMakeSplit:
@@ -323,70 +299,12 @@ class TestFiles:
         split = make_split(make_pool(30), 20, 10, seed=5)
         path = tmp_path / "split.json"
         write_split_manifest(path, split, provenance={"seed": 5})
-        manifest = read_split_manifest(path)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
         assert manifest["stars"] == 1
         assert manifest["train_n"] == 20
         assert manifest["test_n"] == 10
         assert manifest["train_review_ids"] == [lr.review.review_id for lr in split.train]
         assert manifest["provenance"] == {"seed": 5}
-
-    def test_manifest_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps({"stars": 1}))
-        with pytest.raises(DataError, match="missing field"):
-            read_split_manifest(path)
-
-    @pytest.mark.parametrize("content, message", [
-        (b"{not json", "not valid JSON"),
-        (b"5", "not a JSON object"),
-        (b'["stars"]', "not a JSON object"),
-        (b'{"stars": 1\xff}', "not valid UTF-8"),
-        (b"[" * 100_000, "not valid JSON"),
-        (b'{"stars": ' + b"1" * 5000 + b"}", "not valid JSON"),
-    ], ids=["bad-json", "number", "list", "bad-utf8", "deep-nesting", "long-integer"])
-    def test_malformed_manifest_is_data_error(self, tmp_path, content, message):
-        path = tmp_path / "split.json"
-        path.write_bytes(content)
-        with pytest.raises(DataError, match=message):
-            read_split_manifest(path)
-
-
-MANIFEST_KEYS = ("stars", "seed", "train_n", "test_n", "train_review_ids", "test_review_ids")
-
-
-def _manifest_bytes(tmp_path_factory):
-    split = make_split(make_pool(30), 20, 10, seed=5)
-    path = tmp_path_factory.mktemp("manifest") / "split.json"
-    write_split_manifest(path, split, provenance={"seed": 5})
-    return path.read_bytes()
-
-
-class TestReadSplitManifestRaisesOnlyDataError:
-    @settings(max_examples=300)
-    @given(content=st.binary(max_size=64)
-           | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"stars"', b":", b",",
-                                       b"1", b"null", b"\xff", b"\xc3", b" "]),
-                      max_size=12).map(b"".join))
-    def test_arbitrary_bytes(self, tmp_path_factory, content):
-        path = tmp_path_factory.mktemp("garbage") / "split.json"
-        path.write_bytes(content)
-        try:
-            manifest = read_split_manifest(path)
-        except DataError:
-            return
-        assert all(key in manifest for key in MANIFEST_KEYS)
-
-    @settings(max_examples=100)
-    @given(dropped=st.sets(st.sampled_from(MANIFEST_KEYS), min_size=1))
-    def test_valid_manifest_with_keys_dropped(self, tmp_path_factory, dropped):
-        doc = json.loads(_manifest_bytes(tmp_path_factory))
-        for key in dropped:
-            del doc[key]
-        path = tmp_path_factory.mktemp("dropped") / "split.json"
-        path.write_text(json.dumps(doc))
-        first = next(key for key in MANIFEST_KEYS if key in dropped)
-        with pytest.raises(DataError, match=f"missing field: {first}$"):
-            read_split_manifest(path)
 
 
 def label_line(review_id="r1", sarcastic=True, annotator="a", **extra):

@@ -1,5 +1,6 @@
 """Feature catalog, counting rules, normalization, and the dump format."""
 
+import csv
 import random
 from dataclasses import replace
 
@@ -18,7 +19,6 @@ from sarcnet.features import (
     extract_counts,
     feature_names,
     normalize,
-    read_feature_dump,
     write_feature_dump,
 )
 from sarcnet.corpus import read_reviews
@@ -192,14 +192,16 @@ class TestFeatureDump:
         streamed = tmp_path / "streamed.csv"
         assert write_feature_dump(streamed, iter(rows), ["tool: test", "seed: 9"]) == 3
         assert streamed.read_bytes() == path.read_bytes()
-        provenance, parsed = read_feature_dump(path)
-        assert provenance == ["tool: test", "seed: 9"]
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        assert lines[:2] == ["# tool: test\n", "# seed: 9\n"]
+        parsed = list(csv.DictReader(lines[2:]))
         assert [r["review_id"] for r in parsed] == ["r1", "r2", "r3"]
-        assert parsed[0]["label"] == 1
-        assert parsed[2]["label"] is None
+        assert [r["label"] for r in parsed] == ["1", "0", ""]
         for row, (rid, _, counts, vec) in zip(parsed, rows):
-            assert row["word_count"] == counts.word_count
-            assert np.allclose(row["vector"], vec, rtol=1e-9, atol=0)
+            assert int(row["word_count"]) == counts.word_count
+            vector = [float(row[name]) for name in feature_names()]
+            assert np.allclose(vector, vec, rtol=1e-9, atol=0)
 
     def test_header_lists_all_feature_names(self, tmp_path):
         path = tmp_path / "dump.csv"
