@@ -306,6 +306,71 @@ class TestIngest:
         after = sha(Path(corpus["reviews"]))
         assert reviews_sha == after
 
+    def test_each_star_pool_is_every_labeled_review_of_that_star(self, corpus, tmp_path,
+                                                                 capsys):
+        """100 labeled reviews per star, cut 70/30: each manifest names all of its star."""
+        assert run("ingest", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "all", "--train-size", "70", "--test-size", "30",
+                   "--out", str(tmp_path / "split-{stars}.json")) == 0
+        reviews, _ = sarcnet.corpus.read_reviews(corpus["reviews"])
+        labels, _ = sarcnet.corpus.read_labels(corpus["labels"])
+        labeled = sarcnet.corpus.label_reviews(reviews, labels)
+        for stars in range(1, 6):
+            doc = json.loads((tmp_path / f"split-{stars}.json").read_text())
+            named = doc["train_review_ids"] + doc["test_review_ids"]
+            assert sorted(named) == sorted(lr.review.review_id for lr in labeled
+                                           if lr.review.stars == stars)
+
+    def write_tiny_corpus(self, tmp_path):
+        """Reviews a, b (1 star), c (5 stars) and d (3 stars, no votes)."""
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        write_reviews(reviews, [Review("a", 1, "x"), Review("b", 1, "y"),
+                                Review("c", 5, "z"), Review("d", 3, "w")])
+        write_labels(labels, [SarcasmLabel(rid, True, "ann") for rid in ("a", "b", "c")])
+        return ["--reviews", str(reviews), "--labels", str(labels)]
+
+    def test_hand_counted_star_pools(self, tmp_path, capsys):
+        files = self.write_tiny_corpus(tmp_path)
+        for stars, sizes, ids in (("1", ("1", "1"), ["a", "b"]), ("5", ("1", "0"), ["c"])):
+            out = tmp_path / f"split-{stars}.json"
+            assert run("ingest", *files, "--stars", stars, "--train-size", sizes[0],
+                       "--test-size", sizes[1], "--out", str(out)) == 0
+            doc = json.loads(out.read_text())
+            assert sorted(doc["train_review_ids"] + doc["test_review_ids"]) == ids
+
+    @pytest.mark.parametrize("stars", ["2", "3"], ids=["no-reviews", "no-votes"])
+    def test_empty_star_pool_is_data_error(self, tmp_path, capsys, stars):
+        files = self.write_tiny_corpus(tmp_path)
+        assert run("ingest", *files, "--stars", stars, "--train-size", "1",
+                   "--test-size", "0", "--out", str(tmp_path / "split.json")) == 2
+        assert f"{stars}-star split: need 1, have 0" in capsys.readouterr().err
+        assert not (tmp_path / "split.json").exists()
+
+    def test_manifest_names_the_split_train_fits(self, corpus, tmp_path, monkeypatch,
+                                                 capsys):
+        """A manifest audits a model: same seed and sizes, same reviews on each side."""
+        split_args = ["--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                      "--stars", "2", "--train-size", "40", "--test-size", "10",
+                      "--seed", "42"]
+        assert run("ingest", *split_args, "--out", str(tmp_path / "split.json")) == 0
+        fitted = []
+        real_train = sarcnet.training.train
+
+        def recording_train(split, *args, **kwargs):
+            fitted.append(split)
+            return real_train(split, *args, **kwargs)
+
+        monkeypatch.setattr(sarcnet.training, "train", recording_train)
+        assert run("train", *split_args, "--stages", "main", "--epochs", "1",
+                   "--batch-size", "10", "--model", str(tmp_path / "model.json"),
+                   "--out", str(tmp_path / "history.jsonl")) == 0
+        (split,) = fitted
+        doc = json.loads((tmp_path / "split.json").read_text())
+        assert doc["seed"] == split.seed
+        assert doc["train_review_ids"] == [lr.review.review_id for lr in split.train]
+        assert doc["test_review_ids"] == [lr.review.review_id for lr in split.test]
+
 
 class TestLabelStream:
     """Every command streams the votes from the labels file into the tally."""

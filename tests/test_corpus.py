@@ -18,6 +18,7 @@ from sarcnet.corpus import (
     iter_labels,
     label_reviews,
     make_split,
+    open_jsonl,
     parse_label_stream,
     parse_review_stream,
     read_labels,
@@ -306,6 +307,20 @@ class TestFiles:
         assert manifest["train_review_ids"] == [lr.review.review_id for lr in split.train]
         assert manifest["provenance"] == {"seed": 5}
 
+    def test_split_manifest_holds_every_field(self, tmp_path):
+        split = make_split(make_pool(30, stars=4), 20, 10, seed=8)
+        path = tmp_path / "split.json"
+        write_split_manifest(path, split)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest == {
+            "stars": 4,
+            "seed": 8,
+            "train_n": 20,
+            "test_n": 10,
+            "train_review_ids": [lr.review.review_id for lr in split.train],
+            "test_review_ids": [lr.review.review_id for lr in split.test],
+        }
+
 
 def label_line(review_id="r1", sarcastic=True, annotator="a", **extra):
     return json.dumps({"review_id": review_id, "sarcastic": sarcastic,
@@ -492,6 +507,20 @@ class TestInvalidUtf8File:
         labels, errors = read_labels(path)
         assert [label.review_id for label in labels] == ["r1", "r2"]
         assert errors == [ParseError(2, "invalid UTF-8")]
+
+    @settings(max_examples=200)
+    @given(content=st.binary(max_size=64)
+           | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"review_id"', b":", b",",
+                                       b"1", b"null", b"\xff", b"\xc3", b" ", b"\r",
+                                       b"\n", b"\x0b", b"\xef\xbb\xbf"]),
+                      max_size=12).map(b"".join))
+    def test_arbitrary_bytes_never_raise(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("garbage") / "corpus.jsonl"
+        path.write_bytes(content)
+        with open_jsonl(path) as fh:
+            lines = fh.readlines()
+        for records, errors in (read_reviews(path), read_labels(path)):
+            assert len(records) + len(errors) == non_blank(lines)
 
 
 class TestRecordTypes:
