@@ -70,13 +70,20 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _unpadded(part: str) -> str:
+    """Return part, refusing the surrounding whitespace that int() and float() strip."""
+    if part != part.strip():
+        raise ValueError(f"surrounding whitespace in {part!r}")
+    return part
+
+
 def _parse_stars(value: str) -> list:
     if value == "all":
         return list(STAR_VALUES)
     stars = []
     for part in value.split(","):
         try:
-            number = int(part)
+            number = int(_unpadded(part))
         except ValueError:
             raise ValueError(f"stars must be 1..5 or 'all', got {part!r}") from None
         if number not in STAR_VALUES:
@@ -90,7 +97,7 @@ def _parse_stars(value: str) -> list:
 def _parse_list(value: str, parse, expects: str) -> tuple:
     """Parse every comma-separated part; an empty part or list is an error."""
     try:
-        return tuple(parse(part) for part in value.split(","))
+        return tuple(parse(_unpadded(part)) for part in value.split(","))
     except ValueError:
         raise ValueError(f"{expects}, got {value!r}") from None
 
@@ -112,7 +119,7 @@ def _parse_stages(value: str | None) -> tuple:
              "main": (Main, ())}
     stages = []
     for token in value.split(","):
-        name, _, rest = token.strip().partition(":")
+        name, _, rest = token.partition(":")
         params = rest.split(":") if rest else []
         try:
             if name not in kinds:
@@ -121,7 +128,7 @@ def _parse_stages(value: str | None) -> tuple:
             if len(params) > len(parsers):
                 raise ValueError(
                     f"{name} takes at most {len(parsers)} parameters, got {len(params)}")
-            stages.append(kind(*(parse(p) for parse, p in zip(parsers, params))))
+            stages.append(kind(*(parse(_unpadded(p)) for parse, p in zip(parsers, params))))
         except ValueError as exc:
             raise ValueError(f"bad stage spec {token!r}: {exc}") from None
     return tuple(stages)
@@ -280,7 +287,8 @@ def cmd_extract(args) -> int:
     from .features import FeaturePipeline, normalize, write_feature_dump
 
     stars_list = _parse_stars(args.stars)
-    reviews = [r for r in _load_reviews(args.reviews) if r.stars in set(stars_list)]
+    wanted = set(stars_list)
+    reviews = [r for r in _load_reviews(args.reviews) if r.stars in wanted]
     if not reviews:
         raise DataError("no reviews with the requested star ratings")
     resolved = {}

@@ -15,18 +15,24 @@ tallies any iterable of them in one pass, so a labels file can be read
 once, straight into the tally: memory then grows with the number of
 reviews, not with the number of votes.
 
-Both files go through one line reader. It decodes each file as UTF-8
-with undecodable bytes kept as surrogate escapes, so a line holding one
-is an ``invalid UTF-8`` error and the lines around it still parse. It
-hands each non-blank line to the C JSON scanner once; bad JSON, a value
-nested too deeply for the scanner, and trailing data are each one error
-for that line. A string field holding a lone surrogate (from a JSON
-``\\u`` escape such as ``"\\udcff"``) cannot be written back as UTF-8, so it
-is one error for that line too. Both files are written through one
-serializer.
+Both files are decoded as UTF-8 with undecodable bytes kept as
+surrogate escapes, so a line holding one is an ``invalid UTF-8`` error
+and the lines around it still parse. The review and label parsers each
+loop over their lines themselves. An ASCII line goes straight to the C
+JSON scanner, and its value is taken when it starts at the line's first
+character and ends at the line's end or just before its newline. Every
+other line (not ASCII, which covers surrogate escapes and the BOM;
+leading whitespace or blank; trailing data; any scanner error) goes to
+one fallback function, ``_decode_line``, so every reason comes from one
+place: bad JSON, a value nested too deeply for the scanner, and trailing
+data are each one error for that line. A string field holding a lone
+surrogate (from a JSON ``\\u`` escape such as ``"\\udcff"``) cannot be
+written back as UTF-8, so it is one error for that line too. Both files
+are written through one serializer.
 
 The record types are named tuples: immutable, compared by value, and
-cheap to build in bulk.
+cheap to build in bulk. The parsers build them with the C tuple
+constructor, skipping each named tuple's Python-level ``__new__``.
 
 Splits shuffle a single-star pool with a seeded Fisher-Yates permutation
 (``random.Random(seed).shuffle``) and cut it into train/test prefixes,
@@ -86,41 +92,43 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 _JSON_WHITESPACE = " \t\n\r"
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-_raw_decode = json.JSONDecoder().raw_decode
+_decoder = json.JSONDecoder()
+_raw_decode = _decoder.raw_decode
+_scan_once = _decoder.scan_once
+# What may follow a value that the fast path takes: nothing, or the newline.
+_LINE_ENDS = ("", "\n")
+# The C constructor of every tuple: a named tuple's own __new__ is a Python
+# function that calls it, one extra frame per record.
+_new_tuple = tuple.__new__
 
 
-def _json_lines(lines):
-    """Yield (line_number, record, reason) for each non-blank line.
+def _decode_line(line):
+    """Decode one line the fast path did not take, as (record, reason).
 
     record is the decoded JSON value and reason None, or record is None
-    and reason says why the line is not one JSON value. The reasons are
-    those of ``json.loads``, plus ``invalid UTF-8`` for a line holding a
-    surrogate escape and one for a value nested too deeply to decode.
+    and reason says why the line is not one JSON value. A blank line
+    gives None. The reasons are those of ``json.loads``, plus ``invalid
+    UTF-8`` for a line holding a surrogate escape and one for a value
+    nested too deeply to decode.
     """
-    for line_number, line in enumerate(lines, start=1):
-        # Trailing whitespace stays: it can be inside an unterminated string.
-        text = line.lstrip(_JSON_WHITESPACE)
-        if not text or text.isspace():  # line.strip() would leave nothing
-            continue
-        if not text.isascii() and _UNDECODABLE.search(text):
-            yield line_number, None, "invalid UTF-8"
-            continue
-        try:
-            record, end = _raw_decode(text)
-        except json.JSONDecodeError as exc:
-            reason = _BOM_MESSAGE if line.startswith("\ufeff") else exc.msg
-            yield line_number, None, f"invalid JSON: {reason}"
-            continue
-        except RecursionError:
-            yield line_number, None, "invalid JSON: nested too deeply"
-            continue
-        except ValueError as exc:
-            yield line_number, None, f"invalid JSON: {exc}"
-            continue
-        if end != len(text) and text[end:].strip(_JSON_WHITESPACE):
-            yield line_number, None, "invalid JSON: Extra data"
-            continue
-        yield line_number, record, None
+    # Trailing whitespace stays: it can be inside an unterminated string.
+    text = line.lstrip(_JSON_WHITESPACE)
+    if not text or text.isspace():  # line.strip() would leave nothing
+        return None
+    if not text.isascii() and _UNDECODABLE.search(text):
+        return None, "invalid UTF-8"
+    try:
+        record, end = _raw_decode(text)
+    except json.JSONDecodeError as exc:
+        reason = _BOM_MESSAGE if line.startswith("\ufeff") else exc.msg
+        return None, f"invalid JSON: {reason}"
+    except RecursionError:
+        return None, "invalid JSON: nested too deeply"
+    except ValueError as exc:
+        return None, f"invalid JSON: {exc}"
+    if end != len(text) and text[end:].strip(_JSON_WHITESPACE):
+        return None, "invalid JSON: Extra data"
+    return record, None
 
 
 def _shape_problem(record, fields) -> str:
@@ -153,31 +161,45 @@ def parse_review_stream(lines) -> tuple:
     reviews = []
     errors = []
     seen_ids = set()
-    for line_number, record, reason in _json_lines(lines):
-        if reason is None:
+    for line_number, line in enumerate(lines, start=1):
+        # Fast path: an ASCII line whose one value runs up to its newline.
+        end = 0
+        if line.isascii():
             try:
-                review_id = record["review_id"]
-                stars = _coerce_stars(record["stars"])
-                text = record["text"]
-            except (KeyError, TypeError):
-                reason = _shape_problem(record, ("review_id", "stars", "text"))
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                pass
+        if not end or line[end:] not in _LINE_ENDS:
+            decoded = _decode_line(line)
+            if decoded is None:
+                continue
+            record, reason = decoded
+            if reason is not None:
+                errors.append(ParseError(line_number, reason))
+                continue
+        try:
+            review_id = record["review_id"]
+            stars = _coerce_stars(record["stars"])
+            text = record["text"]
+        except (KeyError, TypeError):
+            reason = _shape_problem(record, ("review_id", "stars", "text"))
+        else:
+            if not isinstance(review_id, str) or not review_id:
+                reason = "review_id must be a non-empty string"
+            elif not review_id.isascii() and _SURROGATE.search(review_id):
+                reason = "review_id holds a lone surrogate"
+            elif stars not in STAR_VALUES:
+                reason = "stars out of range"
+            elif not isinstance(text, str) or not text.strip():
+                reason = "empty text"
+            elif not text.isascii() and _SURROGATE.search(text):
+                reason = "text holds a lone surrogate"
+            elif review_id in seen_ids:
+                reason = f"duplicate review_id: {review_id}"
             else:
-                if not isinstance(review_id, str) or not review_id:
-                    reason = "review_id must be a non-empty string"
-                elif not review_id.isascii() and _SURROGATE.search(review_id):
-                    reason = "review_id holds a lone surrogate"
-                elif stars not in STAR_VALUES:
-                    reason = "stars out of range"
-                elif not isinstance(text, str) or not text.strip():
-                    reason = "empty text"
-                elif not text.isascii() and _SURROGATE.search(text):
-                    reason = "text holds a lone surrogate"
-                elif review_id in seen_ids:
-                    reason = f"duplicate review_id: {review_id}"
-                else:
-                    seen_ids.add(review_id)
-                    reviews.append(Review(review_id, stars, text))
-                    continue
+                seen_ids.add(review_id)
+                reviews.append(_new_tuple(Review, (review_id, stars, text)))
+                continue
         errors.append(ParseError(line_number, reason))
     return reviews, errors
 
@@ -210,28 +232,42 @@ def iter_labels(lines, errors):
     UTF-8, bad JSON, missing field, wrong type, a lone surrogate in a
     string field) appends one ParseError to ``errors`` instead.
     """
-    for line_number, record, reason in _json_lines(lines):
-        if reason is None:
+    for line_number, line in enumerate(lines, start=1):
+        # Fast path: an ASCII line whose one value runs up to its newline.
+        end = 0
+        if line.isascii():
             try:
-                review_id = record["review_id"]
-                sarcastic = record["sarcastic"]
-                annotator = record["annotator"]
-            except (KeyError, TypeError):
-                reason = _shape_problem(record, ("review_id", "sarcastic", "annotator"))
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                pass
+        if not end or line[end:] not in _LINE_ENDS:
+            decoded = _decode_line(line)
+            if decoded is None:
+                continue
+            record, reason = decoded
+            if reason is not None:
+                errors.append(ParseError(line_number, reason))
+                continue
+        try:
+            review_id = record["review_id"]
+            sarcastic = record["sarcastic"]
+            annotator = record["annotator"]
+        except (KeyError, TypeError):
+            reason = _shape_problem(record, ("review_id", "sarcastic", "annotator"))
+        else:
+            if not isinstance(review_id, str) or not review_id:
+                reason = "review_id must be a non-empty string"
+            elif not review_id.isascii() and _SURROGATE.search(review_id):
+                reason = "review_id holds a lone surrogate"
+            elif not isinstance(sarcastic, bool):
+                reason = "sarcastic must be a boolean"
+            elif not isinstance(annotator, str) or not annotator:
+                reason = "annotator must be a non-empty string"
+            elif not annotator.isascii() and _SURROGATE.search(annotator):
+                reason = "annotator holds a lone surrogate"
             else:
-                if not isinstance(review_id, str) or not review_id:
-                    reason = "review_id must be a non-empty string"
-                elif not review_id.isascii() and _SURROGATE.search(review_id):
-                    reason = "review_id holds a lone surrogate"
-                elif not isinstance(sarcastic, bool):
-                    reason = "sarcastic must be a boolean"
-                elif not isinstance(annotator, str) or not annotator:
-                    reason = "annotator must be a non-empty string"
-                elif not annotator.isascii() and _SURROGATE.search(annotator):
-                    reason = "annotator holds a lone surrogate"
-                else:
-                    yield SarcasmLabel(review_id, sarcastic, annotator)
-                    continue
+                yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
+                continue
         errors.append(ParseError(line_number, reason))
 
 
@@ -285,7 +321,7 @@ def label_reviews(reviews, labels) -> list:
     """
     resolved = resolve_labels(labels)
     return [
-        LabeledReview(review, resolved[review.review_id])
+        _new_tuple(LabeledReview, (review, resolved[review.review_id]))
         for review in reviews
         if review.review_id in resolved
     ]

@@ -124,13 +124,23 @@ class TestParsingAndExitCodes:
         (["train", "--hidden", ",9"], "got ',9'"),
         (["sweep", "--lr-grid", ""], "got ''"),
         (["sweep", "--lr-grid", "1e-3,"], "got '1e-3,'"),
+        (["train", "--stars", " 1"], "got ' 1'"),
+        (["train", "--stars", "1,2 "], "got '2 '"),
+        (["train", "--hidden", "9 "], "got '9 '"),
+        (["sweep", "--lr-grid", " 1e-3"], "got ' 1e-3'"),
+        (["train", "--stages", " main"], "unknown stage ' main'"),
+        (["train", "--stages", "sarcastic:3,main "], "unknown stage 'main '"),
+        (["train", "--stages", "sarcastic: 3,main"], "'sarcastic: 3'"),
+        (["train", "--stages", "dominated:4:3\t,main"], "'dominated:4:3\\t'"),
     ], ids=["sweep-lr", "flag-prefix", "sarcastic-extra", "dominated-extra", "main-extra",
             "stage-alias", "hidden-trailing-comma", "hidden-leading-comma", "lr-grid-empty",
-            "lr-grid-trailing-comma"])
+            "lr-grid-trailing-comma", "stars-leading-space", "stars-trailing-space",
+            "hidden-trailing-space", "lr-grid-leading-space", "stage-leading-space",
+            "stage-trailing-space", "stage-size-space", "stage-ratio-tab"])
     def test_one_spelling_per_setting(self, corpus, tmp_path, monkeypatch, capsys, argv,
                                       token):
-        """Flag prefixes, sweep's --lr, extra or aliased stage parts and empty list parts
-        are refused.
+        """Flag prefixes, sweep's --lr, extra or aliased stage parts, empty list parts and
+        whitespace around a part are refused.
         """
         def refuse(*args, **kwargs):
             raise AssertionError("training started")

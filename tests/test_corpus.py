@@ -413,7 +413,7 @@ def non_blank(lines):
 
 
 class TestMatchesReferenceParsers:
-    """The shared line reader gives the json.loads loops' records and errors."""
+    """The parsers give the json.loads loops' records and errors."""
 
     @settings(max_examples=500)
     @given(st.lists(LINE, max_size=12))
@@ -429,6 +429,35 @@ class TestMatchesReferenceParsers:
         assert parse_review_stream(lines) == reference_corpus.parse_review_stream(lines)
         assert parse_label_stream(lines) == reference_corpus.parse_label_stream(lines)
 
+    @settings(max_examples=300)
+    @given(st.lists(LINE, max_size=12))
+    @example([review_line() + "\n", review_line(review_id="r2") + " \n",
+              review_line(review_id="r3") + "\r\n", "null\n", "[]\n", '"x"\n',
+              " " + review_line(review_id="r4"),
+              '{"review_id": "r5", "stars": 4, "text": "café ☕"}\n',
+              review_line(review_id="r6")])
+    @example([label_line() + "\n", label_line(review_id="r2") + " \n",
+              label_line(review_id="r3") + "\r\n", "null\n", "[]\n", '"x"\n',
+              " " + label_line(review_id="r4"),
+              '{"review_id": "r5", "sarcastic": false, "annotator": "zoë"}\n',
+              label_line(review_id="r6")])
+    def test_file_lines(self, tmp_path_factory, lines):
+        """The readers take each line of a file as the reference parsers do.
+
+        A file's lines carry their newline (CRLF read as LF), which the
+        scanner's fast path looks for, and its last line may have none.
+        """
+        path = tmp_path_factory.mktemp("lines") / "corpus.jsonl"
+        # A lone surrogate cannot be written as UTF-8; its \\u escape stands
+        # for it, and in a JSON string means the same.
+        path.write_bytes("\n".join(lines).encode("utf-8", "backslashreplace"))
+        with open_jsonl(path) as fh:
+            file_lines = fh.readlines()
+        assert read_reviews(path) == reference_corpus.parse_review_stream(file_lines)
+        errors = []
+        with open_jsonl(path) as fh:
+            labels = list(iter_labels(fh, errors))
+        assert (labels, errors) == reference_corpus.parse_label_stream(file_lines)
 
     def test_bundled_minicorpus(self, minicorpus_dir):
         for name, parse, reference in (
