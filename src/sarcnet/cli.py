@@ -16,7 +16,8 @@ reproduces it byte for byte.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
-Each flag has one spelling: an abbreviated flag is a usage error.
+Each flag has one spelling: an abbreviated flag is a usage error. Each
+number has one too: ``+1``, ``007`` or a padded ``" 0.5"`` is refused.
 
 Each command imports the modules it runs when it starts, not when this
 module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
@@ -77,13 +78,36 @@ def _unpadded(part: str) -> str:
     return part
 
 
+def _int(part: str) -> int:
+    """int(part) for the one spelling str() gives back.
+
+    int() also takes padding, '+', '_', leading zeros, '-0' and non-ASCII
+    digits; each of those is refused.
+    """
+    number = int(_unpadded(part))
+    if str(number) != part:
+        raise ValueError(f"not a plain decimal integer: {part!r}")
+    return number
+
+
+def _float(part: str) -> float:
+    """float(part), refusing the padding, '_' and non-ASCII digits float() takes."""
+    if "_" in part or not part.isascii():
+        raise ValueError(f"'_' or a non-ASCII character in {part!r}")
+    return float(_unpadded(part))
+
+
+# argparse names a type function in its refusal: "invalid int value: ' 1'"
+_int.__name__, _float.__name__ = "int", "float"
+
+
 def _parse_stars(value: str) -> list:
     if value == "all":
         return list(STAR_VALUES)
     stars = []
     for part in value.split(","):
         try:
-            number = int(_unpadded(part))
+            number = _int(part)
         except ValueError:
             raise ValueError(f"stars must be 1..5 or 'all', got {part!r}") from None
         if number not in STAR_VALUES:
@@ -97,13 +121,13 @@ def _parse_stars(value: str) -> list:
 def _parse_list(value: str, parse, expects: str) -> tuple:
     """Parse every comma-separated part; an empty part or list is an error."""
     try:
-        return tuple(parse(_unpadded(part)) for part in value.split(","))
+        return tuple(parse(part) for part in value.split(","))
     except ValueError:
         raise ValueError(f"{expects}, got {value!r}") from None
 
 
 def _parse_hidden(value: str) -> tuple:
-    return _parse_list(value, int, "--hidden expects a comma list of widths")
+    return _parse_list(value, _int, "--hidden expects a comma list of widths")
 
 
 def _parse_stages(value: str | None) -> tuple:
@@ -114,8 +138,8 @@ def _parse_stages(value: str | None) -> tuple:
         return DEFAULT_STAGES
     # name -> (stage type, parsers of its optional parameters in order);
     # parameters left out take the stage's own defaults.
-    kinds = {"sarcastic": (SarcasticOnly, (int,)),
-             "dominated": (NonSarcasticDominated, (int, float)),
+    kinds = {"sarcastic": (SarcasticOnly, (_int,)),
+             "dominated": (NonSarcasticDominated, (_int, _float)),
              "main": (Main, ())}
     stages = []
     for token in value.split(","):
@@ -128,7 +152,7 @@ def _parse_stages(value: str | None) -> tuple:
             if len(params) > len(parsers):
                 raise ValueError(
                     f"{name} takes at most {len(parsers)} parameters, got {len(params)}")
-            stages.append(kind(*(parse(_unpadded(p)) for parse, p in zip(parsers, params))))
+            stages.append(kind(*(parse(p) for parse, p in zip(parsers, params))))
         except ValueError as exc:
             raise ValueError(f"bad stage spec {token!r}: {exc}") from None
     return tuple(stages)
@@ -430,7 +454,7 @@ def cmd_sweep(args) -> int:
     stars_list = _parse_stars(args.stars)
     if len(stars_list) != 1:
         raise ValueError("sweep works on exactly one star rating")
-    lr_grid = (_parse_list(args.lr_grid, float, "--lr-grid expects a comma list of rates")
+    lr_grid = (_parse_list(args.lr_grid, _float, "--lr-grid expects a comma list of rates")
                if args.lr_grid is not None else DEFAULT_LR_GRID)
     train_config, mlp_config = _train_configs(args, stars_list[0],
                                               _parse_stages(args.stages), lr_grid=lr_grid)
@@ -458,21 +482,21 @@ def _add_corpus_flags(parser, labels_required=True):
 def _add_split_flags(parser):
     parser.add_argument("--stars", default="all",
                         help="star rating, comma list, or 'all' (default all)")
-    parser.add_argument("--train-size", type=int, default=700,
+    parser.add_argument("--train-size", type=_int, default=700,
                         help="train reviews per star (default 700)")
-    parser.add_argument("--test-size", type=int, default=300,
+    parser.add_argument("--test-size", type=_int, default=300,
                         help="test reviews per star (default 300)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int, default=0)
 
 
 def _add_train_flags(parser):
     parser.add_argument("--hidden", default="15,15",
                         help="comma list of hidden widths, 1 or 2 layers of 7..15")
-    parser.add_argument("--epochs", type=int, default=10,
+    parser.add_argument("--epochs", type=_int, default=10,
                         help="epochs per stage (default 10)")
-    parser.add_argument("--batch-size", type=int, default=100,
+    parser.add_argument("--batch-size", type=_int, default=100,
                         help="minibatch size (default 100)")
-    parser.add_argument("--keep-prob", type=float, default=0.75,
+    parser.add_argument("--keep-prob", type=_float, default=0.75,
                         help="dropout keep probability (default 0.75)")
     parser.add_argument("--stages", default=None,
                         help="comma list: sarcastic[:n], dominated[:n[:ratio]], main "
@@ -503,7 +527,7 @@ def build_parser() -> CliParser:
     _add_corpus_flags(p, labels_required=False)
     p.add_argument("--stars", default="all",
                    help="star rating, comma list, or 'all' (default all)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out", default="features.csv", help="feature dump path")
     p.set_defaults(func=cmd_extract)
 
@@ -511,7 +535,7 @@ def build_parser() -> CliParser:
     _add_corpus_flags(p)
     _add_split_flags(p)
     _add_train_flags(p)
-    p.add_argument("--lr", type=float, default=0.01,
+    p.add_argument("--lr", type=_float, default=0.01,
                    help="learning rate (default 0.01)")
     p.add_argument("--model", default="model-{stars}.json",
                    help="output model path, {stars} expanded per star")

@@ -7,6 +7,14 @@ and ellipsis tokens. Orthographic features catch shouted (all-caps) and
 elongated ("sooooo") words. Person-reference features count second-person
 and first-person-plural pronouns.
 
+A token's contribution to the counts depends only on its surface and the
+lexicon set, so each lexicon set keeps a token table from surface to the
+counts it adds to. A review's tokens are looked up there, and only a
+token not yet in the table is classified by the rules. The table holds
+at most 2^14 surfaces and is emptied when full; a surface longer than 32
+characters is classified on every sight and never stored, so no stream
+of text grows it past its bound.
+
 Raw counts are turned into network inputs by dividing each rate feature
 by the word count and clipping at 1; flags pass through unchanged. A
 review with no words maps to the zero vector.
@@ -132,14 +140,37 @@ _LEXICON_FEATURES = (
 )
 
 
+# The token table: at most this many surfaces per lexicon set, emptied when
+# full; a surface longer than _TABLE_MAX_TOKEN characters is never stored.
+_TABLE_ENTRIES = 1 << 14
+_TABLE_MAX_TOKEN = 32
+
+# the hits of a word that no lexicon holds and no other rule counts
+_WORD = (N_FEATURES,)
+
+
 @lru_cache(maxsize=4)
-def _word_features(lexicons: Lexicons) -> dict:
-    """Lowercased lexicon word -> indices of the features it counts toward."""
-    table = {}
+def _tables(lexicons: Lexicons) -> tuple:
+    """The word table and the token table of one lexicon set.
+
+    The word table maps a lowercased lexicon word to the indices of the
+    counts it adds 1 to, its word count included. The token table starts
+    empty and maps a token surface to its ``_token_hits``; ``extract_counts``
+    fills it. Lexicons hash by identity, so a ``replace()``d set has its own
+    tables.
+
+    Worst case, a full token table holds 2^14 keys of 32 non-BMP characters
+    (204 bytes each) and hit tuples of 10 indices (120 bytes each) in a
+    dict of about 0.6 MB: about 6 MB per lexicon set, 24 MB for the four
+    sets cached here. Threads that share a table can each add one entry
+    between the size check and the clear, so it may briefly hold one
+    entry per thread over the bound.
+    """
+    words = {}
     for index, field in _LEXICON_FEATURES:
         for word in getattr(lexicons, field):
-            table[word] = table.get(word, ()) + (index,)
-    return table
+            words[word] = words.get(word, _WORD) + (index,)
+    return words, {}
 
 
 def _is_elongated(surface: str) -> bool:
@@ -154,45 +185,59 @@ def _is_elongated(surface: str) -> bool:
     return False
 
 
-def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
-    """Count every catalog feature over one review's text.
+def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
+    """Indices of the counts one token adds 1 to; N_FEATURES is the word count.
 
     A word counts toward f1 when it is laughter or an interjection, toward
     each lexicon feature whose list holds its lowercased form, toward f12
     when it is two or more uppercase letters, and toward f13 when it holds
     three identical letters in a row.
     """
+    first = token[0]
+    if first in "!?":
+        if token == "!":
+            return (10,)  # f11
+        if "?" not in token:
+            return (6,)  # f7: two or more '!'
+        if "!" in token:
+            return (8,)  # f9: mixed
+        return (7,) if len(token) > 1 else ()  # f8: two or more '?'
+    if first in ".…":
+        return (9,)  # f10
+    lower = token.lower()
+    hits = words.get(lower, _WORD)
+    if (lower[0] == "h" and lower[:4] == "haha" and lower not in lex.interjections
+            and _LAUGHTER.fullmatch(lower)):
+        hits += (0,)  # f1: laughter
+    if token.isupper() and len(token) >= 2 and token.isalpha():
+        hits += (11,)  # f12
+    if _TRIPLE.search(token) and _is_elongated(token):
+        hits += (12,)  # f13
+    return hits
+
+
+def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
+    """Count every catalog feature over one review's text.
+
+    Each token's hits (``_token_hits``) depend only on its surface and the
+    lexicon set, so they are looked up in the set's token table and
+    computed only on a miss.
+    """
     lex = lexicons if lexicons is not None else default_lexicons()
-    words = _word_features(lex)
-    c = [0] * N_FEATURES
-    word_count = 0
+    words, table = _tables(lex)
+    c = [0] * (N_FEATURES + 1)
     for token in tokenize(text):
-        first = token[0]
-        if first == "!" or first == "?":
-            if token == "!":
-                c[10] += 1  # f11
-            elif "?" not in token:
-                c[6] += 1  # f7: two or more '!'
-            elif "!" in token:
-                c[8] += 1  # f9: mixed
-            elif len(token) > 1:
-                c[7] += 1  # f8: two or more '?'
-        elif first == "." or first == "…":
-            c[9] += 1  # f10
-        else:
-            word_count += 1
-            lower = token.lower()
-            for index in words.get(lower, ()):
-                c[index] += 1
-            if (lower[:4] == "haha" and lower not in lex.interjections
-                    and _LAUGHTER.fullmatch(lower)):
-                c[0] += 1  # f1: laughter
-            if token.isupper() and len(token) >= 2 and token.isalpha():
-                c[11] += 1  # f12
-            if _TRIPLE.search(token) and _is_elongated(token):
-                c[12] += 1  # f13
+        hits = table.get(token)
+        if hits is None:
+            hits = _token_hits(token, lex, words)
+            if len(token) <= _TABLE_MAX_TOKEN:
+                if len(table) >= _TABLE_ENTRIES:
+                    table.clear()
+                table[token] = hits
+        for index in hits:
+            c[index] += 1
     c[5] = 1 if c[3] > 0 and c[4] > 0 else 0
-    return FeatureCounts(*c, word_count=word_count)
+    return FeatureCounts._make(c)
 
 
 _IS_FLAG = np.array([desc.kind is FeatureKind.FLAG for desc in _CATALOG])
@@ -209,8 +254,10 @@ def normalize(counts: FeatureCounts) -> np.ndarray:
 class FeaturePipeline:
     """text -> count -> normalize, with one lexicon set.
 
-    Instances are cheap and stateless beyond the lexicons, so one pipeline
-    can serve a whole corpus (and is safe to share across threads).
+    Instances are cheap and hold nothing beyond the lexicons, so one
+    pipeline can serve a whole corpus (and is safe to share across
+    threads: the lexicon set's token table only ever maps a surface to
+    the one tuple of hits it has, whichever thread stores or clears it).
     """
 
     def __init__(self, lexicons: Lexicons | None = None):

@@ -132,15 +132,41 @@ class TestParsingAndExitCodes:
         (["train", "--stages", "sarcastic:3,main "], "unknown stage 'main '"),
         (["train", "--stages", "sarcastic: 3,main"], "'sarcastic: 3'"),
         (["train", "--stages", "dominated:4:3\t,main"], "'dominated:4:3\\t'"),
+        (["train", "--epochs", " 1"], "invalid int value: ' 1'"),
+        (["train", "--seed", "+1"], "invalid int value: '+1'"),
+        (["train", "--batch-size", "1_0"], "invalid int value: '1_0'"),
+        (["train", "--train-size", "040"], "invalid int value: '040'"),
+        (["train", "--test-size", "-0"], "invalid int value: '-0'"),
+        (["sweep", "--seed", "１"], "invalid int value: '１'"),
+        (["train", "--hidden", "1_0"], "got '1_0'"),
+        (["train", "--hidden", "１０"], "got '１０'"),
+        (["train", "--hidden", "9,+9"], "got '9,+9'"),
+        (["train", "--stars", "١"], "got '١'"),
+        (["train", "--stars", "01"], "got '01'"),
+        (["train", "--stages", "sarcastic:+3,main"], "'sarcastic:+3'"),
+        (["train", "--stages", "dominated:007,main"], "'dominated:007'"),
+        (["train", "--keep-prob", " 0.5"], "invalid float value: ' 0.5'"),
+        (["train", "--lr", "1_0e-3"], "invalid float value: '1_0e-3'"),
+        (["train", "--lr", "１e-3"], "invalid float value: '１e-3'"),
+        (["sweep", "--lr-grid", "1e-3,１e-2"], "got '1e-3,１e-2'"),
+        (["train", "--stages", "dominated:10:3_0,main"], "'dominated:10:3_0'"),
+        (["train", "--stages", "dominated:10:٣,main"], "'dominated:10:٣'"),
     ], ids=["sweep-lr", "flag-prefix", "sarcastic-extra", "dominated-extra", "main-extra",
             "stage-alias", "hidden-trailing-comma", "hidden-leading-comma", "lr-grid-empty",
             "lr-grid-trailing-comma", "stars-leading-space", "stars-trailing-space",
             "hidden-trailing-space", "lr-grid-leading-space", "stage-leading-space",
-            "stage-trailing-space", "stage-size-space", "stage-ratio-tab"])
+            "stage-trailing-space", "stage-size-space", "stage-ratio-tab",
+            "epochs-leading-space", "seed-plus", "batch-size-underscore",
+            "train-size-leading-zero", "test-size-minus-zero", "seed-fullwidth",
+            "hidden-underscore", "hidden-fullwidth", "hidden-plus", "stars-arabic-indic",
+            "stars-leading-zero", "stage-size-plus", "stage-size-leading-zero",
+            "keep-prob-leading-space", "lr-underscore", "lr-fullwidth", "lr-grid-fullwidth",
+            "stage-ratio-underscore", "stage-ratio-arabic-indic"])
     def test_one_spelling_per_setting(self, corpus, tmp_path, monkeypatch, capsys, argv,
                                       token):
-        """Flag prefixes, sweep's --lr, extra or aliased stage parts, empty list parts and
-        whitespace around a part are refused.
+        """Flag prefixes, sweep's --lr, extra or aliased stage parts, empty list parts,
+        whitespace around a part, and any number that is not spelled the one plain way
+        (a sign other than '-', '_', leading zeros, '-0', non-ASCII digits) are refused.
         """
         def refuse(*args, **kwargs):
             raise AssertionError("training started")

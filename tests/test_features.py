@@ -2,6 +2,8 @@
 
 import csv
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sarcnet.features
 from sarcnet.features import (
     N_FEATURES,
     FeatureCategory,
@@ -20,6 +23,7 @@ from sarcnet.features import (
     feature_names,
     normalize,
     write_feature_dump,
+    _tables,
 )
 from sarcnet.corpus import read_reviews
 from sarcnet.lexicons import default_lexicons
@@ -34,6 +38,17 @@ def pipeline():
 
 def counts_for(text):
     return extract_counts(text)
+
+
+def token_table(lexicons=None):
+    """The token table extract_counts fills for a lexicon set (default: the default set)."""
+    return _tables(lexicons if lexicons is not None else default_lexicons())[1]
+
+
+def minicorpus_texts(minicorpus_dir):
+    reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
+    assert len(reviews) == 500
+    return [review.text for review in reviews]
 
 
 class TestCatalog:
@@ -241,30 +256,42 @@ _PIECE = st.one_of(
 )
 
 
-class TestMatchesReferencePipeline:
-    """The one-pass extract_counts against tokenize -> pos_tag -> count."""
+def assert_cold_then_warm(text, lexicons=None):
+    """Count text twice: the first call may miss the token table and fill it, the
+    second finds every stored token there. Both must match the reference."""
+    expected = reference_counts(text, lexicons)
+    assert extract_counts(text, lexicons) == expected
+    assert extract_counts(text, lexicons) == expected
 
+
+class TestMatchesReferencePipeline:
+    """The one-pass extract_counts against tokenize -> pos_tag -> count, both when a
+    token's hits are computed (a table miss) and when they are looked up."""
+
+    @pytest.mark.parametrize("emptied", [False, True], ids=["as-left", "emptied"])
     @pytest.mark.parametrize("text", [
         "a²²² b", "x½y", "snake_case", "…", "..",
         "soooo SO gooood haha HAHAHA wow!! you?! we... ½½½ aaa²",
         "Haha! I'm trying to imagine you with a personality!!",
     ])
-    def test_pinned_examples(self, text):
-        assert extract_counts(text) == reference_counts(text)
+    def test_pinned_examples(self, text, emptied):
+        if emptied:
+            token_table().clear()
+        assert_cold_then_warm(text)
 
     @settings(max_examples=500)
     @given(st.text(alphabet=_CHARS))
     @example("a²²² b")
     @example("x½y")
     def test_arbitrary_unicode(self, text):
-        assert extract_counts(text) == reference_counts(text)
+        assert_cold_then_warm(text)
 
     @settings(max_examples=500)
     @given(st.lists(_PIECE, max_size=20), st.lists(st.sampled_from(" ,!?.…'_½"), min_size=1))
     def test_lexicon_words_in_arbitrary_text(self, pieces, separators):
         text = "".join(piece + separators[i % len(separators)]
                        for i, piece in enumerate(pieces))
-        assert extract_counts(text) == reference_counts(text)
+        assert_cold_then_warm(text)
 
     def test_laughter_in_the_interjection_lexicon_counts_once(self):
         lex = replace(default_lexicons(), interjections=frozenset({"haha", "wow"}))
@@ -273,8 +300,61 @@ class TestMatchesReferencePipeline:
         assert extract_counts(text, lex).f1 == 3
 
     def test_minicorpus_vectors_are_bit_identical(self, minicorpus_dir, pipeline):
-        reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
-        assert len(reviews) == 500
-        for review in reviews:
-            expected = reference_normalize(reference_counts(review.text))
-            assert pipeline.vector(review.text).tobytes() == expected.tobytes()
+        for text in minicorpus_texts(minicorpus_dir):
+            expected = reference_normalize(reference_counts(text))
+            assert pipeline.vector(text).tobytes() == expected.tobytes()
+
+    def test_bounded_table_keeps_vectors_bit_identical(self, minicorpus_dir, pipeline,
+                                                       monkeypatch):
+        """With room for 4 tokens the table is emptied every few misses."""
+        monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 4)
+        table = token_table()
+        table.clear()
+        for text in minicorpus_texts(minicorpus_dir):
+            expected = reference_normalize(reference_counts(text))
+            assert pipeline.vector(text).tobytes() == expected.tobytes()
+            assert len(table) <= 4
+
+    def test_long_token_is_counted_but_never_stored(self):
+        table = token_table()
+        table.clear()
+        for word in ("W" * 32, "W" * 33):
+            expected = FeatureCounts(f12=1, f13=1, word_count=1)
+            assert reference_counts(word) == expected
+            assert extract_counts(word) == extract_counts(word) == expected
+        assert list(table) == ["W" * 32]
+
+    @pytest.mark.parametrize("default_first", [True, False],
+                             ids=["default-first", "replaced-first"])
+    def test_each_lexicon_set_has_its_own_table(self, default_first):
+        default = default_lexicons()
+        assert "wow" in default.interjections
+        without = replace(default, interjections=default.interjections - {"wow"})
+        token_table(default).clear()
+        runs = [(default, 1), (without, 0)]
+        for lexicons, f1 in runs if default_first else runs[::-1]:
+            assert extract_counts("wow", lexicons) == extract_counts("wow", lexicons)
+            assert extract_counts("wow", lexicons).f1 == f1
+            assert "wow" in token_table(lexicons)
+
+    def test_one_pipeline_shared_by_four_threads(self, minicorpus_dir, monkeypatch):
+        """Threads that empty the table while others read it get the same vectors."""
+        texts = minicorpus_texts(minicorpus_dir)
+        pipeline = FeaturePipeline()
+        expected = [pipeline.vector(text).tobytes() for text in texts]
+        monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 8)
+
+        def run(shift):
+            order = texts[shift:] + texts[:shift]
+            return [pipeline.vector(text).tobytes() for text in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                shifts = [0, 125, 250, 375]
+                results = list(pool.map(run, shifts, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for shift, vectors in zip(shifts, results):
+            assert vectors == expected[shift:] + expected[:shift]
