@@ -17,7 +17,8 @@ reproduces it byte for byte.
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
 Each flag has one spelling: an abbreviated flag is a usage error. Each
-number has one too: ``+1``, ``007`` or a padded ``" 0.5"`` is refused.
+whole number has one too (``+1``, ``007`` and ``" 1"`` are refused), and
+a decimal may not be padded or hold '_' or a non-ASCII character.
 
 Each command imports the modules it runs when it starts, not when this
 module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and

@@ -10,10 +10,11 @@ and first-person-plural pronouns.
 A token's contribution to the counts depends only on its surface and the
 lexicon set, so each lexicon set keeps a token table from surface to the
 counts it adds to. A review's tokens are looked up there, and only a
-token not yet in the table is classified by the rules. The table holds
-at most 2^14 surfaces and is emptied when full; a surface longer than 32
-characters is classified on every sight and never stored, so no stream
-of text grows it past its bound.
+token not in the table is classified by the rules. The table keeps the
+first 2^14 surfaces it is given and then stores no more; a surface
+longer than 32 characters is classified on every sight and never
+stored, so no stream of text grows it past its bound. Once it is full,
+a new surface costs one table lookup more than classifying it alone.
 
 Raw counts are turned into network inputs by dividing each rate feature
 by the word count and clipping at 1; flags pass through unchanged. A
@@ -140,8 +141,8 @@ _LEXICON_FEATURES = (
 )
 
 
-# The token table: at most this many surfaces per lexicon set, emptied when
-# full; a surface longer than _TABLE_MAX_TOKEN characters is never stored.
+# The token table: at most this many surfaces per lexicon set, then no more
+# are stored; a surface longer than _TABLE_MAX_TOKEN characters is never stored.
 _TABLE_ENTRIES = 1 << 14
 _TABLE_MAX_TOKEN = 32
 
@@ -162,9 +163,9 @@ def _tables(lexicons: Lexicons) -> tuple:
     Worst case, a full token table holds 2^14 keys of 32 non-BMP characters
     (204 bytes each) and hit tuples of 10 indices (120 bytes each) in a
     dict of about 0.6 MB: about 6 MB per lexicon set, 24 MB for the four
-    sets cached here. Threads that share a table can each add one entry
-    between the size check and the clear, so it may briefly hold one
-    entry per thread over the bound.
+    sets cached here. Threads that share a table can each pass the size
+    check before another stores, so it may end up holding one entry per
+    extra thread over the bound.
     """
     words = {}
     for index, field in _LEXICON_FEATURES:
@@ -206,8 +207,7 @@ def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
         return (9,)  # f10
     lower = token.lower()
     hits = words.get(lower, _WORD)
-    if (lower[0] == "h" and lower[:4] == "haha" and lower not in lex.interjections
-            and _LAUGHTER.fullmatch(lower)):
+    if "haha" in lower and lower not in lex.interjections and _LAUGHTER.fullmatch(lower):
         hits += (0,)  # f1: laughter
     if token.isupper() and len(token) >= 2 and token.isalpha():
         hits += (11,)  # f12
@@ -230,9 +230,7 @@ def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts
         hits = table.get(token)
         if hits is None:
             hits = _token_hits(token, lex, words)
-            if len(token) <= _TABLE_MAX_TOKEN:
-                if len(table) >= _TABLE_ENTRIES:
-                    table.clear()
+            if len(table) < _TABLE_ENTRIES and len(token) <= _TABLE_MAX_TOKEN:
                 table[token] = hits
         for index in hits:
             c[index] += 1
@@ -257,7 +255,7 @@ class FeaturePipeline:
     Instances are cheap and hold nothing beyond the lexicons, so one
     pipeline can serve a whole corpus (and is safe to share across
     threads: the lexicon set's token table only ever maps a surface to
-    the one tuple of hits it has, whichever thread stores or clears it).
+    the one tuple of hits it has, whichever thread stores it).
     """
 
     def __init__(self, lexicons: Lexicons | None = None):

@@ -25,6 +25,7 @@ from sarcnet.features import (
     write_feature_dump,
     _tables,
 )
+from sarcnet.text import tokenize
 from sarcnet.corpus import read_reviews
 from sarcnet.lexicons import default_lexicons
 from reference_text import EDGE_CHARS, reference_counts
@@ -273,6 +274,7 @@ class TestMatchesReferencePipeline:
         "a²²² b", "x½y", "snake_case", "…", "..",
         "soooo SO gooood haha HAHAHA wow!! you?! we... ½½½ aaa²",
         "Haha! I'm trying to imagine you with a personality!!",
+        "xhaha hahax ahaha HAHAh hahahh",
     ])
     def test_pinned_examples(self, text, emptied):
         if emptied:
@@ -306,14 +308,17 @@ class TestMatchesReferencePipeline:
 
     def test_bounded_table_keeps_vectors_bit_identical(self, minicorpus_dir, pipeline,
                                                        monkeypatch):
-        """With room for 4 tokens the table is emptied every few misses."""
+        """With room for 4 tokens the table keeps the first 4 surfaces it meets
+        and classifies every other token on each sight."""
         monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 4)
         table = token_table()
         table.clear()
-        for text in minicorpus_texts(minicorpus_dir):
+        texts = minicorpus_texts(minicorpus_dir)
+        for text in texts:
             expected = reference_normalize(reference_counts(text))
             assert pipeline.vector(text).tobytes() == expected.tobytes()
             assert len(table) <= 4
+        assert list(table) == list(dict.fromkeys(tokenize(texts[0])))[:4]
 
     def test_long_token_is_counted_but_never_stored(self):
         table = token_table()
@@ -338,11 +343,13 @@ class TestMatchesReferencePipeline:
             assert "wow" in token_table(lexicons)
 
     def test_one_pipeline_shared_by_four_threads(self, minicorpus_dir, monkeypatch):
-        """Threads that empty the table while others read it get the same vectors."""
+        """Threads that fill the table while others read it get the same vectors."""
         texts = minicorpus_texts(minicorpus_dir)
         pipeline = FeaturePipeline()
         expected = [pipeline.vector(text).tobytes() for text in texts]
         monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 8)
+        table = token_table()
+        table.clear()
 
         def run(shift):
             order = texts[shift:] + texts[:shift]
@@ -358,3 +365,4 @@ class TestMatchesReferencePipeline:
             sys.setswitchinterval(interval)
         for shift, vectors in zip(shifts, results):
             assert vectors == expected[shift:] + expected[:shift]
+        assert len(table) <= 8 + 3
