@@ -22,10 +22,11 @@ from sarcnet import (
     TrainConfig,
     derive_seed,
     evaluate,
+    iter_labels,
     label_reviews,
     make_split,
+    open_jsonl,
     prf1,
-    read_labels,
     read_reviews,
     train,
 )
@@ -37,8 +38,9 @@ SEED = 42
 
 def main() -> None:
     reviews, _ = read_reviews(CORPUS / "reviews.jsonl")
-    labels, _ = read_labels(CORPUS / "labels.jsonl")
-    labeled = label_reviews(reviews, labels)
+    dropped = []  # one ParseError per invalid vote line
+    with open_jsonl(CORPUS / "labels.jsonl") as lines:
+        labeled = label_reviews(reviews, iter_labels(lines, dropped))
     pool = [lr for lr in labeled if lr.review.stars == STARS]
     print(f"{len(pool)} labeled {STARS}-star reviews, "
           f"{sum(lr.sarcastic for lr in pool)} sarcastic")

@@ -18,10 +18,11 @@ from sarcnet import (
     SarcasticOnly,
     TrainConfig,
     derive_seed,
+    iter_labels,
     label_reviews,
     lr_sweep,
     make_split,
-    read_labels,
+    open_jsonl,
     read_reviews,
     render_sweep_table,
 )
@@ -33,8 +34,9 @@ SEED = 42
 
 def main() -> None:
     reviews, _ = read_reviews(CORPUS / "reviews.jsonl")
-    labels, _ = read_labels(CORPUS / "labels.jsonl")
-    labeled = label_reviews(reviews, labels)
+    dropped = []  # one ParseError per invalid vote line
+    with open_jsonl(CORPUS / "labels.jsonl") as lines:
+        labeled = label_reviews(reviews, iter_labels(lines, dropped))
     pool = [lr for lr in labeled if lr.review.stars == STARS]
     split = make_split(pool, 70, 30, derive_seed(SEED, "split", STARS))
 

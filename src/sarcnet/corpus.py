@@ -17,8 +17,9 @@ reviews, not with the number of votes.
 
 Both files are decoded as UTF-8 with undecodable bytes kept as
 surrogate escapes, so a line holding one is an ``invalid UTF-8`` error
-and the lines around it still parse. The review and label parsers each
-loop over their lines themselves. An ASCII line goes straight to the C
+and the lines around it still parse. The review and label parsers share
+one line loop, ``_json_values``, which yields each line's JSON value and
+leaves the field checks to them. An ASCII line goes straight to the C
 JSON scanner, and its value is taken when it starts at the line's first
 character and ends at the line's end or just before its newline. Every
 other line (not ASCII, which covers surrogate escapes and the BOM;
@@ -131,6 +132,33 @@ def _decode_line(line):
     return record, None
 
 
+def _json_values(lines, errors):
+    """Yield (line_number, value) for each line of lines holding one JSON value.
+
+    A blank line is skipped; any other line that is not one JSON value
+    appends one ParseError to errors instead. A line is read only when
+    the caller asks for the next value, so the caller's own errors for a
+    value land in errors in line order with these.
+    """
+    for line_number, line in enumerate(lines, start=1):
+        # Fast path: an ASCII line whose one value runs up to its newline.
+        end = 0
+        if line.isascii():
+            try:
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                pass
+        if not end or line[end:] not in _LINE_ENDS:
+            decoded = _decode_line(line)
+            if decoded is None:
+                continue
+            record, reason = decoded
+            if reason is not None:
+                errors.append(ParseError(line_number, reason))
+                continue
+        yield line_number, record
+
+
 def _shape_problem(record, fields) -> str:
     """Why a decoded record lacks one of fields: not an object, or which are missing."""
     if not isinstance(record, dict):
@@ -161,22 +189,7 @@ def parse_review_stream(lines) -> tuple:
     reviews = []
     errors = []
     seen_ids = set()
-    for line_number, line in enumerate(lines, start=1):
-        # Fast path: an ASCII line whose one value runs up to its newline.
-        end = 0
-        if line.isascii():
-            try:
-                record, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                pass
-        if not end or line[end:] not in _LINE_ENDS:
-            decoded = _decode_line(line)
-            if decoded is None:
-                continue
-            record, reason = decoded
-            if reason is not None:
-                errors.append(ParseError(line_number, reason))
-                continue
+    for line_number, record in _json_values(lines, errors):
         try:
             review_id = record["review_id"]
             stars = _coerce_stars(record["stars"])
@@ -232,22 +245,7 @@ def iter_labels(lines, errors):
     UTF-8, bad JSON, missing field, wrong type, a lone surrogate in a
     string field) appends one ParseError to ``errors`` instead.
     """
-    for line_number, line in enumerate(lines, start=1):
-        # Fast path: an ASCII line whose one value runs up to its newline.
-        end = 0
-        if line.isascii():
-            try:
-                record, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                pass
-        if not end or line[end:] not in _LINE_ENDS:
-            decoded = _decode_line(line)
-            if decoded is None:
-                continue
-            record, reason = decoded
-            if reason is not None:
-                errors.append(ParseError(line_number, reason))
-                continue
+    for line_number, record in _json_values(lines, errors):
         try:
             review_id = record["review_id"]
             sarcastic = record["sarcastic"]
@@ -269,17 +267,6 @@ def iter_labels(lines, errors):
                 yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
                 continue
         errors.append(ParseError(line_number, reason))
-
-
-def parse_label_stream(lines) -> tuple:
-    """Parse JSON-lines label votes into (labels, parse_errors)."""
-    errors = []
-    return list(iter_labels(lines, errors)), errors
-
-
-def read_labels(path) -> tuple:
-    with open_jsonl(path) as fh:
-        return parse_label_stream(fh)
 
 
 def write_labels(path, labels) -> None:

@@ -9,6 +9,7 @@ import io
 import json
 import shutil
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -349,8 +350,9 @@ class TestIngest:
                    "--stars", "all", "--train-size", "70", "--test-size", "30",
                    "--out", str(tmp_path / "split-{stars}.json")) == 0
         reviews, _ = sarcnet.corpus.read_reviews(corpus["reviews"])
-        labels, _ = sarcnet.corpus.read_labels(corpus["labels"])
-        labeled = sarcnet.corpus.label_reviews(reviews, labels)
+        with sarcnet.corpus.open_jsonl(corpus["labels"]) as lines:
+            labeled = sarcnet.corpus.label_reviews(reviews,
+                                                   sarcnet.corpus.iter_labels(lines, []))
         for stars in range(1, 6):
             doc = json.loads((tmp_path / f"split-{stars}.json").read_text())
             named = doc["train_review_ids"] + doc["test_review_ids"]
@@ -421,23 +423,22 @@ class TestLabelStream:
         ]
 
     def test_no_vote_list_is_built(self, corpus, tmp_path, monkeypatch, capsys):
-        for argv in self.commands(corpus, tmp_path / "listed"):
-            assert run(*argv) == 0
+        """The tallies cli calls take the votes as an iterator, never a list or tuple."""
+        received = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the labels file was read into a list")
+        def recording(name, tally):
+            def record(*args):
+                received.append((name, type(args[-1])))
+                return tally(*args)
+            return record
 
-        for module in (sarcnet.corpus, cli):
-            for name in ("read_labels", "parse_label_stream"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
-        for argv in self.commands(corpus, tmp_path / "streamed"):
+        for name in ("label_reviews", "resolve_labels"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        for argv in self.commands(corpus, tmp_path):
             assert run(*argv) == 0
-        listed = sorted(p.name for p in (tmp_path / "listed").iterdir())
-        assert listed == sorted(p.name for p in (tmp_path / "streamed").iterdir())
-        assert len(listed) == 6
-        for name in listed:
-            assert sha(tmp_path / "listed" / name) == sha(tmp_path / "streamed" / name)
+        assert [name for name, _ in received] == ["label_reviews", "resolve_labels"]
+        for name, votes in received:
+            assert issubclass(votes, Iterator), (name, votes)
 
     def test_label_warnings_follow_review_warnings_in_line_order(self, corpus, tmp_path,
                                                                    capsys):

@@ -19,9 +19,7 @@ from sarcnet.corpus import (
     label_reviews,
     make_split,
     open_jsonl,
-    parse_label_stream,
     parse_review_stream,
-    read_labels,
     read_reviews,
     resolve_labels,
     write_labels,
@@ -34,6 +32,12 @@ from sarcnet.errors import DataError
 def review_line(review_id="r1", stars=3, text="ok food", **extra):
     record = {"review_id": review_id, "stars": stars, "text": text, **extra}
     return json.dumps(record)
+
+
+def parse_votes(lines):
+    """(votes, errors) of iter_labels over lines, the votes read into a list."""
+    errors = []
+    return list(iter_labels(lines, errors)), errors
 
 
 def make_pool(n, stars=1, sarcastic_every=2):
@@ -203,13 +207,13 @@ class TestLabels:
         assert [lr.review.review_id for lr in labeled] == ["r1"]
         assert labeled[0].sarcastic
 
-    def test_parse_label_stream_validation(self):
+    def test_iter_labels_validation(self):
         lines = [
             json.dumps({"review_id": "r1", "sarcastic": True, "annotator": "a"}),
             json.dumps({"review_id": "r1", "sarcastic": "yes", "annotator": "a"}),
             json.dumps({"review_id": "r1", "annotator": "a"}),
         ]
-        labels, errors = parse_label_stream(lines)
+        labels, errors = parse_votes(lines)
         assert len(labels) == 1
         assert [e.line_number for e in errors] == [2, 3]
 
@@ -243,15 +247,6 @@ class TestTallyMatchesReference:
 
 
 class TestIterLabels:
-    def test_matches_parse_label_stream(self):
-        lines = [label_line(), "{", label_line(sarcastic=1), "", label_line(review_id="r2")]
-        errors = []
-        labels = list(iter_labels(lines, errors))
-        assert (labels, errors) == parse_label_stream(lines)
-        assert errors == [ParseError(2, "invalid JSON: Expecting property name enclosed "
-                                        "in double quotes"),
-                          ParseError(3, "sarcastic must be a boolean")]
-
     def test_yields_each_vote_before_reading_the_next_line(self):
         read = []
 
@@ -281,7 +276,7 @@ class TestLoneSurrogates:
         lines = [r'{"review_id": "r\udfff", "sarcastic": true, "annotator": "a"}',
                  r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800x"}',
                  r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800\udc00"}']
-        labels, errors = parse_label_stream(lines)
+        labels, errors = parse_votes(lines)
         assert labels == [SarcasmLabel("r1", True, "\U00010000")]
         assert errors == [ParseError(1, "review_id holds a lone surrogate"),
                           ParseError(2, "annotator holds a lone surrogate")]
@@ -427,7 +422,7 @@ class TestMatchesReferenceParsers:
               r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800x"}'])
     def test_reviews_and_labels(self, lines):
         assert parse_review_stream(lines) == reference_corpus.parse_review_stream(lines)
-        assert parse_label_stream(lines) == reference_corpus.parse_label_stream(lines)
+        assert parse_votes(lines) == reference_corpus.parse_label_stream(lines)
 
     @settings(max_examples=300)
     @given(st.lists(LINE, max_size=12))
@@ -454,15 +449,13 @@ class TestMatchesReferenceParsers:
         with open_jsonl(path) as fh:
             file_lines = fh.readlines()
         assert read_reviews(path) == reference_corpus.parse_review_stream(file_lines)
-        errors = []
         with open_jsonl(path) as fh:
-            labels = list(iter_labels(fh, errors))
-        assert (labels, errors) == reference_corpus.parse_label_stream(file_lines)
+            assert parse_votes(fh) == reference_corpus.parse_label_stream(file_lines)
 
     def test_bundled_minicorpus(self, minicorpus_dir):
         for name, parse, reference in (
                 ("reviews.jsonl", parse_review_stream, reference_corpus.parse_review_stream),
-                ("labels.jsonl", parse_label_stream, reference_corpus.parse_label_stream)):
+                ("labels.jsonl", parse_votes, reference_corpus.parse_label_stream)):
             lines = (minicorpus_dir / name).read_text(encoding="utf-8").splitlines()
             records, errors = parse(lines)
             assert (records, errors) == reference(lines)
@@ -473,7 +466,7 @@ class TestParsersNeverRaise:
     @settings(max_examples=500)
     @given(st.lists(HOSTILE_LINE, max_size=12))
     def test_every_non_blank_line_is_a_record_or_an_error(self, lines):
-        for records, errors in (parse_review_stream(lines), parse_label_stream(lines)):
+        for records, errors in (parse_review_stream(lines), parse_votes(lines)):
             assert len(records) + len(errors) == non_blank(lines)
 
 
@@ -486,7 +479,7 @@ class TestLineReader:
 
     def test_deep_nesting_costs_one_label(self):
         lines = ['{"review_id": ' * 200_000, label_line()]
-        labels, errors = parse_label_stream(lines)
+        labels, errors = parse_votes(lines)
         assert labels == [SarcasmLabel("r1", True, "a")]
         assert errors == [ParseError(1, "invalid JSON: nested too deeply")]
 
@@ -500,7 +493,7 @@ class TestLineReader:
     def test_surrogate_escape_is_invalid_utf8(self):
         lines = ['{"review_id": "r1", "sarcastic": true, "annotator": "a\udcff"}',
                  label_line()]
-        labels, errors = parse_label_stream(lines)
+        labels, errors = parse_votes(lines)
         assert labels == [SarcasmLabel("r1", True, "a")]
         assert errors == [ParseError(1, "invalid UTF-8")]
 
@@ -529,11 +522,12 @@ class TestInvalidUtf8File:
         assert [(r.review_id, r.text) for r in reviews] == [("a", "ok food"), ("c", "café")]
         assert errors == [ParseError(2, "invalid UTF-8")]
 
-    def test_read_labels_drops_only_the_bad_line(self, tmp_path):
+    def test_labels_file_drops_only_the_bad_line(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_bytes(label_line().encode() + b"\r\n\xc3(\r"
                          + label_line(review_id="r2").encode() + b"\r\n")
-        labels, errors = read_labels(path)
+        with open_jsonl(path) as fh:
+            labels, errors = parse_votes(fh)
         assert [label.review_id for label in labels] == ["r1", "r2"]
         assert errors == [ParseError(2, "invalid UTF-8")]
 
@@ -548,7 +542,9 @@ class TestInvalidUtf8File:
         path.write_bytes(content)
         with open_jsonl(path) as fh:
             lines = fh.readlines()
-        for records, errors in (read_reviews(path), read_labels(path)):
+        with open_jsonl(path) as fh:
+            votes = parse_votes(fh)
+        for records, errors in (read_reviews(path), votes):
             assert len(records) + len(errors) == non_blank(lines)
 
 
@@ -582,6 +578,7 @@ class TestWriters:
         assert path.read_text() == (
             '{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
             '{"annotator": "b", "review_id": "r1", "sarcastic": false}\n')
-        labels, errors = read_labels(path)
+        with open_jsonl(path) as fh:
+            labels, errors = parse_votes(fh)
         assert errors == []
         assert labels == [SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")]

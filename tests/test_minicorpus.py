@@ -3,7 +3,7 @@
 import json
 from collections import Counter
 
-from sarcnet.corpus import read_labels, read_reviews, resolve_labels
+from sarcnet.corpus import iter_labels, open_jsonl, read_reviews, resolve_labels
 from sarcnet.minicorpus import (
     ANNOTATORS,
     GENERATOR_SEED,
@@ -57,7 +57,9 @@ class TestBundledFiles:
                {s: 2 * PER_STAR_PER_CLASS for s in range(1, 6)}
 
     def test_labels_parse_cleanly(self, minicorpus_dir):
-        labels, errors = read_labels(minicorpus_dir / "labels.jsonl")
+        errors = []
+        with open_jsonl(minicorpus_dir / "labels.jsonl") as lines:
+            labels = list(iter_labels(lines, errors))
         assert errors == []
         assert len(labels) == 5 * 2 * PER_STAR_PER_CLASS * len(ANNOTATORS)
 
@@ -70,8 +72,8 @@ class TestBundledFiles:
 
     def test_each_star_has_balanced_classes(self, minicorpus_dir):
         reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
-        labels, _ = read_labels(minicorpus_dir / "labels.jsonl")
-        resolved = resolve_labels(labels)
+        with open_jsonl(minicorpus_dir / "labels.jsonl") as lines:
+            resolved = resolve_labels(iter_labels(lines, []))
         for stars in range(1, 6):
             star_ids = [r.review_id for r in reviews if r.stars == stars]
             sarcastic = sum(1 for rid in star_ids if resolved[rid])
@@ -79,6 +81,6 @@ class TestBundledFiles:
 
     def test_every_review_has_all_annotator_votes(self, minicorpus_dir):
         reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
-        labels, _ = read_labels(minicorpus_dir / "labels.jsonl")
-        votes = Counter(label.review_id for label in labels)
+        with open_jsonl(minicorpus_dir / "labels.jsonl") as lines:
+            votes = Counter(label.review_id for label in iter_labels(lines, []))
         assert all(votes[r.review_id] == len(ANNOTATORS) for r in reviews)
