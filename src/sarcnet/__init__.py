@@ -25,9 +25,8 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "corpus": (
         "DatasetSplit", "LabeledReview", "ParseError", "Review", "SarcasmLabel",
-        "curriculum_subset", "derive_seed", "iter_labels", "label_reviews",
-        "make_split", "open_jsonl", "parse_review_stream", "read_reviews",
-        "resolve_labels",
+        "derive_seed", "iter_labels", "label_reviews", "make_split", "open_jsonl",
+        "parse_review_stream", "read_reviews", "resolve_labels",
     ),
     "errors": ("DataError", "SarcnetError", "TrainingDivergence"),
     "features": (

@@ -366,7 +366,7 @@ def _train_flags(args) -> dict:
 def cmd_train(args) -> int:
     from .features import FeaturePipeline
     from .network import save_model
-    from .training import check_stage_pools, train, write_history
+    from .training import train, write_history
 
     stars_list = _parse_stars(args.stars)
     stages = _parse_stages(args.stages)
@@ -375,15 +375,15 @@ def cmd_train(args) -> int:
     history_paths = _star_paths(args.out, stars_list)
     lexicons, prov, splits = _load_splits(args, stars_list, "train",
                                           {**_train_flags(args), "lr": args.lr})
-    check_stage_pools(stages, splits.values())
     pipeline = FeaturePipeline(lexicons)
-    for stars, split in splits.items():
-        train_config, mlp_config = configs[stars]
-        model, history = train(split, train_config, mlp_config, pipeline)
+    # Every star trains before any file is written, so a star that fails
+    # leaves no model or history behind.
+    trained = {stars: train(split, *configs[stars], pipeline)
+               for stars, split in splits.items()}
+    for stars, (model, history) in trained.items():
         model_path = _prepare_out(model_paths[stars])
-        history_path = _prepare_out(history_paths[stars])
         save_model(model_path, model, prov)
-        write_history(history_path, history, prov)
+        write_history(_prepare_out(history_paths[stars]), history, prov)
         final = history[-1]
         print(f"{stars}-star: {len(history)} stage-epochs, final train accuracy "
               f"{final.train_accuracy:.3f} -> {model_path}")
@@ -450,7 +450,7 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .features import FeaturePipeline
-    from .training import DEFAULT_LR_GRID, check_stage_pools, lr_sweep, render_sweep_table
+    from .training import DEFAULT_LR_GRID, lr_sweep, render_sweep_table
 
     stars_list = _parse_stars(args.stars)
     if len(stars_list) != 1:
@@ -461,7 +461,6 @@ def cmd_sweep(args) -> int:
                                               _parse_stages(args.stages), lr_grid=lr_grid)
     flags = {**_train_flags(args), "lr_grid": list(train_config.lr_grid)}
     lexicons, prov, splits = _load_splits(args, stars_list, "sweep", flags)
-    check_stage_pools(train_config.stages, splits.values())
     results = lr_sweep(splits[stars_list[0]], train_config, mlp_config,
                        FeaturePipeline(lexicons))
     table = render_sweep_table(results)

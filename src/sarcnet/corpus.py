@@ -350,15 +350,6 @@ def make_split(pool, train_n: int, test_n: int, seed: int) -> DatasetSplit:
     )
 
 
-def curriculum_subset(pool, want_sarcastic: bool, n: int, seed: int) -> list:
-    """Pick n reviews with the requested label by seeded permutation."""
-    matching = [lr for lr in pool if lr.sarcastic == want_sarcastic]
-    if len(matching) < n:
-        raise DataError(f"requested {n}, available {len(matching)}")
-    random.Random(seed).shuffle(matching)
-    return matching[:n]
-
-
 def write_split_manifest(path, split: DatasetSplit, provenance: dict | None = None) -> None:
     """Record a split so it can be audited and reconstructed."""
     manifest = {

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import DatasetSplit, curriculum_subset, derive_seed
+from .corpus import DatasetSplit, derive_seed
 from .errors import DataError, TrainingDivergence
 from .features import FeaturePipeline
 from .network import (
@@ -111,8 +111,10 @@ class TrainConfig:
             raise ValueError("stages must be non-empty")
         if not self.lr_grid:
             raise ValueError("lr_grid must be non-empty")
-        if list(self.lr_grid) != sorted(self.lr_grid):
-            raise ValueError("lr_grid must be ascending")
+        for low, high in zip(self.lr_grid, self.lr_grid[1:]):
+            if not low < high:
+                raise ValueError(
+                    f"lr_grid must be strictly ascending, got {high!r} after {low!r}")
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,10 @@ def _run_stage(model: MlpModel, examples: list, config: TrainConfig,
                 raise TrainingDivergence(
                     f"non-finite loss in stage {stage_name!r}, "
                     f"epoch {epoch}, batch {batch_index}")
-            total = backward(model, trace, y_batch)
-            mean_grads = MlpModel(model.config, total.params * (1.0 / len(y_batch)))
-            model, state = adam_step(model, mean_grads, state, config.lr)
+            grads = backward(model, trace, y_batch)
+            # backward returns a fresh vector, so it is scaled to the mean in place.
+            grads.params[...] *= 1.0 / len(y_batch)
+            model, state = adam_step(model, grads, state, config.lr)
             loss_sum += batch_loss
         p = forward(model, xs).p
         if not np.isfinite(p).all():
@@ -188,53 +191,45 @@ def train_on_vectors(staged_examples: list, config: TrainConfig,
     return model, history
 
 
-def build_stage_pool(stage, pool: list, base_seed: int, stage_index: int) -> list:
+def build_stage_pool(stage, split: DatasetSplit, base_seed: int, stage_index: int) -> list:
     """Select the labeled reviews one curriculum stage trains on.
 
-    A warm-up stage draws its non-sarcastic reviews, if any, then its
-    sarcastic ones, each class by its own seeded permutation.
+    Every stage draws from the split's train side only, so the test side
+    never leaks into training. ``main`` takes the train side as it is. A
+    warm-up stage takes its non-sarcastic reviews, if any, then its
+    sarcastic ones, each class by its own seeded permutation (salted with
+    the 0-based ``stage_index``). A class the train side holds too few of
+    is a DataError that names the star, the stage (1-based), the class,
+    and how many reviews it needs and has; when both classes are short,
+    the sarcastic one is named.
     """
     if isinstance(stage, Main):
-        return list(pool)
+        return list(split.train)
     if not isinstance(stage, (SarcasticOnly, NonSarcasticDominated)):
         raise ValueError(f"unknown stage type: {type(stage).__name__}")
     n_sarcastic, n_non = stage.class_sizes()
     chosen = []
-    for sarcastic, n, kind in ((False, n_non, "non-sarcastic"),
-                               (True, n_sarcastic, "sarcastic")):
-        if n:
-            chosen += curriculum_subset(
-                pool, sarcastic, n, derive_seed(base_seed, "curriculum", stage_index, kind))
+    for sarcastic, n, kind in ((True, n_sarcastic, "sarcastic"),
+                               (False, n_non, "non-sarcastic")):
+        if not n:
+            continue
+        matching = [lr for lr in split.train if lr.sarcastic == sarcastic]
+        if len(matching) < n:
+            raise DataError(
+                f"{split.stars}-star stage {stage_index + 1} ({stage.name}) needs "
+                f"{n} {kind} reviews, the train side has {len(matching)}")
+        random.Random(derive_seed(base_seed, "curriculum", stage_index, kind)).shuffle(matching)
+        chosen = matching[:n] + chosen  # the non-sarcastic reviews come first
     return chosen
-
-
-def check_stage_pools(stages, splits) -> None:
-    """Raise DataError if a split's train side cannot fill a warm-up stage.
-
-    The message names the star, stage, class, need and have. Run it
-    before training any split, so that no model is written first.
-    """
-    for split in splits:
-        n_sarcastic = sum(lr.sarcastic for lr in split.train)
-        have = {"sarcastic": n_sarcastic, "non-sarcastic": len(split.train) - n_sarcastic}
-        for index, stage in enumerate(stages, start=1):
-            sizes = () if isinstance(stage, Main) else stage.class_sizes()
-            for (kind, available), need in zip(have.items(), sizes):
-                if need > available:
-                    raise DataError(
-                        f"{split.stars}-star stage {index} ({stage.name}) needs "
-                        f"{need} {kind} reviews, the train side has {available}")
 
 
 def _staged_vectors(split: DatasetSplit, config: TrainConfig,
                    pipeline: FeaturePipeline) -> list:
     """The (name, [(vector, class)]) stages ``train_on_vectors`` takes.
 
-    Curriculum stages draw from the split's train side only, so the test
-    side never leaks into any stage. Each distinct review text is
-    vectorized once, however many stages include it.
+    Each distinct review text is vectorized once, however many stages
+    include it.
     """
-    pool = list(split.train)
     vectors = {}
 
     def vector(text):
@@ -244,7 +239,7 @@ def _staged_vectors(split: DatasetSplit, config: TrainConfig,
 
     staged = []
     for index, stage in enumerate(config.stages):
-        members = build_stage_pool(stage, pool, config.seed, index)
+        members = build_stage_pool(stage, split, config.seed, index)
         staged.append((stage.name, [(vector(lr.review.text), 1 if lr.sarcastic else 0)
                                     for lr in members]))
     return staged
@@ -252,9 +247,16 @@ def _staged_vectors(split: DatasetSplit, config: TrainConfig,
 
 def train(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
           pipeline: FeaturePipeline | None = None) -> tuple:
-    """Train one star category's model on its split; returns (model, history)."""
+    """Train one star category's model on its split; returns (model, history).
+
+    A TrainingDivergence names the star: ``N-star model: <reason>``.
+    """
     pipe = pipeline if pipeline is not None else FeaturePipeline()
-    return train_on_vectors(_staged_vectors(split, config, pipe), config, mlp_config)
+    staged = _staged_vectors(split, config, pipe)
+    try:
+        return train_on_vectors(staged, config, mlp_config)
+    except TrainingDivergence as exc:
+        raise TrainingDivergence(f"{split.stars}-star model: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,9 @@ class TestParsingAndExitCodes:
         (["sweep", "--lr-grid", "1e-3,１e-2"], "got '1e-3,１e-2'"),
         (["train", "--stages", "dominated:10:3_0,main"], "'dominated:10:3_0'"),
         (["train", "--stages", "dominated:10:٣,main"], "'dominated:10:٣'"),
+        (["sweep", "--lr-grid", "0.01,0.01"], "got 0.01 after 0.01"),
+        (["sweep", "--lr-grid", "0.01,1e-2"], "got 0.01 after 0.01"),
+        (["sweep", "--lr-grid", "1e-3,0.01,0.010"], "got 0.01 after 0.01"),
     ], ids=["sweep-lr", "flag-prefix", "sarcastic-extra", "dominated-extra", "main-extra",
             "stage-alias", "hidden-trailing-comma", "hidden-leading-comma", "lr-grid-empty",
             "lr-grid-trailing-comma", "stars-leading-space", "stars-trailing-space",
@@ -162,12 +165,14 @@ class TestParsingAndExitCodes:
             "hidden-underscore", "hidden-fullwidth", "hidden-plus", "stars-arabic-indic",
             "stars-leading-zero", "stage-size-plus", "stage-size-leading-zero",
             "keep-prob-leading-space", "lr-underscore", "lr-fullwidth", "lr-grid-fullwidth",
-            "stage-ratio-underscore", "stage-ratio-arabic-indic"])
+            "stage-ratio-underscore", "stage-ratio-arabic-indic", "lr-grid-repeat",
+            "lr-grid-repeat-respelled", "lr-grid-repeat-last"])
     def test_one_spelling_per_setting(self, corpus, tmp_path, monkeypatch, capsys, argv,
                                       token):
         """Flag prefixes, sweep's --lr, extra or aliased stage parts, empty list parts,
         whitespace around a part, and any number that is not spelled the one plain way
-        (a sign other than '-', '_', leading zeros, '-0', non-ASCII digits) are refused.
+        (a sign other than '-', '_', leading zeros, '-0', non-ASCII digits) are refused,
+        and so is a learning rate that --lr-grid names twice, however it is spelled.
         """
         def refuse(*args, **kwargs):
             raise AssertionError("training started")
@@ -236,7 +241,8 @@ class TestParsingAndExitCodes:
                    "--out", str(tmp_path / "h.jsonl"))
         assert code == 3
         assert capsys.readouterr().err == (
-            "sarcnet: training failed: non-finite loss in stage 'main', epoch 1, batch 2\n")
+            "sarcnet: training failed: 1-star model: non-finite loss in stage 'main', "
+            "epoch 1, batch 2\n")
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -250,7 +256,8 @@ class TestParsingAndExitCodes:
                    "--out", str(tmp_path / "h.jsonl"))
         assert code == 3
         assert capsys.readouterr().err == (
-            "sarcnet: training failed: non-finite output in stage 'main', epoch 1\n")
+            "sarcnet: training failed: 1-star model: non-finite output in stage 'main', "
+            "epoch 1\n")
         assert not (tmp_path / "m.json").exists()
 
     def test_divergence_exits_three(self, corpus, tmp_path, monkeypatch, capsys):
@@ -572,6 +579,30 @@ class TestTrain:
         assert code == 0
         assert sha(model) == sha(trained["model"])
         assert sha(history) == sha(trained["history"])
+
+    def test_later_star_divergence_writes_nothing(self, corpus, tmp_path, monkeypatch,
+                                                  capsys):
+        """Every star trains before any file is written: a later failure leaves none."""
+        real_train = sarcnet.training.train
+        trained = []
+
+        def second_star_diverges(split, *args, **kwargs):
+            trained.append(split.stars)
+            if len(trained) == 2:
+                raise TrainingDivergence(f"{split.stars}-star model: non-finite loss")
+            return real_train(split, *args, **kwargs)
+
+        monkeypatch.setattr(sarcnet.training, "train", second_star_diverges)
+        code = run("train", "--reviews", corpus["reviews"],
+                   "--labels", corpus["labels"], "--stars", "1,2,3", *FAST_TRAIN,
+                   "--model", str(tmp_path / "models" / "m-{stars}.json"),
+                   "--out", str(tmp_path / "h-{stars}.jsonl"))
+        assert code == 3
+        assert trained == [1, 2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sarcnet: training failed: 2-star model: non-finite loss\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_creates_missing_output_directories(self, corpus, tmp_path, capsys):
         model = tmp_path / "deep" / "nested" / "model-1.json"

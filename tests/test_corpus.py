@@ -14,7 +14,6 @@ from sarcnet.corpus import (
     Review,
     SarcasmLabel,
     append_labels,
-    curriculum_subset,
     iter_labels,
     label_reviews,
     make_split,
@@ -154,30 +153,6 @@ class TestMakeSplit:
             test_ids = {lr.review.review_id for lr in split.test}
             assert not train_ids & test_ids
             assert len(train_ids) == 40 and len(test_ids) == 20
-
-
-class TestCurriculumSubset:
-    def test_label_filter_and_size(self):
-        pool = make_pool(1200)  # 600 sarcastic
-        subset = curriculum_subset(pool, True, 500, seed=4)
-        assert len(subset) == 500
-        assert all(lr.sarcastic for lr in subset)
-
-    def test_insufficient_matching_message(self):
-        pool = make_pool(20, sarcastic_every=2)  # 10 sarcastic
-        with pytest.raises(DataError, match=r"requested 500, available 10"):
-            curriculum_subset(pool, True, 500, seed=0)
-
-    def test_non_sarcastic_selection(self):
-        pool = make_pool(10, sarcastic_every=2)
-        subset = curriculum_subset(pool, False, 3, seed=1)
-        assert len(subset) == 3
-        assert not any(lr.sarcastic for lr in subset)
-
-    def test_determinism(self):
-        pool = make_pool(40)
-        assert curriculum_subset(pool, True, 10, seed=2) == \
-               curriculum_subset(pool, True, 10, seed=2)
 
 
 class TestLabels:

@@ -277,7 +277,7 @@ class TestCurriculumTrain:
         pool = synthetic_pool(40, sarcastic_fraction=0.5)
         split = make_split(pool, 30, 10, seed=1)
         stage = SarcasticOnly(5)
-        chosen = training.build_stage_pool(stage, list(split.train), 3, 0)
+        chosen = training.build_stage_pool(stage, split, 3, 0)
         train_ids = {lr.review.review_id for lr in split.train}
         assert all(lr.review.review_id in train_ids for lr in chosen)
         assert all(lr.sarcastic for lr in chosen)
@@ -287,42 +287,74 @@ class TestCurriculumTrain:
         split = make_split(pool, 20, 10, seed=2)
         config = TrainConfig(stages=(SarcasticOnly(500),), epochs=1,
                              batch_size=5, seed=0)
-        with pytest.raises(DataError, match="requested 500"):
+        with pytest.raises(DataError, match="2-star stage 1 .* needs 500 sarcastic"):
+            train(split, config, MlpConfig(hidden=(8,), seed=0))
+
+    def test_divergence_names_the_star(self, monkeypatch):
+        monkeypatch.setattr(training, "cross_entropy", lambda p, y: float("inf"))
+        split = make_split(synthetic_pool(20), 20, 0, seed=0)
+        config = TrainConfig(stages=(Main(),), epochs=1, batch_size=5, seed=0)
+        with pytest.raises(TrainingDivergence, match=r"^2-star model: non-finite loss in "
+                                                     r"stage 'main', epoch 1, batch 1$"):
             train(split, config, MlpConfig(hidden=(8,), seed=0))
 
 
-class TestCheckStagePools:
-    """check_stage_pools against what build_stage_pool can actually draw."""
+class TestBuildStagePool:
+    """Stage selection, and the one place its shortage rule lives."""
 
     def split(self, stars, n_sarcastic, n_plain):
-        pool = [LabeledReview(Review(f"{stars}-{i}", stars, "text"), i < n_sarcastic)
+        pool = [LabeledReview(Review(f"{stars}-{i}", stars, f"text {i}"), i < n_sarcastic)
                 for i in range(n_sarcastic + n_plain)]
         return make_split(pool, n_sarcastic + n_plain, 0, seed=0)
 
     def test_fillable_stages_pass(self):
         stages = (SarcasticOnly(5), NonSarcasticDominated(20, 3.0), Main())
         split = self.split(1, 5, 15)
-        training.check_stage_pools(stages, [split])
-        for index, stage in enumerate(stages):
-            training.build_stage_pool(stage, list(split.train), 0, index)
+        pools = [training.build_stage_pool(stage, split, 0, index)
+                 for index, stage in enumerate(stages)]
+        assert [len(pool) for pool in pools] == [5, 20, 20]
+        # A warm-up stage lists its non-sarcastic reviews first.
+        assert [lr.sarcastic for lr in pools[1]] == [False] * 15 + [True] * 5
 
     @pytest.mark.parametrize("stage, message", [
         (SarcasticOnly(6), "1-star stage 2 (sarcastic_only) needs 6 sarcastic reviews, "
                            "the train side has 5"),
         (NonSarcasticDominated(20, 4.0), "1-star stage 2 (non_sarcastic_dominated) needs "
                                          "16 non-sarcastic reviews, the train side has 15"),
-    ])
+        (NonSarcasticDominated(40, 3.0), "1-star stage 2 (non_sarcastic_dominated) needs "
+                                         "10 sarcastic reviews, the train side has 5"),
+    ], ids=["sarcastic-short", "non-sarcastic-short", "both-short"])
     def test_names_star_stage_class_need_and_have(self, stage, message):
         split = self.split(1, 5, 15)
-        with pytest.raises(DataError, match=re.escape(message)):
-            training.check_stage_pools((Main(), stage), [split])
-        with pytest.raises(DataError, match="requested"):
-            training.build_stage_pool(stage, list(split.train), 0, 1)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            training.build_stage_pool(stage, split, 0, 1)
 
     def test_every_split_is_checked(self):
-        splits = [self.split(1, 10, 10), self.split(2, 3, 10)]
+        fillable, short = self.split(1, 10, 10), self.split(2, 3, 10)
+        assert len(training.build_stage_pool(SarcasticOnly(4), fillable, 0, 0)) == 4
         with pytest.raises(DataError, match="2-star stage 1"):
-            training.check_stage_pools((SarcasticOnly(4),), splits)
+            training.build_stage_pool(SarcasticOnly(4), short, 0, 0)
+
+    def test_label_filter_and_size(self):
+        subset = training.build_stage_pool(SarcasticOnly(500), self.split(1, 600, 600), 4, 0)
+        assert len(subset) == 500
+        assert all(lr.sarcastic for lr in subset)
+
+    def test_insufficient_matching_message(self):
+        with pytest.raises(DataError, match="needs 500 sarcastic reviews, "
+                                            "the train side has 10"):
+            training.build_stage_pool(SarcasticOnly(500), self.split(1, 10, 10), 0, 0)
+
+    def test_non_sarcastic_selection(self):
+        stage = NonSarcasticDominated(3, 1e9)  # 3 non-sarcastic, 0 sarcastic
+        subset = training.build_stage_pool(stage, self.split(1, 5, 5), 1, 0)
+        assert len(subset) == 3
+        assert not any(lr.sarcastic for lr in subset)
+
+    def test_determinism(self):
+        split = self.split(1, 20, 20)
+        assert training.build_stage_pool(SarcasticOnly(10), split, 2, 0) == \
+               training.build_stage_pool(SarcasticOnly(10), split, 2, 0)
 
 
 class CountingPipeline(FeaturePipeline):
