@@ -35,7 +35,7 @@ import pytest
 from model_layers import from_layers
 
 import sarcnet.cli as cli
-from sarcnet.corpus import LabeledReview, Review, make_split
+from sarcnet.corpus import LabeledReview, Review, make_split, read_reviews
 from sarcnet.features import FeatureCounts, FeaturePipeline
 from sarcnet.lexicons import DEFAULT_LEXICON_DIR
 from sarcnet.network import (
@@ -391,11 +391,13 @@ class TestCriterion8EndToEndDeterminism:
 
 
 class TestGoldenDigests:
-    """Pins the bytes of the mini-corpus artifacts of criterion 8, ingest and extract.
+    """Pins the bytes of the mini-corpus artifacts of criterion 8, ingest and
+    extract, and of predict's stdout.
 
     Criterion 8 only checks that two reruns agree, so a change that drifts
-    the floats would pass it silently. No command reads a manifest or a
-    feature dump back, so only these digests see their bytes move. The
+    the floats would pass it silently. No command reads a manifest, a
+    feature dump or predict's output back, so only these digests see their
+    bytes move. The
     digests were taken on x86-64 (AVX-512) with Python 3.11.7, numpy 2.4.6
     and scipy-openblas 0.3.31; the last bits of the float math can differ
     on another BLAS or CPU. A change that alters artifact bytes on purpose
@@ -425,10 +427,42 @@ class TestGoldenDigests:
         "features.csv": "00a053204ec4ed51af12b6806af1c23ea0969abe2671e8b9b8816ad9c4365321",
     }
 
-    def test_artifact_digests(self, minicorpus_dir, tmp_path, capsys):
-        TestCriterion8EndToEndDeterminism().run_pipeline(minicorpus_dir, tmp_path)
-        actual = {name: sha(tmp_path / name) for name in self.DIGESTS}
+    # predict's stdout for model-3.json over the mini-corpus texts, two in
+    # four of them joined into one line by whitespace that ends no line
+    PREDICT_DIGEST = "a76470ed73d29493dc36a6bc066f60e69f4c15442728d9bd798fb1fd799b3020"
+
+    # Whitespace that str.split() splits at but a predict line does not end at
+    JOINERS = ("\t", "\x1c", "\x85", "\u2028", "\u3000")
+
+    @pytest.fixture(scope="class")
+    def criterion8_dir(self, minicorpus_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("criterion8")
+        TestCriterion8EndToEndDeterminism().run_pipeline(minicorpus_dir, out)
+        return out
+
+    def test_artifact_digests(self, criterion8_dir):
+        actual = {name: sha(criterion8_dir / name) for name in self.DIGESTS}
         assert actual == self.DIGESTS
+
+    def test_predict_stdout_digest(self, criterion8_dir, minicorpus_dir, tmp_path, capsys):
+        reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
+        texts = [review.text for review in reviews]
+        lines = []
+        for k in range(0, len(texts), 2):
+            pair = texts[k:k + 2]
+            if k % 4 == 0:
+                lines.append(self.JOINERS[k // 4 % len(self.JOINERS)].join(pair))
+            else:
+                lines.extend(pair)
+        data = "\n".join(lines).encode("utf-8") + b"\n\n \t\nnot \xff UTF-8\n"
+        path = tmp_path / "lines.txt"
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert cli.main(["predict", "--model", str(criterion8_dir / "model-3.json"),
+                         str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(lines)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PREDICT_DIGEST
 
     def test_manifest_and_feature_dump_digests(self, minicorpus_dir, tmp_path, capsys):
         corpus = ["--reviews", str(minicorpus_dir / "reviews.jsonl"),
