@@ -413,7 +413,7 @@ def cmd_eval(args) -> int:
 def _predict_lines(stream, source: str):
     """Yield the non-blank lines of stream, warning about invalid UTF-8 ones."""
     for number, line in enumerate(stream, start=1):
-        if _UNDECODABLE.search(line):
+        if not line.isascii() and _UNDECODABLE.search(line):
             print(f"warning: {source}:{number}: invalid UTF-8", file=sys.stderr)
             continue
         text = line.strip()

@@ -8,13 +8,17 @@ elongated ("sooooo") words. Person-reference features count second-person
 and first-person-plural pronouns.
 
 A token's contribution to the counts depends only on its surface and the
-lexicon set, so each lexicon set keeps a token table from surface to the
-counts it adds to. A review's tokens are looked up there, and only a
-token not in the table is classified by the rules. The table keeps the
-first 2^14 surfaces it is given and then stores no more; a surface
-longer than 32 characters is classified on every sight and never
-stored, so no stream of text grows it past its bound. Once it is full,
-a new surface costs one table lookup more than classifying it alone.
+lexicon set, and no token spans whitespace, so a whitespace-separated
+chunk of text adds the same counts wherever it stands. Each lexicon set
+keeps a chunk table from a chunk to the count indices of its tokens, one
+byte each. A review is split at whitespace, its chunks' bytes are joined,
+and each count is the number of times its index occurs there; only a
+chunk not in the table is tokenized and classified by the rules. The
+table keeps the first 2^14 chunks it is given and then stores no more; a
+chunk longer than 32 characters is classified on every sight and never
+stored, so no stream of text grows it past its bound. Of the chunks it
+does not store, one of letters only is its own word token, and the rest
+are tokenized together, in one pass per review.
 
 Raw counts are turned into network inputs by dividing each rate feature
 by the word count and clipping at 1; flags pass through unchanged. A
@@ -26,6 +30,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -141,8 +146,8 @@ _LEXICON_FEATURES = (
 )
 
 
-# The token table: at most this many surfaces per lexicon set, then no more
-# are stored; a surface longer than _TABLE_MAX_TOKEN characters is never stored.
+# The chunk table: at most this many chunks per lexicon set, then no more
+# are stored; a chunk longer than _TABLE_MAX_TOKEN characters is never stored.
 _TABLE_ENTRIES = 1 << 14
 _TABLE_MAX_TOKEN = 32
 
@@ -152,20 +157,20 @@ _WORD = (N_FEATURES,)
 
 @lru_cache(maxsize=4)
 def _tables(lexicons: Lexicons) -> tuple:
-    """The word table and the token table of one lexicon set.
+    """The word table and the chunk table of one lexicon set.
 
     The word table maps a lowercased lexicon word to the indices of the
-    counts it adds 1 to, its word count included. The token table starts
-    empty and maps a token surface to its ``_token_hits``; ``extract_counts``
-    fills it. Lexicons hash by identity, so a ``replace()``d set has its own
-    tables.
+    counts it adds 1 to, its word count included. The chunk table starts
+    empty and maps a whitespace-free chunk of text to the ``bytes`` of the
+    ``_token_hits`` of its tokens; ``extract_counts`` fills it. Lexicons
+    hash by identity, so a ``replace()``d set has its own tables.
 
-    Worst case, a full token table holds 2^14 keys of 32 non-BMP characters
-    (204 bytes each) and hit tuples of 10 indices (120 bytes each) in a
-    dict of about 0.6 MB: about 6 MB per lexicon set, 24 MB for the four
-    sets cached here. Threads that share a table can each pass the size
-    check before another stores, so it may end up holding one entry per
-    extra thread over the bound.
+    Worst case, a full chunk table holds 2^14 keys of 32 non-BMP
+    characters (204 bytes each) and values of 48 indices ("u!" 16 times,
+    81 bytes each) in a dict of about 0.6 MB: about 5.3 MB per lexicon
+    set, 21 MB for the four sets cached here. Threads that share a table
+    can each pass the size check before another stores, so it may end up
+    holding one entry per extra thread over the bound.
     """
     words = {}
     for index, field in _LEXICON_FEATURES:
@@ -216,24 +221,54 @@ def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
     return hits
 
 
+def _hits(chunks: list, lex: Lexicons, words: dict) -> bytes:
+    """The ``_token_hits`` of every token of ``chunks``, one byte per index.
+
+    A chunk of letters only is one word token; the others are tokenized
+    together, in one pass.
+    """
+    tokens = [chunk for chunk in chunks if chunk.isalpha()]
+    if len(tokens) < len(chunks):
+        tokens += tokenize(" ".join([chunk for chunk in chunks if not chunk.isalpha()]))
+    return bytes(chain.from_iterable([_token_hits(token, lex, words) for token in tokens]))
+
+
+def _classify_misses(chunks: list, hits: list, lex: Lexicons, words: dict, table: dict) -> bytes:
+    """Join ``hits`` after filling in the chunks the table lacks (None there).
+
+    While the table has room, a missing chunk of at most _TABLE_MAX_TOKEN
+    characters is classified and stored; the other missing chunks are
+    classified together.
+    """
+    if len(table) >= _TABLE_ENTRIES:
+        unstored = [chunk for chunk, part in zip(chunks, hits) if part is None]
+    else:
+        unstored = []
+        for i, chunk in enumerate(chunks):
+            if hits[i] is None:
+                if len(table) < _TABLE_ENTRIES and len(chunk) <= _TABLE_MAX_TOKEN:
+                    hits[i] = table[chunk] = _hits([chunk], lex, words)
+                else:
+                    unstored.append(chunk)
+    return b"".join(filter(None, hits)) + _hits(unstored, lex, words)
+
+
 def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
     """Count every catalog feature over one review's text.
 
-    Each token's hits (``_token_hits``) depend only on its surface and the
-    lexicon set, so they are looked up in the set's token table and
-    computed only on a miss.
+    The text is split at whitespace, each chunk's hit bytes are looked up
+    in the lexicon set's chunk table (and computed only on a miss), and
+    each count is the number of times its index occurs in their join.
     """
     lex = lexicons if lexicons is not None else default_lexicons()
     words, table = _tables(lex)
-    c = [0] * (N_FEATURES + 1)
-    for token in tokenize(text):
-        hits = table.get(token)
-        if hits is None:
-            hits = _token_hits(token, lex, words)
-            if len(table) < _TABLE_ENTRIES and len(token) <= _TABLE_MAX_TOKEN:
-                table[token] = hits
-        for index in hits:
-            c[index] += 1
+    chunks = text.split()
+    hits = list(map(table.get, chunks))
+    try:
+        joined = b"".join(hits)
+    except TypeError:  # a chunk the table lacks
+        joined = _classify_misses(chunks, hits, lex, words, table)
+    c = list(map(joined.count, range(N_FEATURES + 1)))
     c[5] = 1 if c[3] > 0 and c[4] > 0 else 0
     return FeatureCounts._make(c)
 
@@ -254,8 +289,8 @@ class FeaturePipeline:
 
     Instances are cheap and hold nothing beyond the lexicons, so one
     pipeline can serve a whole corpus (and is safe to share across
-    threads: the lexicon set's token table only ever maps a surface to
-    the one tuple of hits it has, whichever thread stores it).
+    threads: the lexicon set's chunk table only ever maps a chunk to
+    the one hit string it has, whichever thread stores it).
     """
 
     def __init__(self, lexicons: Lexicons | None = None):

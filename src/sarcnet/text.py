@@ -14,9 +14,11 @@ Three token kinds are recognized; everything else is delimiter text:
   ellipsis character.
 
 A token's kind can be read off its first character, so tokens are plain
-strings. The scan finds word runs with the regex class ``[\\w']``, which
-also admits '_' and non-digit numerics; a run that is not all letters is
-re-split by the exact rule above.
+strings. No token holds a character that ``str.isspace`` accepts, so
+none spans whitespace, and a text's tokens are those of its
+``str.split()`` chunks, in order. The scan finds word runs with the
+regex class ``[\\w']``, which also admits '_' and non-digit numerics; a
+run that is not all letters is re-split by the exact rule above.
 """
 
 import re

@@ -27,8 +27,9 @@ ELLIPSIS_CHAR = "…"
 
 # Characters for differential tests: those where the regex class \w and
 # isalpha/isdigit disagree ('_', '½', 'Ⅻ', '²', '٣'), the token
-# punctuation, and cased and uncased letters.
-EDGE_CHARS = "ab'_ ½Ⅻ²٣!?.…HAhaSOoOéß漢\t"
+# punctuation, cased and uncased letters, and whitespace that str.split()
+# splits at but a text line does not end at.
+EDGE_CHARS = "ab'_ ½Ⅻ²٣!?.…HAhaSOoOéß漢\t\x1c\x85\u2028\u3000"
 
 
 class TokenKind(enum.Enum):

@@ -397,10 +397,9 @@ class TestGoldenDigests:
     Criterion 8 only checks that two reruns agree, so a change that drifts
     the floats would pass it silently. No command reads a manifest, a
     feature dump or predict's output back, so only these digests see their
-    bytes move. The
-    digests were taken on x86-64 (AVX-512) with Python 3.11.7, numpy 2.4.6
-    and scipy-openblas 0.3.31; the last bits of the float math can differ
-    on another BLAS or CPU. A change that alters artifact bytes on purpose
+    bytes move. The digests were taken on x86-64 (AVX-512) with Python
+    3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31; the last bits of the
+    float math can differ on another BLAS or CPU. A change that alters artifact bytes on purpose
     re-pins them and says why.
     """
 

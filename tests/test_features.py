@@ -25,7 +25,6 @@ from sarcnet.features import (
     write_feature_dump,
     _tables,
 )
-from sarcnet.text import tokenize
 from sarcnet.corpus import read_reviews
 from sarcnet.lexicons import default_lexicons
 from reference_text import EDGE_CHARS, reference_counts
@@ -41,8 +40,8 @@ def counts_for(text):
     return extract_counts(text)
 
 
-def token_table(lexicons=None):
-    """The token table extract_counts fills for a lexicon set (default: the default set)."""
+def chunk_table(lexicons=None):
+    """The chunk table extract_counts fills for a lexicon set (default: the default set)."""
     return _tables(lexicons if lexicons is not None else default_lexicons())[1]
 
 
@@ -258,8 +257,8 @@ _PIECE = st.one_of(
 
 
 def assert_cold_then_warm(text, lexicons=None):
-    """Count text twice: the first call may miss the token table and fill it, the
-    second finds every stored token there. Both must match the reference."""
+    """Count text twice: the first call may miss the chunk table and fill it, the
+    second finds every stored chunk there. Both must match the reference."""
     expected = reference_counts(text, lexicons)
     assert extract_counts(text, lexicons) == expected
     assert extract_counts(text, lexicons) == expected
@@ -267,7 +266,7 @@ def assert_cold_then_warm(text, lexicons=None):
 
 class TestMatchesReferencePipeline:
     """The one-pass extract_counts against tokenize -> pos_tag -> count, both when a
-    token's hits are computed (a table miss) and when they are looked up."""
+    chunk's hits are computed (a table miss) and when they are looked up."""
 
     @pytest.mark.parametrize("emptied", [False, True], ids=["as-left", "emptied"])
     @pytest.mark.parametrize("text", [
@@ -278,7 +277,7 @@ class TestMatchesReferencePipeline:
     ])
     def test_pinned_examples(self, text, emptied):
         if emptied:
-            token_table().clear()
+            chunk_table().clear()
         assert_cold_then_warm(text)
 
     @settings(max_examples=500)
@@ -308,20 +307,35 @@ class TestMatchesReferencePipeline:
 
     def test_bounded_table_keeps_vectors_bit_identical(self, minicorpus_dir, pipeline,
                                                        monkeypatch):
-        """With room for 4 tokens the table keeps the first 4 surfaces it meets
-        and classifies every other token on each sight."""
+        """With room for 4 chunks the table keeps the first 4 chunks it meets
+        and classifies every other chunk on each sight."""
         monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 4)
-        table = token_table()
+        table = chunk_table()
         table.clear()
         texts = minicorpus_texts(minicorpus_dir)
         for text in texts:
             expected = reference_normalize(reference_counts(text))
             assert pipeline.vector(text).tobytes() == expected.tobytes()
             assert len(table) <= 4
-        assert list(table) == list(dict.fromkeys(tokenize(texts[0])))[:4]
+        assert list(table) == list(dict.fromkeys(texts[0].split()))[:4]
+
+    def test_full_table_counts_stored_unstored_and_long_chunks(self, monkeypatch):
+        """Once the table is full, a line that mixes stored chunks, chunks it
+        lacks and a chunk over 32 characters counts as the reference does,
+        and stores nothing."""
+        monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 3)
+        table = chunk_table()
+        table.clear()
+        extract_counts("wow!! you... SO")
+        assert list(table) == ["wow!!", "you...", "SO"]
+        long_chunk = "soooo,GREAT!?" + "ha" * 12 + "…we"
+        assert len(long_chunk) > 32
+        text = f"haha\u3000wow!! we\x85aaa¿ you...\t{long_chunk} SO\u2028real?? SO"
+        assert extract_counts(text) == reference_counts(text)
+        assert list(table) == ["wow!!", "you...", "SO"]
 
     def test_long_token_is_counted_but_never_stored(self):
-        table = token_table()
+        table = chunk_table()
         table.clear()
         for word in ("W" * 32, "W" * 33):
             expected = FeatureCounts(f12=1, f13=1, word_count=1)
@@ -335,12 +349,12 @@ class TestMatchesReferencePipeline:
         default = default_lexicons()
         assert "wow" in default.interjections
         without = replace(default, interjections=default.interjections - {"wow"})
-        token_table(default).clear()
+        chunk_table(default).clear()
         runs = [(default, 1), (without, 0)]
         for lexicons, f1 in runs if default_first else runs[::-1]:
             assert extract_counts("wow", lexicons) == extract_counts("wow", lexicons)
             assert extract_counts("wow", lexicons).f1 == f1
-            assert "wow" in token_table(lexicons)
+            assert "wow" in chunk_table(lexicons)
 
     def test_one_pipeline_shared_by_four_threads(self, minicorpus_dir, monkeypatch):
         """Threads that fill the table while others read it get the same vectors."""
@@ -348,7 +362,7 @@ class TestMatchesReferencePipeline:
         pipeline = FeaturePipeline()
         expected = [pipeline.vector(text).tobytes() for text in texts]
         monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 8)
-        table = token_table()
+        table = chunk_table()
         table.clear()
 
         def run(shift):

@@ -3,10 +3,13 @@
 TestTokenize, TestTagWord and TestPosTag pin the behavior of the
 test-only reference pipeline (reference_text.py), including span
 bookkeeping under fuzz. TestScanMatchesReference holds
-``sarcnet.text.tokenize`` to the reference's surfaces.
+``sarcnet.text.tokenize`` to the reference's surfaces, and checks the
+two facts the feature counter's chunk table rests on: no token spans
+whitespace, and a chunk of letters only is one word.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -176,3 +179,23 @@ class TestScanMatchesReference:
     @example("x½y")
     def test_arbitrary_unicode(self, text):
         assert sarcnet.text.tokenize(text) == reference_surfaces(text)
+
+    def test_no_whitespace_character_starts_a_token(self):
+        """The feature counter tokenizes a text chunk by chunk, split at
+        whitespace. That is exact because _TOKEN has no lookaround and
+        matches no character that str.isspace() accepts."""
+        spaces = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+        assert set(" \t\x1c\x85\u2028\u3000") <= set(spaces)
+        assert [ch for ch in spaces if sarcnet.text._TOKEN.match(ch) is not None] == []
+
+    def test_a_chunk_of_letters_is_one_word(self):
+        """The feature counter takes a chunk that str.isalpha() accepts as one
+        word token without scanning it."""
+        letters = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isalpha())
+        assert sarcnet.text.tokenize(letters) == [letters]
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8")))
+    def test_tokens_are_the_chunks_tokens(self, text):
+        chunked = [token for chunk in text.split() for token in sarcnet.text.tokenize(chunk)]
+        assert sarcnet.text.tokenize(text) == chunked
