@@ -16,9 +16,8 @@ and each count is the number of times its index occurs there; only a
 chunk not in the table is tokenized and classified by the rules. The
 table keeps the first 2^14 chunks it is given and then stores no more; a
 chunk longer than 32 characters is classified on every sight and never
-stored, so no stream of text grows it past its bound. Of the chunks it
-does not store, one of letters only is its own word token, and the rest
-are tokenized together, in one pass per review.
+stored, so no stream of text grows it past its bound. The chunks of a
+review that it does not store are tokenized together, in one pass.
 
 Raw counts are turned into network inputs by dividing each rate feature
 by the word count and clipping at 1; flags pass through unchanged. A
@@ -221,16 +220,9 @@ def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
     return hits
 
 
-def _hits(chunks: list, lex: Lexicons, words: dict) -> bytes:
-    """The ``_token_hits`` of every token of ``chunks``, one byte per index.
-
-    A chunk of letters only is one word token; the others are tokenized
-    together, in one pass.
-    """
-    tokens = [chunk for chunk in chunks if chunk.isalpha()]
-    if len(tokens) < len(chunks):
-        tokens += tokenize(" ".join([chunk for chunk in chunks if not chunk.isalpha()]))
-    return bytes(chain.from_iterable([_token_hits(token, lex, words) for token in tokens]))
+def _hits(text: str, lex: Lexicons, words: dict) -> bytes:
+    """The ``_token_hits`` of every token of ``text``, one byte per index."""
+    return bytes(chain.from_iterable([_token_hits(token, lex, words) for token in tokenize(text)]))
 
 
 def _classify_misses(chunks: list, hits: list, lex: Lexicons, words: dict, table: dict) -> bytes:
@@ -240,17 +232,14 @@ def _classify_misses(chunks: list, hits: list, lex: Lexicons, words: dict, table
     characters is classified and stored; the other missing chunks are
     classified together.
     """
-    if len(table) >= _TABLE_ENTRIES:
-        unstored = [chunk for chunk, part in zip(chunks, hits) if part is None]
-    else:
-        unstored = []
-        for i, chunk in enumerate(chunks):
-            if hits[i] is None:
-                if len(table) < _TABLE_ENTRIES and len(chunk) <= _TABLE_MAX_TOKEN:
-                    hits[i] = table[chunk] = _hits([chunk], lex, words)
-                else:
-                    unstored.append(chunk)
-    return b"".join(filter(None, hits)) + _hits(unstored, lex, words)
+    unstored = []
+    for i, chunk in enumerate(chunks):
+        if hits[i] is None:
+            if len(table) < _TABLE_ENTRIES and len(chunk) <= _TABLE_MAX_TOKEN:
+                hits[i] = table[chunk] = _hits(chunk, lex, words)
+            else:
+                unstored.append(chunk)
+    return b"".join(filter(None, hits)) + _hits(" ".join(unstored), lex, words)
 
 
 def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:

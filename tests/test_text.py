@@ -4,8 +4,8 @@ TestTokenize, TestTagWord and TestPosTag pin the behavior of the
 test-only reference pipeline (reference_text.py), including span
 bookkeeping under fuzz. TestScanMatchesReference holds
 ``sarcnet.text.tokenize`` to the reference's surfaces, and checks the
-two facts the feature counter's chunk table rests on: no token spans
-whitespace, and a chunk of letters only is one word.
+fact the feature counter's chunk table rests on: no token spans
+whitespace.
 """
 
 import random
@@ -187,12 +187,6 @@ class TestScanMatchesReference:
         spaces = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
         assert set(" \t\x1c\x85\u2028\u3000") <= set(spaces)
         assert [ch for ch in spaces if sarcnet.text._TOKEN.match(ch) is not None] == []
-
-    def test_a_chunk_of_letters_is_one_word(self):
-        """The feature counter takes a chunk that str.isalpha() accepts as one
-        word token without scanning it."""
-        letters = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isalpha())
-        assert sarcnet.text.tokenize(letters) == [letters]
 
     @settings(max_examples=500)
     @given(st.text(alphabet=st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8")))
