@@ -38,6 +38,7 @@ from .corpus import (
     STAR_VALUES,
     SarcasmLabel,
     _UNDECODABLE,
+    _annotator_problem,
     append_labels,
     derive_seed,
     iter_labels,
@@ -277,11 +278,17 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_label(args) -> int:
+    problem = _annotator_problem(args.annotator)
+    if problem is not None:
+        raise ValueError(problem)
     reviews = _load_reviews(args.reviews)
     try:
         voted = _consume_labels(args.labels, lambda votes: {
             label.review_id for label in votes if label.annotator == args.annotator})
-    except DataError:
+    except DataError as exc:
+        # No labels file yet: the first vote creates it.
+        if not isinstance(exc.__cause__, FileNotFoundError):
+            raise
         voted = set()
     pending = [r for r in reviews if r.review_id not in voted]
     print(f"{len(pending)} reviews awaiting a vote from {args.annotator}")

@@ -17,19 +17,31 @@ reviews, not with the number of votes.
 
 Both files are decoded as UTF-8 with undecodable bytes kept as
 surrogate escapes, so a line holding one is an ``invalid UTF-8`` error
-and the lines around it still parse. The review and label parsers share
-one line loop, ``_json_values``, which yields each line's JSON value and
-leaves the field checks to them. An ASCII line goes straight to the C
-JSON scanner, and its value is taken when it starts at the line's first
-character and ends at the line's end or just before its newline. Every
-other line (not ASCII, which covers surrogate escapes and the BOM;
-leading whitespace or blank; trailing data; any scanner error) goes to
-one fallback function, ``_decode_line``, so every reason comes from one
-place: bad JSON, a value nested too deeply for the scanner, and trailing
-data are each one error for that line. A string field holding a lone
+and the lines around it still parse. Each parser loops over its own
+lines and hands each one to ``_decode_line``, which gives the line's JSON
+value or the reason it has none, and leaves the field checks to the
+parser. An ASCII line goes straight to the C JSON scanner, and its value
+is taken when it starts at the line's first character and ends at the
+line's end or just before its newline. Every other line (not ASCII,
+which covers surrogate escapes and the BOM; leading whitespace or blank;
+trailing data; any scanner error) goes to the fallback in the same
+function, so every reason comes from one place: bad JSON, a value nested
+too deeply for the scanner, and trailing data are each one error for
+that line. A string field holding a lone
 surrogate (from a JSON ``\\u`` escape such as ``"\\udcff"``) cannot be
 written back as UTF-8, so it is one error for that line too. Both files
 are written through one serializer.
+
+A vote line in the serializer's own form, with printable-ASCII fields,
+skips even the scanner: ``iter_labels`` takes it with one match of
+``_VOTE_LINE``, which is that exact line (sorted keys, ``json.dumps``'
+separators, an optional newline) with no quote or backslash in either
+string. JSON decodes such a line to those same strings, and it passes
+every field check (non-empty, ASCII so no surrogate, a real boolean),
+so the match gives the record the decoder would. Every other line goes
+through ``_decode_line`` and the checks under its own line number, so no
+record, reason or line number changes. ``write_labels`` and
+``append_labels``, the only writers of a labels file, write this form.
 
 The record types are named tuples: immutable, compared by value, and
 cheap to build in bulk. The parsers build them with the C tuple
@@ -44,6 +56,7 @@ subset and training stream.
 
 import hashlib
 import json
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -98,13 +111,18 @@ _raw_decode = _decoder.raw_decode
 _scan_once = _decoder.scan_once
 # What may follow a value that the fast path takes: nothing, or the newline.
 _LINE_ENDS = ("", "\n")
+# A vote line as the writer gives it for printable-ASCII fields: sorted keys,
+# json.dumps' default separators, and no quote or backslash in a string, so
+# each string is its own JSON value. Such a line passes every vote check.
+_VOTE_LINE = re.compile(r'\{"annotator": "([ !#-\[\]-~]+)", "review_id": "([ !#-\[\]-~]+)", '
+                        r'"sarcastic": (true|false)\}\n?')
 # The C constructor of every tuple: a named tuple's own __new__ is a Python
 # function that calls it, one extra frame per record.
 _new_tuple = tuple.__new__
 
 
 def _decode_line(line):
-    """Decode one line the fast path did not take, as (record, reason).
+    """Decode one line as (record, reason).
 
     record is the decoded JSON value and reason None, or record is None
     and reason says why the line is not one JSON value. A blank line
@@ -112,6 +130,15 @@ def _decode_line(line):
     UTF-8`` for a line holding a surrogate escape and one for a value
     nested too deeply to decode.
     """
+    # Fast path: an ASCII line whose one value runs up to its newline.
+    if line.isascii():
+        try:
+            record, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            pass
+        else:
+            if line[end:] in _LINE_ENDS:
+                return record, None
     # Trailing whitespace stays: it can be inside an unterminated string.
     text = line.lstrip(_JSON_WHITESPACE)
     if not text or text.isspace():  # line.strip() would leave nothing
@@ -130,33 +157,6 @@ def _decode_line(line):
     if end != len(text) and text[end:].strip(_JSON_WHITESPACE):
         return None, "invalid JSON: Extra data"
     return record, None
-
-
-def _json_values(lines, errors):
-    """Yield (line_number, value) for each line of lines holding one JSON value.
-
-    A blank line is skipped; any other line that is not one JSON value
-    appends one ParseError to errors instead. A line is read only when
-    the caller asks for the next value, so the caller's own errors for a
-    value land in errors in line order with these.
-    """
-    for line_number, line in enumerate(lines, start=1):
-        # Fast path: an ASCII line whose one value runs up to its newline.
-        end = 0
-        if line.isascii():
-            try:
-                record, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                pass
-        if not end or line[end:] not in _LINE_ENDS:
-            decoded = _decode_line(line)
-            if decoded is None:
-                continue
-            record, reason = decoded
-            if reason is not None:
-                errors.append(ParseError(line_number, reason))
-                continue
-        yield line_number, record
 
 
 def _shape_problem(record, fields) -> str:
@@ -189,7 +189,14 @@ def parse_review_stream(lines) -> tuple:
     reviews = []
     errors = []
     seen_ids = set()
-    for line_number, record in _json_values(lines, errors):
+    for line_number, line in enumerate(lines, start=1):
+        decoded = _decode_line(line)
+        if decoded is None:
+            continue
+        record, reason = decoded
+        if reason is not None:
+            errors.append(ParseError(line_number, reason))
+            continue
         try:
             review_id = record["review_id"]
             stars = _coerce_stars(record["stars"])
@@ -238,14 +245,37 @@ def write_reviews(path, reviews) -> None:
     _write_jsonl(path, "w", reviews)
 
 
+def _annotator_problem(annotator):
+    """Why annotator cannot name a vote's annotator, or None if it can."""
+    if not isinstance(annotator, str) or not annotator:
+        return "annotator must be a non-empty string"
+    if not annotator.isascii() and _SURROGATE.search(annotator):
+        return "annotator holds a lone surrogate"
+    return None
+
+
 def iter_labels(lines, errors):
     """Yield each valid SarcasmLabel of JSON-lines label votes, in input order.
 
     ``lines`` is any iterable of strings. Each invalid line (invalid
     UTF-8, bad JSON, missing field, wrong type, a lone surrogate in a
-    string field) appends one ParseError to ``errors`` instead.
+    string field) appends one ParseError to ``errors`` instead. A line
+    in the writer's own form (``_VOTE_LINE``) is taken by one match;
+    every other line is decoded and checked field by field.
     """
-    for line_number, record in _json_values(lines, errors):
+    for line_number, line in enumerate(lines, start=1):
+        match = _VOTE_LINE.fullmatch(line)
+        if match is not None:
+            annotator, review_id, sarcastic = match.groups()
+            yield _new_tuple(SarcasmLabel, (review_id, sarcastic == "true", annotator))
+            continue
+        decoded = _decode_line(line)
+        if decoded is None:
+            continue
+        record, reason = decoded
+        if reason is not None:
+            errors.append(ParseError(line_number, reason))
+            continue
         try:
             review_id = record["review_id"]
             sarcastic = record["sarcastic"]
@@ -259,13 +289,11 @@ def iter_labels(lines, errors):
                 reason = "review_id holds a lone surrogate"
             elif not isinstance(sarcastic, bool):
                 reason = "sarcastic must be a boolean"
-            elif not isinstance(annotator, str) or not annotator:
-                reason = "annotator must be a non-empty string"
-            elif not annotator.isascii() and _SURROGATE.search(annotator):
-                reason = "annotator holds a lone surrogate"
             else:
-                yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
-                continue
+                reason = _annotator_problem(annotator)
+                if reason is None:
+                    yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
+                    continue
         errors.append(ParseError(line_number, reason))
 
 
@@ -274,7 +302,17 @@ def write_labels(path, labels) -> None:
 
 
 def append_labels(path, labels) -> None:
-    """Append label votes to the labels file (the file is append-only)."""
+    """Append label votes to the labels file (the file is append-only).
+
+    A last line without its newline is ended first: a vote written onto
+    it would make that line one invalid record, losing both votes.
+    """
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
     _write_jsonl(path, "a", labels)
 
 

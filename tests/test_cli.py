@@ -792,6 +792,12 @@ class TestLabel:
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
+    def forbid_prompts(self, monkeypatch):
+        def no_prompt(prompt):
+            raise AssertionError("prompted")
+
+        monkeypatch.setattr("builtins.input", no_prompt)
+
     def test_votes_append_and_pending_shrinks(self, tmp_path, capsys, monkeypatch):
         reviews = tmp_path / "reviews.jsonl"
         labels = tmp_path / "labels.jsonl"
@@ -846,6 +852,59 @@ class TestLabel:
                    "--annotator", "dave")
         assert code == 0
         assert "3 reviews awaiting a vote from dave" in capsys.readouterr().out
+
+    def test_vote_after_an_unterminated_last_line_keeps_both(self, tmp_path, capsys,
+                                                            monkeypatch):
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        self.write_reviews(reviews)
+        labels.write_text('{"annotator": "a", "review_id": "a", "sarcastic": true}')
+
+        answers = iter(["y", "q"])
+        monkeypatch.setattr("builtins.input", lambda prompt: next(answers))
+        code = run("label", "--reviews", str(reviews), "--labels", str(labels),
+                   "--annotator", "b")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        errors = []
+        with sarcnet.corpus.open_jsonl(labels) as lines:
+            votes = list(sarcnet.corpus.iter_labels(lines, errors))
+        assert errors == []
+        assert votes == [SarcasmLabel("a", True, "a"), SarcasmLabel("a", True, "b")]
+
+    @pytest.mark.parametrize("annotator, reason", [
+        ("", "annotator must be a non-empty string"),
+        ("a\udcff", "annotator holds a lone surrogate"),  # the byte 0xff in argv
+    ])
+    def test_unreadable_annotator_is_refused_before_any_prompt(
+            self, tmp_path, capsys, monkeypatch, annotator, reason):
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        self.write_reviews(reviews)
+
+        self.forbid_prompts(monkeypatch)
+        code = run("label", "--reviews", str(reviews), "--labels", str(labels),
+                   "--annotator", annotator)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sarcnet: error: {reason}\n"
+        assert not labels.exists()
+
+    def test_unreadable_labels_file_is_data_error_before_any_prompt(
+            self, tmp_path, capsys, monkeypatch):
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "labels"
+        self.write_reviews(reviews)
+        labels.mkdir()
+
+        self.forbid_prompts(monkeypatch)
+        code = run("label", "--reviews", str(reviews), "--labels", str(labels),
+                   "--annotator", "erin")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sarcnet: data error: cannot read labels file: ")
 
 
 class TestSweep:

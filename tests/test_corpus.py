@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference_corpus
 from sarcnet.corpus import (
+    _VOTE_LINE,
     LabeledReview,
     ParseError,
     Review,
@@ -297,6 +298,12 @@ def label_line(review_id="r1", sarcastic=True, annotator="a", **extra):
                        "annotator": annotator, **extra})
 
 
+def vote_line(review_id="r1", sarcastic=True, annotator="a", ensure_ascii=True, end=""):
+    """A vote line in the writer's own form: sorted keys, default separators."""
+    return json.dumps({"review_id": review_id, "sarcastic": sarcastic, "annotator": annotator},
+                      ensure_ascii=ensure_ascii, sort_keys=True) + end
+
+
 # Characters at the edges of a line: JSON's own whitespace, the BOM, and
 # characters that str.strip() removes but JSON does not accept.
 EDGE_CHARS = " \t\r\n\ufeff\x0b\xa0\x85\u2028"
@@ -359,9 +366,24 @@ RECORD_LINES = st.builds(
     EDGE,
 )
 
+# Strings at the edges of _VOTE_LINE's character class: the quote and the
+# backslash, which the writer escapes; the controls just below and above
+# printable ASCII; a non-ASCII letter; and the empty string.
+VOTE_EDGE_STRINGS = ('"', "\\", "\x1f", "\x7f", "é", "")
+PRINTABLE_ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+                          min_size=1, max_size=8)
+VOTE_STRINGS = _pick(PRINTABLE_ASCII, PRINTABLE_ASCII, PRINTABLE_ASCII,
+                     st.sampled_from(VOTE_EDGE_STRINGS), FIELD_VALUES)
+
+# Votes in the writer's key order, most of them in the form _VOTE_LINE
+# takes; RECORD_LINES keeps each dictionary's own key order.
+VOTE_LINES = st.builds(vote_line, VOTE_STRINGS, _field(st.booleans()), VOTE_STRINGS,
+                       st.booleans(), _pick(st.just(""), st.just("\n"), EDGE))
+
 LINE = _pick(
     RECORD_LINES,
     RECORD_LINES,
+    VOTE_LINES,
     st.tuples(RECORD_LINES, st.integers(0, 40)).map(lambda t: t[0][:t[1]]),
     st.lists(st.sampled_from(JSON_FRAGMENTS), max_size=8).map("".join),
     st.text(st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8"), max_size=20),
@@ -382,6 +404,20 @@ def non_blank(lines):
     return sum(1 for line in lines if line.strip())
 
 
+def vote_edge_examples(test):
+    """Add one @example per VOTE_EDGE_STRINGS value, and one of CRLF-ended votes.
+
+    Each places the value in both string fields, between votes that
+    _VOTE_LINE takes, so that the line numbers of both paths interleave.
+    """
+    for value in VOTE_EDGE_STRINGS:
+        test = example([vote_line(), vote_line(annotator=value),
+                        vote_line(review_id=value, ensure_ascii=False),
+                        vote_line(review_id="r2", sarcastic=False)])(test)
+    return example([vote_line(end="\r\n"), vote_line(review_id="r2", end="\n"),
+                    vote_line(review_id="r3", annotator="b", end="\r\n")])(test)
+
+
 class TestMatchesReferenceParsers:
     """The parsers give the json.loads loops' records and errors."""
 
@@ -395,6 +431,7 @@ class TestMatchesReferenceParsers:
               r'{"review_id": "b", "stars": 1, "text": "\ud800"}',
               r'{"review_id": "r\udfff", "sarcastic": true, "annotator": "a"}',
               r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800x"}'])
+    @vote_edge_examples
     def test_reviews_and_labels(self, lines):
         assert parse_review_stream(lines) == reference_corpus.parse_review_stream(lines)
         assert parse_votes(lines) == reference_corpus.parse_label_stream(lines)
@@ -411,6 +448,7 @@ class TestMatchesReferenceParsers:
               " " + label_line(review_id="r4"),
               '{"review_id": "r5", "sarcastic": false, "annotator": "zoë"}\n',
               label_line(review_id="r6")])
+    @vote_edge_examples
     def test_file_lines(self, tmp_path_factory, lines):
         """The readers take each line of a file as the reference parsers do.
 
@@ -538,6 +576,11 @@ class TestRecordTypes:
         assert ParseError._fields == ("line_number", "reason")
 
 
+# The strings _VOTE_LINE takes: printable ASCII but the quote and the backslash.
+VOTE_LINE_STRINGS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                          exclude_characters='"\\'), min_size=1)
+
+
 class TestWriters:
     def test_review_bytes(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
@@ -557,3 +600,45 @@ class TestWriters:
             labels, errors = parse_votes(fh)
         assert errors == []
         assert labels == [SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")]
+
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(SarcasmLabel, VOTE_LINE_STRINGS, st.booleans(), VOTE_LINE_STRINGS),
+                    max_size=6),
+           st.integers(0, 6))
+    def test_every_vote_written_takes_the_fast_path(self, tmp_path_factory, votes, cut):
+        """A writer whose separators or key order drift fails here, not only in speed."""
+        path = tmp_path_factory.mktemp("votes") / "labels.jsonl"
+        write_labels(path, votes[:cut])
+        append_labels(path, votes[cut:])
+        with open_jsonl(path) as fh:
+            lines = fh.readlines()
+        assert len(lines) == len(votes)
+        assert all(_VOTE_LINE.fullmatch(line) for line in lines)
+        with open_jsonl(path) as fh:
+            assert parse_votes(fh) == (votes, [])
+
+    def test_minicorpus_votes_take_the_fast_path(self, minicorpus_dir):
+        with open_jsonl(minicorpus_dir / "labels.jsonl") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 2000
+        assert all(_VOTE_LINE.fullmatch(line) for line in lines)
+        # The edge examples of the differential tests are built on this line.
+        assert _VOTE_LINE.fullmatch(vote_line())
+
+    def test_append_ends_an_unterminated_last_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_bytes(b'{"annotator": "a", "review_id": "r1", "sarcastic": true}')
+        append_labels(path, [SarcasmLabel("r1", False, "b")])
+        append_labels(path, [SarcasmLabel("r2", True, "b")])
+        assert path.read_bytes() == (
+            b'{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
+            b'{"annotator": "b", "review_id": "r1", "sarcastic": false}\n'
+            b'{"annotator": "b", "review_id": "r2", "sarcastic": true}\n')
+
+    @pytest.mark.parametrize("content", [b"", b"\n", b"{}\r\n"])
+    def test_append_adds_no_newline_after_a_whole_line(self, tmp_path, content):
+        path = tmp_path / "labels.jsonl"
+        path.write_bytes(content)
+        append_labels(path, [SarcasmLabel("r1", True, "a")])
+        assert path.read_bytes() == \
+            content + b'{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
