@@ -38,7 +38,7 @@ from .corpus import (
     STAR_VALUES,
     SarcasmLabel,
     _UNDECODABLE,
-    _annotator_problem,
+    _string_problem,
     append_labels,
     derive_seed,
     iter_labels,
@@ -278,7 +278,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_label(args) -> int:
-    problem = _annotator_problem(args.annotator)
+    problem = _string_problem("annotator", args.annotator)
     if problem is not None:
         raise ValueError(problem)
     reviews = _load_reviews(args.reviews)
@@ -471,7 +471,7 @@ def cmd_sweep(args) -> int:
     results = lr_sweep(splits[stars_list[0]], train_config, mlp_config,
                        FeaturePipeline(lexicons))
     table = render_sweep_table(results)
-    if args.out:
+    if args.out is not None:
         with open(_prepare_out(args.out), "w", encoding="utf-8") as fh:
             for line in _provenance_lines(prov):
                 fh.write(f"# {line}\n")

@@ -20,17 +20,16 @@ surrogate escapes, so a line holding one is an ``invalid UTF-8`` error
 and the lines around it still parse. Each parser loops over its own
 lines and hands each one to ``_decode_line``, which gives the line's JSON
 value or the reason it has none, and leaves the field checks to the
-parser. An ASCII line goes straight to the C JSON scanner, and its value
-is taken when it starts at the line's first character and ends at the
-line's end or just before its newline. Every other line (not ASCII,
-which covers surrogate escapes and the BOM; leading whitespace or blank;
-trailing data; any scanner error) goes to the fallback in the same
-function, so every reason comes from one place: bad JSON, a value nested
-too deeply for the scanner, and trailing data are each one error for
-that line. A string field holding a lone
-surrogate (from a JSON ``\\u`` escape such as ``"\\udcff"``) cannot be
-written back as UTF-8, so it is one error for that line too. Both files
-are written through one serializer.
+parser. It strips the line's leading JSON whitespace, refuses a
+surrogate escape, and otherwise makes one call of the C JSON scanner, so
+every line takes the same path and every reason comes from one place:
+bad JSON, a value nested too deeply for the scanner, and trailing data
+are each one error for that line. Both parsers check an identifier field
+(``review_id``, and a vote's ``annotator``) with one rule,
+``_string_problem``: it must be a non-empty string. It may not hold a
+lone surrogate (from a JSON ``\\u`` escape such as ``"\\udcff"``), which
+cannot be written back as UTF-8, and neither may a review's text. Both
+files are written through one serializer.
 
 A vote line in the serializer's own form, with printable-ASCII fields,
 skips even the scanner: ``iter_labels`` takes it with one match of
@@ -106,11 +105,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 _JSON_WHITESPACE = " \t\n\r"
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-_decoder = json.JSONDecoder()
-_raw_decode = _decoder.raw_decode
-_scan_once = _decoder.scan_once
-# What may follow a value that the fast path takes: nothing, or the newline.
-_LINE_ENDS = ("", "\n")
+_scan_once = json.JSONDecoder().scan_once
 # A vote line as the writer gives it for printable-ASCII fields: sorted keys,
 # json.dumps' default separators, and no quote or backslash in a string, so
 # each string is its own JSON value. Such a line passes every vote check.
@@ -124,37 +119,32 @@ _new_tuple = tuple.__new__
 def _decode_line(line):
     """Decode one line as (record, reason).
 
+    The line loses its leading JSON whitespace and goes to one call of
+    the C scanner; only JSON whitespace may follow the value it decodes.
     record is the decoded JSON value and reason None, or record is None
     and reason says why the line is not one JSON value. A blank line
     gives None. The reasons are those of ``json.loads``, plus ``invalid
     UTF-8`` for a line holding a surrogate escape and one for a value
     nested too deeply to decode.
     """
-    # Fast path: an ASCII line whose one value runs up to its newline.
-    if line.isascii():
-        try:
-            record, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            pass
-        else:
-            if line[end:] in _LINE_ENDS:
-                return record, None
     # Trailing whitespace stays: it can be inside an unterminated string.
     text = line.lstrip(_JSON_WHITESPACE)
-    if not text or text.isspace():  # line.strip() would leave nothing
-        return None
     if not text.isascii() and _UNDECODABLE.search(text):
         return None, "invalid UTF-8"
     try:
-        record, end = _raw_decode(text)
-    except json.JSONDecodeError as exc:
-        reason = _BOM_MESSAGE if line.startswith("\ufeff") else exc.msg
+        record, end = _scan_once(text, 0)
+    except StopIteration:
+        if not text or text.isspace():  # line.strip() would leave nothing
+            return None
+        reason = _BOM_MESSAGE if line.startswith("\ufeff") else "Expecting value"
         return None, f"invalid JSON: {reason}"
+    except json.JSONDecodeError as exc:
+        return None, f"invalid JSON: {exc.msg}"
     except RecursionError:
         return None, "invalid JSON: nested too deeply"
     except ValueError as exc:
         return None, f"invalid JSON: {exc}"
-    if end != len(text) and text[end:].strip(_JSON_WHITESPACE):
+    if text[end:].strip(_JSON_WHITESPACE):
         return None, "invalid JSON: Extra data"
     return record, None
 
@@ -164,6 +154,15 @@ def _shape_problem(record, fields) -> str:
     if not isinstance(record, dict):
         return "record is not an object"
     return f"missing field: {', '.join(k for k in fields if k not in record)}"
+
+
+def _string_problem(field, value):
+    """Why value cannot be a record's identifier field, or None if it can."""
+    if not isinstance(value, str) or not value:
+        return f"{field} must be a non-empty string"
+    if not value.isascii() and _SURROGATE.search(value):
+        return f"{field} holds a lone surrogate"
+    return None
 
 
 def _coerce_stars(value):
@@ -204,22 +203,20 @@ def parse_review_stream(lines) -> tuple:
         except (KeyError, TypeError):
             reason = _shape_problem(record, ("review_id", "stars", "text"))
         else:
-            if not isinstance(review_id, str) or not review_id:
-                reason = "review_id must be a non-empty string"
-            elif not review_id.isascii() and _SURROGATE.search(review_id):
-                reason = "review_id holds a lone surrogate"
-            elif stars not in STAR_VALUES:
-                reason = "stars out of range"
-            elif not isinstance(text, str) or not text.strip():
-                reason = "empty text"
-            elif not text.isascii() and _SURROGATE.search(text):
-                reason = "text holds a lone surrogate"
-            elif review_id in seen_ids:
-                reason = f"duplicate review_id: {review_id}"
-            else:
-                seen_ids.add(review_id)
-                reviews.append(_new_tuple(Review, (review_id, stars, text)))
-                continue
+            reason = _string_problem("review_id", review_id)
+            if reason is None:
+                if stars not in STAR_VALUES:
+                    reason = "stars out of range"
+                elif not isinstance(text, str) or not text.strip():
+                    reason = "empty text"
+                elif not text.isascii() and _SURROGATE.search(text):
+                    reason = "text holds a lone surrogate"
+                elif review_id in seen_ids:
+                    reason = f"duplicate review_id: {review_id}"
+                else:
+                    seen_ids.add(review_id)
+                    reviews.append(_new_tuple(Review, (review_id, stars, text)))
+                    continue
         errors.append(ParseError(line_number, reason))
     return reviews, errors
 
@@ -243,15 +240,6 @@ def _write_jsonl(path, mode: str, records) -> None:
 
 def write_reviews(path, reviews) -> None:
     _write_jsonl(path, "w", reviews)
-
-
-def _annotator_problem(annotator):
-    """Why annotator cannot name a vote's annotator, or None if it can."""
-    if not isinstance(annotator, str) or not annotator:
-        return "annotator must be a non-empty string"
-    if not annotator.isascii() and _SURROGATE.search(annotator):
-        return "annotator holds a lone surrogate"
-    return None
 
 
 def iter_labels(lines, errors):
@@ -283,17 +271,12 @@ def iter_labels(lines, errors):
         except (KeyError, TypeError):
             reason = _shape_problem(record, ("review_id", "sarcastic", "annotator"))
         else:
-            if not isinstance(review_id, str) or not review_id:
-                reason = "review_id must be a non-empty string"
-            elif not review_id.isascii() and _SURROGATE.search(review_id):
-                reason = "review_id holds a lone surrogate"
-            elif not isinstance(sarcastic, bool):
-                reason = "sarcastic must be a boolean"
-            else:
-                reason = _annotator_problem(annotator)
-                if reason is None:
-                    yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
-                    continue
+            reason = (_string_problem("review_id", review_id)
+                      or (None if isinstance(sarcastic, bool) else "sarcastic must be a boolean")
+                      or _string_problem("annotator", annotator))
+            if reason is None:
+                yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
+                continue
         errors.append(ParseError(line_number, reason))
 
 

@@ -190,7 +190,7 @@ def _is_elongated(surface: str) -> bool:
     return False
 
 
-def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
+def _token_hits(token: str, words: dict) -> tuple:
     """Indices of the counts one token adds 1 to; N_FEATURES is the word count.
 
     A word counts toward f1 when it is laughter or an interjection, toward
@@ -211,8 +211,8 @@ def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
         return (9,)  # f10
     lower = token.lower()
     hits = words.get(lower, _WORD)
-    if "haha" in lower and lower not in lex.interjections and _LAUGHTER.fullmatch(lower):
-        hits += (0,)  # f1: laughter
+    if "haha" in lower and 0 not in hits and _LAUGHTER.fullmatch(lower):
+        hits += (0,)  # f1: laughter; an interjection has index 0 already
     if token.isupper() and len(token) >= 2 and token.isalpha():
         hits += (11,)  # f12
     if _TRIPLE.search(token) and _is_elongated(token):
@@ -220,12 +220,12 @@ def _token_hits(token: str, lex: Lexicons, words: dict) -> tuple:
     return hits
 
 
-def _hits(text: str, lex: Lexicons, words: dict) -> bytes:
+def _hits(text: str, words: dict) -> bytes:
     """The ``_token_hits`` of every token of ``text``, one byte per index."""
-    return bytes(chain.from_iterable([_token_hits(token, lex, words) for token in tokenize(text)]))
+    return bytes(chain.from_iterable([_token_hits(token, words) for token in tokenize(text)]))
 
 
-def _classify_misses(chunks: list, hits: list, lex: Lexicons, words: dict, table: dict) -> bytes:
+def _classify_misses(chunks: list, hits: list, words: dict, table: dict) -> bytes:
     """Join ``hits`` after filling in the chunks the table lacks (None there).
 
     While the table has room, a missing chunk of at most _TABLE_MAX_TOKEN
@@ -236,10 +236,10 @@ def _classify_misses(chunks: list, hits: list, lex: Lexicons, words: dict, table
     for i, chunk in enumerate(chunks):
         if hits[i] is None:
             if len(table) < _TABLE_ENTRIES and len(chunk) <= _TABLE_MAX_TOKEN:
-                hits[i] = table[chunk] = _hits(chunk, lex, words)
+                hits[i] = table[chunk] = _hits(chunk, words)
             else:
                 unstored.append(chunk)
-    return b"".join(filter(None, hits)) + _hits(" ".join(unstored), lex, words)
+    return b"".join(filter(None, hits)) + _hits(" ".join(unstored), words)
 
 
 def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
@@ -249,14 +249,13 @@ def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts
     in the lexicon set's chunk table (and computed only on a miss), and
     each count is the number of times its index occurs in their join.
     """
-    lex = lexicons if lexicons is not None else default_lexicons()
-    words, table = _tables(lex)
+    words, table = _tables(lexicons if lexicons is not None else default_lexicons())
     chunks = text.split()
     hits = list(map(table.get, chunks))
     try:
         joined = b"".join(hits)
     except TypeError:  # a chunk the table lacks
-        joined = _classify_misses(chunks, hits, lex, words, table)
+        joined = _classify_misses(chunks, hits, words, table)
     c = list(map(joined.count, range(N_FEATURES + 1)))
     c[5] = 1 if c[3] > 0 and c[4] > 0 else 0
     return FeatureCounts._make(c)

@@ -9,7 +9,7 @@ files is carried into output artifacts for provenance tracking.
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,18 +18,6 @@ from .errors import DataError
 ENV_LEXICON_DIR = "SARCNET_LEXICONS"
 
 DEFAULT_LEXICON_DIR = Path(__file__).parent / "data"
-
-# dataclass field name -> file name
-LEXICON_FILES = {
-    "interjections": "interjections.txt",
-    "invocations": "invocations.txt",
-    "intensifiers": "intensifiers.txt",
-    "positive_words": "positive_words.txt",
-    "negative_words": "negative_words.txt",
-    "second_person": "second_person.txt",
-    "first_person_plural": "first_person_plural.txt",
-}
-
 
 @dataclass(frozen=True, eq=False)
 class Lexicons:
@@ -76,13 +64,16 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
         raise DataError(f"lexicon directory not found: {base}")
     sets = {}
     digest = hashlib.sha256()
-    for field_name in sorted(LEXICON_FILES):
-        path = base / LEXICON_FILES[field_name]
+    # Each word set is read from <field name>.txt; the digest hashes the
+    # files in sorted field order.
+    for field_name in sorted(f.name for f in fields(Lexicons) if f.name != "digest"):
+        file_name = f"{field_name}.txt"
+        path = base / file_name
         try:
             raw = path.read_bytes()
         except OSError as exc:
             raise DataError(f"missing lexicon file: {path}") from exc
-        digest.update(LEXICON_FILES[field_name].encode("utf-8"))
+        digest.update(file_name.encode("utf-8"))
         digest.update(b"\x00")
         digest.update(raw)
         digest.update(b"\x00")

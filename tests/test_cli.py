@@ -941,3 +941,17 @@ class TestSweep:
                        "--seed", "3", "--lr-grid", "0.001,0.01", "--out", str(out))
             assert code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_empty_out_path_is_data_error(self, corpus, tmp_path, monkeypatch, capsys):
+        """``--out ""`` names no file: exit 2 as ingest and extract do, not a silent skip."""
+        monkeypatch.chdir(tmp_path)
+        code = run("sweep", "--reviews", corpus["reviews"],
+                   "--labels", corpus["labels"], "--stars", "3",
+                   "--train-size", "40", "--test-size", "10",
+                   "--stages", "main", "--epochs", "2", "--batch-size", "10",
+                   "--seed", "3", "--lr-grid", "0.001", "--out", "")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sarcnet: data error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
