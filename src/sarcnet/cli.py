@@ -9,9 +9,10 @@ Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, insufficient pools), 3 runtime failure (training divergence).
 
 Output artifacts carry a reproducibility stanza: tool version, base
-seed, a digest of the effective configuration, the lexicon digest, and
-digests of the input corpus files. Nothing time- or path-dependent goes
-into an artifact, so rerunning a command with the same inputs and seed
+seed (except the feature dump, which draws no random number), a digest
+of the effective configuration, the lexicon digest, and digests of the
+input corpus files. Nothing time- or path-dependent goes into an
+artifact, so rerunning a command with the same inputs and seed
 reproduces it byte for byte.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
@@ -201,9 +202,10 @@ def _provenance(seed, config: dict, lexicons, corpus_files: dict) -> dict:
 
 
 def _provenance_lines(prov: dict) -> list:
-    lines = [f"tool: {prov['tool']} {prov['version']}", f"seed: {prov['seed']}",
-             f"config_digest: {prov['config_digest']}",
-             f"lexicon_digest: {prov['lexicon_digest']}"]
+    """The '#' stanza of prov; a seed of None (extract's) has no line."""
+    lines = [f"tool: {prov['tool']} {prov['version']}"]
+    lines += [f"{key}: {prov[key]}" for key in ("seed", "config_digest", "lexicon_digest")
+              if prov[key] is not None]
     lines += [f"{name}_digest: {digest}"
               for name, digest in sorted(prov["corpus_digests"].items())]
     return lines
@@ -286,9 +288,10 @@ def cmd_label(args) -> int:
         voted = _consume_labels(args.labels, lambda votes: {
             label.review_id for label in votes if label.annotator == args.annotator})
     except DataError as exc:
-        # No labels file yet: the first vote creates it.
+        # No labels file yet: the first vote creates it, in a directory made now.
         if not isinstance(exc.__cause__, FileNotFoundError):
             raise
+        _prepare_out(args.labels)
         voted = set()
     pending = [r for r in reviews if r.review_id not in voted]
     print(f"{len(pending)} reviews awaiting a vote from {args.annotator}")
@@ -331,7 +334,7 @@ def cmd_extract(args) -> int:
     lexicons = load_lexicons()
     pipeline = FeaturePipeline(lexicons)
     config = {"command": "extract", "stars": stars_list}
-    prov = _provenance(args.seed, config, lexicons, corpus_files)
+    prov = _provenance(None, config, lexicons, corpus_files)
 
     def rows():
         for review in reviews:
@@ -534,7 +537,6 @@ def build_parser() -> CliParser:
     _add_corpus_flags(p, labels_required=False)
     p.add_argument("--stars", default="all",
                    help="star rating, comma list, or 'all' (default all)")
-    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out", default="features.csv", help="feature dump path")
     p.set_defaults(func=cmd_extract)
 

@@ -282,44 +282,35 @@ class ClassMetrics:
 @dataclass(frozen=True)
 class EvalResult:
     cm: ConfusionMatrix
+    # Always 0, read only by report.json's "excluded" key and perfbench's _count_excluded
     excluded: int = 0
 
 
 def _test_vectors(test: list, pipeline: FeaturePipeline) -> tuple:
-    """(vectors, classes, excluded) of the test reviews whose extraction succeeds."""
-    vectors = []
-    classes = []
-    for lr in test:
-        try:
-            vectors.append(pipeline.vector(lr.review.text))
-        except DataError:
-            continue
-        classes.append(1 if lr.sarcastic else 0)
-    xs = np.array(vectors, dtype=float).reshape(len(vectors), INPUT_DIM)
-    return xs, np.array(classes, dtype=int), len(test) - len(vectors)
+    """(vectors, classes) of the test reviews."""
+    xs = np.array([pipeline.vector(lr.review.text) for lr in test], dtype=float)
+    return (xs.reshape(len(test), INPUT_DIM),
+            np.array([1 if lr.sarcastic else 0 for lr in test], dtype=int))
 
 
-def _tally(model: MlpModel, xs: np.ndarray, actual: np.ndarray,
-           excluded: int) -> EvalResult:
+def _tally(model: MlpModel, xs: np.ndarray, actual: np.ndarray) -> ConfusionMatrix:
     predicted = predicted_classes(forward(model, xs).p)
 
     def count(p, a):
         return int(np.sum((predicted == p) & (actual == a)))
 
-    return EvalResult(ConfusionMatrix(tp=count(1, 1), fp=count(1, 0),
-                                      fn=count(0, 1), tn=count(0, 0)), excluded)
+    return ConfusionMatrix(tp=count(1, 1), fp=count(1, 0), fn=count(0, 1), tn=count(0, 0))
 
 
 def evaluate(model: MlpModel, test: list,
              pipeline: FeaturePipeline | None = None) -> EvalResult:
     """Tally a confusion matrix over labeled test reviews (sarcastic = positive).
 
-    A review whose feature extraction raises DataError is excluded and
-    counted, not fatal; any other error propagates. The model is never
+    Every error of the feature pipeline propagates. The model is never
     mutated.
     """
     pipe = pipeline if pipeline is not None else FeaturePipeline()
-    return _tally(model, *_test_vectors(test, pipe))
+    return EvalResult(_tally(model, *_test_vectors(test, pipe)))
 
 
 def _ratio(num: float, den: float) -> float:
@@ -376,7 +367,7 @@ def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
     results = []
     for lr in config.lr_grid:
         model, _ = train_on_vectors(staged, replace(config, lr=lr), mlp_config)
-        metrics = prf1(_tally(model, *test).cm)
+        metrics = prf1(_tally(model, *test))
         results.append(SweepResult(
             lr=lr,
             accuracy=metrics.accuracy,

@@ -423,7 +423,7 @@ class TestGoldenDigests:
         "split-3.json": "c01461510bcd0192d1f47389092af515e6b5a640dbeeb41f661775a4db6a625c",
         "split-4.json": "b4d402842d9fffa9f5ee37db2c8148da83dbb480e0ac489ee0d918470ba9072e",
         "split-5.json": "d054f30e5107ab4733afd7f967da0dcf35a98baa8d184ad1c8768ed16e008042",
-        "features.csv": "00a053204ec4ed51af12b6806af1c23ea0969abe2671e8b9b8816ad9c4365321",
+        "features.csv": "cdf96309be38b73673371a0ba629d8a4f4d1a00283921865a5e14d5e886821d8",
     }
 
     # predict's stdout for model-3.json over the mini-corpus texts, two in

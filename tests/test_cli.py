@@ -505,6 +505,14 @@ class TestExtract:
                      if l and not l.startswith("#")][1:]
         assert len(data_rows) == 500
 
+    def test_stanza_has_no_seed(self, corpus, tmp_path, capsys):
+        out = tmp_path / "features.csv"
+        assert run("extract", "--reviews", corpus["reviews"], "--seed", "1",
+                   "--out", str(out)) == 1
+        assert run("extract", "--reviews", corpus["reviews"], "--out", str(out)) == 0
+        stanza = [l.split(":")[0] for l in out.read_text().splitlines() if l.startswith("#")]
+        assert stanza == ["# tool", "# config_digest", "# lexicon_digest", "# reviews_digest"]
+
     def test_star_subset(self, corpus, tmp_path, capsys):
         out = tmp_path / "features-2.csv"
         assert run("extract", "--reviews", corpus["reviews"], "--stars", "2",
@@ -648,6 +656,16 @@ class TestStageFeasibility:
         code = run("sweep", *skewed, "--stars", "2")
         assert code == 2
         assert "2-star stage 1 (sarcastic_only) needs 20" in capsys.readouterr().err
+
+    def test_default_stages_are_short_on_the_minicorpus(self, corpus, tmp_path, capsys):
+        code = run("train", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "1", "--train-size", "70", "--test-size", "30",
+                   "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "h.jsonl"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "sarcnet: data error: 1-star stage 1 (sarcastic_only) needs 500 sarcastic "
+            "reviews, the train side has 39\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:
@@ -823,6 +841,20 @@ class TestLabel:
         out = capsys.readouterr().out
         assert "1 reviews awaiting" in out
         assert "recorded 0 labels" in out
+
+    def test_labels_file_in_a_new_directory(self, tmp_path, capsys, monkeypatch):
+        reviews = tmp_path / "reviews.jsonl"
+        labels = tmp_path / "new" / "dir" / "labels.jsonl"
+        self.write_reviews(reviews)
+
+        answers = iter(["y", "q"])
+        monkeypatch.setattr("builtins.input", lambda prompt: next(answers))
+        code = run("label", "--reviews", str(reviews), "--labels", str(labels),
+                   "--annotator", "fay")
+        assert code == 0
+        assert "recorded 1 labels" in capsys.readouterr().out
+        assert labels.read_text() == \
+            '{"annotator": "fay", "review_id": "a", "sarcastic": true}\n'
 
     def test_eof_quits_cleanly(self, tmp_path, capsys, monkeypatch):
         reviews = tmp_path / "reviews.jsonl"

@@ -79,7 +79,7 @@ _TRAIN_FLAGS = ["--hidden", "--epochs", "--batch-size", "--keep-prob", "--stages
 FLAGS = {
     "ingest": _SPLIT_FLAGS + ["--out"],
     "label": ["--reviews", "--labels", "--annotator"],
-    "extract": ["--reviews", "--labels", "--stars", "--seed", "--out"],
+    "extract": ["--reviews", "--labels", "--stars", "--out"],
     "train": _SPLIT_FLAGS + _TRAIN_FLAGS + ["--lr", "--model", "--out"],
     "eval": _SPLIT_FLAGS + ["--model", "--out"],
     "predict": ["--model"],

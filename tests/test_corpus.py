@@ -453,7 +453,7 @@ class TestMatchesReferenceParsers:
         """The readers take each line of a file as the reference parsers do.
 
         A file's lines carry their newline (CRLF read as LF), which the
-        scanner's fast path looks for, and its last line may have none.
+        ``_VOTE_LINE`` match allows for, and its last line may have none.
         """
         path = tmp_path_factory.mktemp("lines") / "corpus.jsonl"
         # A lone surrogate cannot be written as UTF-8; its \\u escape stands

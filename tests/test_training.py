@@ -434,39 +434,16 @@ class TestEvaluate:
         test = [LabeledReview(Review(f"r{i}", 1, "so?!"), i < 4) for i in range(6)]
         assert evaluate(tied, test).cm == ConfusionMatrix(tp=0, fp=0, fn=4, tn=2)
 
-    def test_pipeline_failure_excludes_review(self):
-        class FlakyPipeline(FeaturePipeline):
-            def vector(self, text):
-                if "poison" in text:
-                    raise DataError("boom")
-                return super().vector(text)
-
-        test = [
-            LabeledReview(Review("r1", 1, "fine"), False),
-            LabeledReview(Review("r2", 1, "poison text"), True),
-            LabeledReview(Review("r3", 1, "ok"), False),
-        ]
-        outcome = evaluate(constant_classifier(0), test, FlakyPipeline())
-        assert outcome.excluded == 1
-        assert outcome.cm.total + outcome.excluded == len(test)
-
     def test_pipeline_bug_propagates(self):
-        class BuggyPipeline(FeaturePipeline):
-            def vector(self, text):
-                raise RuntimeError("bug")
-
+        """Every error of the pipeline propagates, a DataError too."""
         test = [LabeledReview(Review("r1", 1, "fine"), False)]
-        with pytest.raises(RuntimeError, match="bug"):
-            evaluate(constant_classifier(0), test, BuggyPipeline())
+        for error in (RuntimeError("bug"), DataError("unreadable")):
+            class FailingPipeline(FeaturePipeline):
+                def vector(self, text):
+                    raise error
 
-    def test_all_reviews_excluded(self):
-        class FailingPipeline(FeaturePipeline):
-            def vector(self, text):
-                raise DataError("unreadable")
-
-        test = [LabeledReview(Review(f"r{i}", 1, "x"), True) for i in range(3)]
-        outcome = evaluate(constant_classifier(1), test, FailingPipeline())
-        assert outcome == training.EvalResult(ConfusionMatrix(), excluded=3)
+            with pytest.raises(type(error), match=str(error)):
+                evaluate(constant_classifier(0), test, FailingPipeline())
 
 
 class TestMetrics:
