@@ -53,7 +53,7 @@ def main() -> None:
     results = lr_sweep(split, config, mlp_config)
     print(f"learning-rate sweep, {STARS}-star reviews, 70/30 split:\n")
     print(render_sweep_table(results), end="")
-    print(f"\nbest by test accuracy: lr={results[0].lr:g}")
+    print(f"\nbest by test accuracy: lr={results[0][0]:g}")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ _MODULE_EXPORTS = {
     "text": ("tokenize",),
     "training": (
         "ClassMetrics", "ConfusionMatrix", "EvalResult", "HistoryRecord", "Main",
-        "NonSarcasticDominated", "SarcasticOnly", "SweepResult", "TrainConfig",
+        "NonSarcasticDominated", "SarcasticOnly", "TrainConfig",
         "evaluate", "f1_score", "lr_sweep", "macro_average", "prf1",
         "render_metrics_table", "render_sweep_table", "report_to_dict", "train",
         "train_on_vectors", "write_history", "write_report",

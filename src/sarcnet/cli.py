@@ -177,6 +177,9 @@ def _prepare_out(path: str) -> str:
 
 
 def _file_digest(path) -> str:
+    """sha256 of a corpus file; a pipe, already drained by the parser, is refused."""
+    if not Path(path).is_file():
+        raise DataError(f"{path} is not a regular file, so its digest cannot be taken")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -438,7 +441,7 @@ def _predict_input(path):
             sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return nullcontext(sys.stdin), "<stdin>"
     try:
-        return open(path, encoding="utf-8", errors="surrogateescape"), path
+        return open_jsonl(path), path
     except OSError as exc:
         raise DataError(f"cannot read input file: {exc}") from exc
 

@@ -4,10 +4,12 @@ The generator writes 100 reviews per star rating (50 sarcastic, 50 not,
 shuffled within each star) plus four annotators' votes. Sarcastic texts
 are built from templates carrying the markers the feature catalog looks
 for: interjection or invocation openers, heavy punctuation, elongated
-and all-caps words, person references. Non-sarcastic texts are plain
-descriptive sentences. One annotator dissents on a random 15% of
-reviews, so vote resolution is exercised, but the majority always equals
-the generating truth.
+words, person references. No review holds an all-caps word: two
+templates spell one in capitals, but ``str.capitalize`` lowercases the
+whole body, so the all-caps feature (f12) is 0 on every generated
+review. Non-sarcastic texts are plain descriptive sentences. One
+annotator dissents on a random 15% of reviews, so vote resolution is
+exercised, but the majority always equals the generating truth.
 
 Everything is driven by one fixed seed, so the committed corpus under
 ``data/minicorpus/`` can be regenerated byte-for-byte:

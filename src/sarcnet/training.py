@@ -343,23 +343,14 @@ def macro_average(per_star: list) -> tuple:
     return p, r, f1
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    lr: float
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-
 def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
              pipeline: FeaturePipeline | None = None) -> list:
     """Train and evaluate once per grid learning rate, identical seeds.
 
     Stage selection does not depend on the learning rate, so the staged
     and test vectors are built once and shared by every grid point.
-    Results are ranked best first: highest test accuracy, ties to the
-    lower learning rate.
+    Returns (lr, ClassMetrics) pairs ranked best first: highest test
+    accuracy, ties to the lower learning rate.
     """
     pipe = pipeline if pipeline is not None else FeaturePipeline()
     staged = _staged_vectors(split, config, pipe)
@@ -367,15 +358,8 @@ def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
     results = []
     for lr in config.lr_grid:
         model, _ = train_on_vectors(staged, replace(config, lr=lr), mlp_config)
-        metrics = prf1(_tally(model, *test))
-        results.append(SweepResult(
-            lr=lr,
-            accuracy=metrics.accuracy,
-            precision=metrics.precision,
-            recall=metrics.recall,
-            f1=metrics.f1,
-        ))
-    return sorted(results, key=lambda r: (-r.accuracy, r.lr))
+        results.append((lr, prf1(_tally(model, *test))))
+    return sorted(results, key=lambda pair: (-pair[1].accuracy, pair[0]))
 
 
 def render_metrics_table(reports: dict) -> str:
@@ -383,23 +367,21 @@ def render_metrics_table(reports: dict) -> str:
 
     Rows are Precision/Recall/F1 plus an accuracy line; columns are the
     star ratings present in ``reports`` (a dict of stars -> EvalResult).
-    When all five stars are present, a macro-average line is appended.
+    Stars are 1-5 and every metric is a ratio in [0, 1], so the label
+    column is 9 wide and each star column 6. When all five stars are
+    present, a macro-average line is appended.
     """
     stars = sorted(reports)
     metrics = [prf1(reports[s].cm) for s in stars]
-    header = ["Metric"] + [f"{s}-star" for s in stars]
     rows = [
+        ["Metric"] + [f"{s}-star" for s in stars],
         ["Precision"] + [f"{m.precision:.2f}" for m in metrics],
         ["Recall"] + [f"{m.recall:.2f}" for m in metrics],
         ["F1"] + [f"{m.f1:.2f}" for m in metrics],
         ["Accuracy"] + [f"{m.accuracy:.2f}" for m in metrics],
     ]
-    widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
-    lines = []
-    for row in [header] + rows:
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
-        lines.append("  ".join(cells).rstrip())
+    lines = [(f"{label:<9}" + "".join(f"  {cell:>6}" for cell in cells)).rstrip()
+             for label, *cells in rows]
     if len(stars) == 5:
         p, r, f1 = macro_average(metrics)
         lines.append("")
@@ -410,10 +392,10 @@ def render_metrics_table(reports: dict) -> str:
 def render_sweep_table(results: list) -> str:
     header = f"{'lr':>10}  {'accuracy':>8}  {'precision':>9}  {'recall':>6}  {'f1':>6}"
     lines = [header]
-    for r in results:
+    for lr, m in results:
         lines.append(
-            f"{r.lr:>10.6g}  {r.accuracy:>8.4f}  {r.precision:>9.4f}  "
-            f"{r.recall:>6.4f}  {r.f1:>6.4f}")
+            f"{lr:>10.6g}  {m.accuracy:>8.4f}  {m.precision:>9.4f}  "
+            f"{m.recall:>6.4f}  {m.f1:>6.4f}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,13 +1,16 @@
 """CLI behavior: subcommands, exit codes, artifacts, determinism.
 
-All tests drive ``sarcnet.cli.main`` in-process so coverage and
-monkeypatching work; nothing shells out.
+The tests drive ``sarcnet.cli.main`` in-process so coverage and
+monkeypatching work. Only the two that need a real stdin, a pipe or a
+redirected file, run the CLI in a fresh interpreter.
 """
 
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -29,6 +32,14 @@ def run(*argv):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_process(argv, **stdin):
+    """The CLI in a fresh interpreter; stdin is run's input= or stdin= argument."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sarcnet.cli", *argv], **stdin,
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 FAST_TRAIN = [
@@ -512,6 +523,24 @@ class TestExtract:
         assert run("extract", "--reviews", corpus["reviews"], "--out", str(out)) == 0
         stanza = [l.split(":")[0] for l in out.read_text().splitlines() if l.startswith("#")]
         assert stanza == ["# tool", "# config_digest", "# lexicon_digest", "# reviews_digest"]
+
+    def test_piped_reviews_are_refused(self, corpus, tmp_path):
+        # The parser drains the pipe, so reopening it to digest reads nothing.
+        out = tmp_path / "features.csv"
+        done = run_process(["extract", "--reviews", "/dev/stdin", "--stars", "1",
+                            "--out", str(out)], input=Path(corpus["reviews"]).read_bytes())
+        assert done.returncode == 2
+        assert b"/dev/stdin is not a regular file" in done.stderr
+        assert not out.exists()
+
+    def test_redirected_reviews_record_their_digest(self, corpus, tmp_path):
+        out = tmp_path / "features.csv"
+        with open(corpus["reviews"], "rb") as fh:
+            done = run_process(["extract", "--reviews", "/dev/stdin", "--stars", "1",
+                                "--out", str(out)], stdin=fh)
+        assert done.returncode == 0
+        digest = sha(Path(corpus["reviews"]))
+        assert f"# reviews_digest: {digest}" in out.read_text().splitlines()
 
     def test_star_subset(self, corpus, tmp_path, capsys):
         out = tmp_path / "features-2.csv"
