@@ -30,8 +30,8 @@ _MODULE_EXPORTS = {
     ),
     "errors": ("DataError", "SarcnetError", "TrainingDivergence"),
     "features": (
-        "FeatureCategory", "FeatureCounts", "FeatureDescriptor", "FeatureKind",
-        "FeaturePipeline", "catalog", "extract_counts", "feature_names", "normalize",
+        "FeatureCounts", "FeatureDescriptor", "FeatureKind", "FeaturePipeline",
+        "catalog", "extract_counts", "feature_names", "normalize",
     ),
     "lexicons": ("Lexicons", "default_lexicons", "load_lexicons"),
     "network": (

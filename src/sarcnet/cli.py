@@ -38,6 +38,7 @@ from . import __version__
 from .corpus import (
     STAR_VALUES,
     SarcasmLabel,
+    _DECODING,
     _UNDECODABLE,
     _string_problem,
     append_labels,
@@ -438,7 +439,7 @@ def _predict_input(path):
     """The predict input, as a context manager over its lines, and its name."""
     if path is None:
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+            sys.stdin.reconfigure(**_DECODING)
         return nullcontext(sys.stdin), "<stdin>"
     try:
         return open_jsonl(path), path

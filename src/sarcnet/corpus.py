@@ -96,8 +96,10 @@ class DatasetSplit:
 
 STAR_VALUES = (1, 2, 3, 4, 5)
 
-# Input text is decoded with undecodable bytes kept as these surrogate
-# escapes, so one bad line is found and skipped without costing the others.
+# Input text, from a file or standard input, is decoded with these options:
+# undecodable bytes are kept as the surrogate escapes _UNDECODABLE finds,
+# so one bad line is found and skipped without costing the others.
+_DECODING = {"encoding": "utf-8", "errors": "surrogateescape"}
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 # A JSON \u escape can decode to any lone surrogate. Only a non-ASCII
 # value can hold one, and str.isascii is O(1), so the validators ask it first.
@@ -223,7 +225,7 @@ def parse_review_stream(lines) -> tuple:
 
 def open_jsonl(path):
     """Open a corpus file for reading, undecodable bytes kept as surrogate escapes."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return open(path, **_DECODING)
 
 
 def read_reviews(path) -> tuple:

@@ -1,6 +1,6 @@
 """The 15-feature sarcasm catalog: counting and normalization.
 
-Features fall into four categories. Keyword features count lexicon hits
+Features fall into four groups. Keyword features count lexicon hits
 (interjections, invocations, intensifiers, sentiment words) plus a
 sentiment-contrast flag. Punctuation features classify punctuation-run
 and ellipsis tokens. Orthographic features catch shouted (all-caps) and
@@ -40,13 +40,6 @@ from .text import tokenize
 N_FEATURES = 15
 
 
-class FeatureCategory(enum.Enum):
-    KEYWORD = "Keyword"
-    PUNCTUATION = "Punctuation"
-    ORTHOGRAPHIC = "Orthographic"
-    PERSON_REFERENCE = "PersonReference"
-
-
 class FeatureKind(enum.Enum):
     RATE = "rate"
     FLAG = "flag"
@@ -56,41 +49,40 @@ class FeatureKind(enum.Enum):
 class FeatureDescriptor:
     id: str
     name: str
-    category: FeatureCategory
     kind: FeatureKind
     definition: str
 
 
 _CATALOG = (
-    FeatureDescriptor("f1", "interjection_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
+    FeatureDescriptor("f1", "interjection_rate", FeatureKind.RATE,
                       "laughter forms (haha, hahah, ...) and words in the interjection lexicon"),
-    FeatureDescriptor("f2", "invocation_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
+    FeatureDescriptor("f2", "invocation_rate", FeatureKind.RATE,
                       "words in the invocation lexicon (god, gosh, ...)"),
-    FeatureDescriptor("f3", "intensifier_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
+    FeatureDescriptor("f3", "intensifier_rate", FeatureKind.RATE,
                       "words in the intensifier lexicon (so, really, ...)"),
-    FeatureDescriptor("f4", "positive_word_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
+    FeatureDescriptor("f4", "positive_word_rate", FeatureKind.RATE,
                       "words in the positive-sentiment lexicon"),
-    FeatureDescriptor("f5", "negative_word_rate", FeatureCategory.KEYWORD, FeatureKind.RATE,
+    FeatureDescriptor("f5", "negative_word_rate", FeatureKind.RATE,
                       "words in the negative-sentiment lexicon"),
-    FeatureDescriptor("f6", "sentiment_contrast", FeatureCategory.KEYWORD, FeatureKind.FLAG,
+    FeatureDescriptor("f6", "sentiment_contrast", FeatureKind.FLAG,
                       "1 when the review has both a positive and a negative word"),
-    FeatureDescriptor("f7", "multi_exclamation_rate", FeatureCategory.PUNCTUATION, FeatureKind.RATE,
+    FeatureDescriptor("f7", "multi_exclamation_rate", FeatureKind.RATE,
                       "punctuation runs of two or more '!'"),
-    FeatureDescriptor("f8", "multi_question_rate", FeatureCategory.PUNCTUATION, FeatureKind.RATE,
+    FeatureDescriptor("f8", "multi_question_rate", FeatureKind.RATE,
                       "punctuation runs of two or more '?'"),
-    FeatureDescriptor("f9", "mixed_run_rate", FeatureCategory.PUNCTUATION, FeatureKind.RATE,
+    FeatureDescriptor("f9", "mixed_run_rate", FeatureKind.RATE,
                       "punctuation runs containing both '!' and '?'"),
-    FeatureDescriptor("f10", "ellipsis_rate", FeatureCategory.PUNCTUATION, FeatureKind.RATE,
+    FeatureDescriptor("f10", "ellipsis_rate", FeatureKind.RATE,
                       "ellipsis tokens ('...' or the one-character form)"),
-    FeatureDescriptor("f11", "single_exclamation_rate", FeatureCategory.PUNCTUATION, FeatureKind.RATE,
+    FeatureDescriptor("f11", "single_exclamation_rate", FeatureKind.RATE,
                       "punctuation runs that are exactly one '!'"),
-    FeatureDescriptor("f12", "all_caps_rate", FeatureCategory.ORTHOGRAPHIC, FeatureKind.RATE,
+    FeatureDescriptor("f12", "all_caps_rate", FeatureKind.RATE,
                       "words of length >= 2 made entirely of uppercase letters"),
-    FeatureDescriptor("f13", "elongated_rate", FeatureCategory.ORTHOGRAPHIC, FeatureKind.RATE,
+    FeatureDescriptor("f13", "elongated_rate", FeatureKind.RATE,
                       "words with three or more identical consecutive letters"),
-    FeatureDescriptor("f14", "second_person_rate", FeatureCategory.PERSON_REFERENCE, FeatureKind.RATE,
+    FeatureDescriptor("f14", "second_person_rate", FeatureKind.RATE,
                       "second-person pronouns (you, your, yours, u)"),
-    FeatureDescriptor("f15", "first_person_plural_rate", FeatureCategory.PERSON_REFERENCE, FeatureKind.RATE,
+    FeatureDescriptor("f15", "first_person_plural_rate", FeatureKind.RATE,
                       "first-person-plural pronouns (we, us, our, ours)"),
 )
 

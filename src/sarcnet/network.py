@@ -39,6 +39,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# The largest parameter magnitude a model may hold. Inputs lie in [0, 1] and
+# there are at most 2 hidden layers of at most 15 units, so with every
+# parameter within L every logit stays within 15L(15L*16L + L) + L, about
+# 3.6e303: finite, and so is the max-shifted softmax.
+PARAM_LIMIT = 1e100
+
 MODEL_FORMAT = "sarcnet-model"
 MODEL_VERSION = 1
 
@@ -400,6 +406,7 @@ def load_model(path) -> MlpModel:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed layer {l}: {exc}") from exc
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise DataError(f"layer {l} contains non-finite parameters")
+        if not (np.all(np.abs(w) <= PARAM_LIMIT) and np.all(np.abs(b) <= PARAM_LIMIT)):
+            raise DataError(f"layer {l} contains non-finite parameters "
+                            f"or ones beyond {PARAM_LIMIT:g}")
     return model

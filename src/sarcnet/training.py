@@ -33,6 +33,7 @@ from .errors import DataError, TrainingDivergence
 from .features import FeaturePipeline
 from .network import (
     INPUT_DIM,
+    PARAM_LIMIT,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -162,6 +163,9 @@ def _run_stage(model: MlpModel, examples: list, config: TrainConfig,
         if not np.isfinite(p).all():
             raise TrainingDivergence(
                 f"non-finite output in stage {stage_name!r}, epoch {epoch}")
+        if not (np.abs(model.params) <= PARAM_LIMIT).all():
+            raise TrainingDivergence(
+                f"parameters beyond {PARAM_LIMIT:g} in stage {stage_name!r}, epoch {epoch}")
         correct = int(np.sum(predicted_classes(p) == ys))
         history.append(HistoryRecord(
             stage=stage_name,

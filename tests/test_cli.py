@@ -271,6 +271,21 @@ class TestParsingAndExitCodes:
             "epoch 1\n")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_parameters_beyond_the_limit_print_one_line(self, corpus, tmp_path, capsys):
+        """A step that leaves a parameter beyond what load_model accepts diverges."""
+        code = run("train", "--reviews", corpus["reviews"],
+                   "--labels", corpus["labels"], "--stars", "1",
+                   "--train-size", "40", "--test-size", "10", "--stages", "main",
+                   "--epochs", "1", "--batch-size", "10", "--lr", "1e101",
+                   "--model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "h.jsonl"))
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "sarcnet: training failed: 1-star model: parameters beyond 1e+100 "
+                "in stage 'main', epoch 1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_divergence_exits_three(self, corpus, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise TrainingDivergence("non-finite gradient in W1")
@@ -282,6 +297,37 @@ class TestParsingAndExitCodes:
                    "--out", str(tmp_path / "h.jsonl"))
         assert code == 3
         assert "training failed" in capsys.readouterr().err
+
+
+class TestHugeParameters:
+    """A model with a finite parameter beyond PARAM_LIMIT, whose logits could
+    overflow, is a data error for each command that loads a model."""
+
+    @pytest.fixture
+    def huge_model(self, trained, tmp_path):
+        doc = json.loads(trained["model"].read_text())
+        weights = doc["layers"][0]["weights"]
+        weights[:] = [(1e308).hex()] * len(weights)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_is_a_data_error(self, trained, huge_model, tmp_path, monkeypatch, capsys,
+                             command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Oh great, cold soup?!\n"))
+        argv = {
+            "predict": [],
+            "eval": ["--reviews", trained["reviews"], "--labels", trained["labels"],
+                     "--stars", "2", "--train-size", "40", "--test-size", "10",
+                     "--seed", "42", "--out", str(tmp_path / "report.json")],
+        }[command]
+        assert run(command, "--model", str(huge_model), *argv) == 2
+        assert capsys.readouterr() == (
+            "", "sarcnet: data error: layer 1 contains non-finite parameters "
+                "or ones beyond 1e+100\n")
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestOutputTemplates:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import sarcnet.features
 from sarcnet.features import (
     N_FEATURES,
-    FeatureCategory,
     FeatureCounts,
     FeatureKind,
     FeaturePipeline,
@@ -57,9 +56,6 @@ class TestCatalog:
 
     def test_ids_are_unique_and_sequential(self):
         assert [d.id for d in catalog()] == [f"f{i}" for i in range(1, 16)]
-
-    def test_all_categories_present(self):
-        assert {d.category for d in catalog()} == set(FeatureCategory)
 
     def test_single_flag_feature(self):
         flags = [d.id for d in catalog() if d.kind is FeatureKind.FLAG]

@@ -16,6 +16,7 @@ from model_layers import from_layers
 
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.network import (
+    PARAM_LIMIT,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -514,6 +515,28 @@ class TestSerialization:
         doc["layers"][0]["weights"][0] = float("inf").hex()
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="non-finite"):
+            load_model(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("output_signs", [(1, 1), (1, -1)])
+    def test_parameters_at_the_limit_load_and_predict_finite(self, tmp_path, output_signs):
+        """The widest network with every parameter at +-PARAM_LIMIT (the largest
+        logits there are) predicts finite values; one step beyond is refused."""
+        model = init_model(MlpConfig(hidden=(15, 15), seed=0))
+        model.params[...] = PARAM_LIMIT
+        model.weights[-1][...] *= np.array(output_signs)[:, None]
+        path = tmp_path / "m.json"
+        save_model(path, model)
+        loaded = load_model(path)
+        xs = np.vstack([np.zeros(15), np.ones(15), np.random.default_rng(0).random((8, 15))])
+        assert np.isfinite(forward(loaded, xs).p).all()
+        for x in xs:
+            assert math.isfinite(predict(loaded, x)[1])
+        doc = json.loads(path.read_text())
+        doc["layers"][2]["bias"][1] = float(-np.nextafter(PARAM_LIMIT, np.inf)).hex()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"^layer 3 contains non-finite parameters "
+                                            r"or ones beyond 1e\+100$"):
             load_model(path)
 
     def test_rejects_malformed_json(self, tmp_path):
