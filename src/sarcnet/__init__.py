@@ -35,7 +35,7 @@ _MODULE_EXPORTS = {
     ),
     "lexicons": ("Lexicons", "default_lexicons", "load_lexicons"),
     "network": (
-        "AdamState", "ForwardTrace", "Gradients", "MlpConfig", "MlpModel",
+        "AdamState", "ForwardTrace", "MlpConfig", "MlpModel",
         "adam_step", "backward", "cross_entropy", "forward", "init_adam_state",
         "init_model", "load_model", "predict", "relu", "save_model", "softmax",
     ),

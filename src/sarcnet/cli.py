@@ -17,6 +17,7 @@ reproduces it byte for byte.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
+An output path that names an input, or another output, is a usage error.
 Each flag has one spelling: an abbreviated flag is a usage error. Each
 whole number has one too (``+1``, ``007`` and ``" 1"`` are refused), and
 a decimal may not be padded or hold '_' or a non-ASCII character.
@@ -29,6 +30,7 @@ module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -171,6 +173,30 @@ def _star_paths(template: str, stars_list: list) -> dict:
     return {stars: template.replace("{stars}", str(stars)) for stars in stars_list}
 
 
+def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
+    """Refuse an output path that names an input or another output.
+
+    outputs and inputs are (flag, path) pairs; --reviews and --labels are
+    inputs too. An empty or absent path names no file. Two paths name one
+    file when they resolve alike, or, where both exist, are one inode (a
+    hard link). Each command calls this before it reads any input.
+    """
+    named = [(flag, path) for flag, path in [("--reviews", args.reviews),
+                                              ("--labels", args.labels), *inputs] if path]
+    for flag, path in outputs:
+        if not path:
+            continue
+        for other_flag, other in named:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # one of them does not exist yet
+                same = False
+            if same or os.path.realpath(path) == os.path.realpath(other):
+                raise ValueError(
+                    f"{flag} {path!r} names the same file as {other_flag} {other!r}")
+        named.append((flag, path))
+
+
 def _prepare_out(path: str) -> str:
     """Create the parent directory of an output path if needed."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -274,6 +300,7 @@ def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
 def cmd_ingest(args) -> int:
     stars_list = _parse_stars(args.stars)
     out_paths = _star_paths(args.out, stars_list)
+    _refuse_shared_paths(args, [("--out", path) for path in out_paths.values()])
     _, prov, splits = _load_splits(args, stars_list, "ingest", {})
     for stars, split in splits.items():
         out_path = _prepare_out(out_paths[stars])
@@ -326,13 +353,14 @@ def cmd_extract(args) -> int:
     from .features import FeaturePipeline, normalize, write_feature_dump
 
     stars_list = _parse_stars(args.stars)
+    _refuse_shared_paths(args, [("--out", args.out)])
     wanted = set(stars_list)
     reviews = [r for r in _load_reviews(args.reviews) if r.stars in wanted]
     if not reviews:
         raise DataError("no reviews with the requested star ratings")
     resolved = {}
     corpus_files = {"reviews": args.reviews}
-    if args.labels:
+    if args.labels is not None:
         resolved = _consume_labels(args.labels, resolve_labels)
         corpus_files["labels"] = args.labels
     lexicons = load_lexicons()
@@ -387,6 +415,8 @@ def cmd_train(args) -> int:
     configs = {stars: _train_configs(args, stars, stages, lr=args.lr) for stars in stars_list}
     model_paths = _star_paths(args.model, stars_list)
     history_paths = _star_paths(args.out, stars_list)
+    _refuse_shared_paths(args, [("--model", path) for path in model_paths.values()]
+                         + [("--out", path) for path in history_paths.values()])
     lexicons, prov, splits = _load_splits(args, stars_list, "train",
                                           {**_train_flags(args), "lr": args.lr})
     pipeline = FeaturePipeline(lexicons)
@@ -411,15 +441,21 @@ def cmd_eval(args) -> int:
 
     stars_list = _parse_stars(args.stars)
     model_paths = _star_paths(args.model, stars_list)
+    # (path, the stars it reports): one file per star, or one for them all.
+    if "{stars}" in args.out:
+        report_paths = [(path, [stars])
+                        for stars, path in _star_paths(args.out, stars_list).items()]
+    else:
+        report_paths = [(args.out, stars_list)]
+    _refuse_shared_paths(args, [("--out", path) for path, _ in report_paths],
+                         [("--model", path) for path in model_paths.values()])
     lexicons, prov, splits = _load_splits(args, stars_list, "eval", {})
     pipeline = FeaturePipeline(lexicons)
     reports = {stars: evaluate(load_model(model_paths[stars]), list(split.test), pipeline)
                for stars, split in splits.items()}
-    if "{stars}" in args.out:
-        for stars, path in _star_paths(args.out, stars_list).items():
-            write_report(_prepare_out(path), {stars: reports[stars]}, prov)
-    else:
-        write_report(_prepare_out(args.out), reports, prov)
+    for path, report_stars in report_paths:
+        write_report(_prepare_out(path), {stars: reports[stars] for stars in report_stars},
+                     prov)
     sys.stdout.write(render_metrics_table(reports))
     return EXIT_OK
 
@@ -469,6 +505,7 @@ def cmd_sweep(args) -> int:
     stars_list = _parse_stars(args.stars)
     if len(stars_list) != 1:
         raise ValueError("sweep works on exactly one star rating")
+    _refuse_shared_paths(args, [("--out", args.out)])
     lr_grid = (_parse_list(args.lr_grid, _float, "--lr-grid expects a comma list of rates")
                if args.lr_grid is not None else DEFAULT_LR_GRID)
     train_config, mlp_config = _train_configs(args, stars_list[0],
@@ -493,9 +530,12 @@ def _add_corpus_flags(parser, labels_required=True):
                         help="labels JSONL file")
 
 
-def _add_split_flags(parser):
-    parser.add_argument("--stars", default="all",
-                        help="star rating, comma list, or 'all' (default all)")
+def _add_split_flags(parser, one_star=False):
+    if one_star:
+        parser.add_argument("--stars", required=True, help="the one star rating, 1..5")
+    else:
+        parser.add_argument("--stars", default="all",
+                            help="star rating, comma list, or 'all' (default all)")
     parser.add_argument("--train-size", type=_int, default=700,
                         help="train reviews per star (default 700)")
     parser.add_argument("--test-size", type=_int, default=300,
@@ -573,7 +613,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("sweep", help="rank learning rates on one star")
     _add_corpus_flags(p)
-    _add_split_flags(p)
+    _add_split_flags(p, one_star=True)
     _add_train_flags(p)
     p.add_argument("--lr-grid", default=None,
                    help="comma list of learning rates (default 1e-4,1e-3,1e-2)")

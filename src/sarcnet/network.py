@@ -11,12 +11,13 @@ gradients over the batch.
 
 Dropout is the inverted kind: surviving activations are scaled by
 1/keep_prob at train time, so inference applies no masks and no
-rescaling. Train-mode forward therefore needs a caller-supplied seeded
-generator; infer-mode forward and predict are pure.
+rescaling. forward applies dropout exactly when it is given a seeded
+generator; without one, forward and predict are pure.
 
 A model's parameters are one float64 vector laid out W1, b1, W2, b2, ...,
-with writable per-layer views. Gradients and Adam's moments share that
-layout, so an Adam step is one elementwise pass over one vector.
+with writable per-layer views. A gradient, itself an MlpModel, and Adam's
+moments share that layout, so an Adam step is one elementwise pass over
+one vector.
 
 Models serialize to a versioned JSON document with float.hex() encoded
 parameters, which round-trips exactly.
@@ -118,19 +119,13 @@ class MlpModel:
         return len(self.weights)
 
 
-# A gradient has its model's config and parameter layout.
-Gradients = MlpModel
-
-
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything backward needs; every array has the rank of the input x."""
     x: np.ndarray
-    zs: tuple  # pre-activations per layer
     activations: tuple  # post-activation (and post-dropout) per layer
-    masks: tuple  # dropout masks per hidden layer; empty in infer mode
+    masks: tuple  # dropout masks per hidden layer; empty without a generator
     p: np.ndarray  # output probabilities, (2,) or (B, 2)
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -174,46 +169,39 @@ def dropout_mask(rng: "np.random.Generator", size, keep_prob: float) -> np.ndarr
     return (rng.random(size) < keep_prob).astype(float) / keep_prob
 
 
-def forward(model: MlpModel, x, mode: str = "infer",
-            rng: "np.random.Generator | None" = None) -> ForwardTrace:
+def forward(model: MlpModel, x, rng: "np.random.Generator | None" = None) -> ForwardTrace:
     """Run a (15,) input or a (B, 15) batch through the network.
 
-    The trace records everything backward needs, at the rank of x. Train
-    mode draws all dropout masks of the batch as one (B, sum(hidden))
-    block, split by columns per layer: row by row that is the order in
-    which per-example, per-layer draws would read the generator.
+    The trace records everything backward needs, at the rank of x. Given
+    a generator, it applies dropout, drawing all masks of the batch as one
+    (B, sum(hidden)) block split by columns per layer: row by row that is
+    the order in which per-example, per-layer draws would read the generator.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and rng is None:
-        raise ValueError("train mode requires a random generator for dropout")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != INPUT_DIM:
         raise ValueError(
             f"expected input shape ({INPUT_DIM},) or (B, {INPUT_DIM}), got {x.shape}")
     a = x.reshape(-1, INPUT_DIM)
     masks = []
-    if mode == "train":
+    if rng is not None:
         hidden = model.config.hidden
         block = dropout_mask(rng, (a.shape[0], sum(hidden)), model.config.keep_prob)
         masks = np.split(block, np.cumsum(hidden)[:-1], axis=1)
-    zs = []
     activations = []
     last = model.n_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w.T + b
-        zs.append(z)
         if l == last:
             a = softmax(z)
         else:
             a = relu(z)
-            if mode == "train":
+            if masks:
                 a = a * masks[l]
         activations.append(a)
     if x.ndim == 1:
-        zs, activations, masks = ([t[0] for t in ts] for ts in (zs, activations, masks))
-    return ForwardTrace(x=x, zs=tuple(zs), activations=tuple(activations),
-                        masks=tuple(masks), p=activations[-1], mode=mode)
+        activations, masks = ([t[0] for t in ts] for ts in (activations, masks))
+    return ForwardTrace(x=x, activations=tuple(activations), masks=tuple(masks),
+                        p=activations[-1])
 
 
 def _class_indices(p: np.ndarray, y) -> np.ndarray:
@@ -240,37 +228,38 @@ def cross_entropy(p, y) -> float:
     return float(-np.log(np.maximum(picked, 1e-12)).sum())
 
 
-def backward(model: MlpModel, trace: ForwardTrace, y) -> Gradients:
+def backward(model: MlpModel, trace: ForwardTrace, y) -> MlpModel:
     """Exact gradients of cross_entropy(forward(x).p, y) for every parameter.
 
     y is an int for a (15,) trace or B ints for a (B, 15) one; the
     gradients are summed over the batch.
     """
-    if len(trace.zs) != model.n_layers:
+    if len(trace.activations) != model.n_layers:
         raise ValueError("trace does not match model depth")
     classes = _class_indices(trace.p, y)
     n = model.n_layers
     delta = np.atleast_2d(trace.p).copy()
     delta[np.arange(delta.shape[0]), classes] -= 1.0
     # No zero fill: the loop writes every weight and bias view, which tile the vector.
-    grads = Gradients(model.config, np.empty_like(model.params))
+    grads = MlpModel(model.config, np.empty_like(model.params))
     for l in range(n - 1, -1, -1):
         a_prev = trace.x if l == 0 else trace.activations[l - 1]
         np.matmul(delta.T, np.atleast_2d(a_prev), out=grads.weights[l])
         delta.sum(axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l]
-            if trace.mode == "train":
+            if trace.masks:
                 delta = delta * trace.masks[l - 1]
-            delta = delta * (trace.zs[l - 1] > 0)
+            # relu(z) * mask > 0 exactly where z > 0 and the unit was kept.
+            delta = delta * (trace.activations[l - 1] > 0)
     return grads
 
 
-def zero_gradients(model: MlpModel) -> Gradients:
-    return Gradients(model.config, np.zeros_like(model.params))
+def zero_gradients(model: MlpModel) -> MlpModel:
+    return MlpModel(model.config, np.zeros_like(model.params))
 
 
-def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
+def adam_step(model: MlpModel, grads: MlpModel, state: AdamState,
               lr: float) -> tuple:
     """One Adam update. Returns (new model, new state); inputs are untouched."""
     if lr <= 0:
@@ -302,7 +291,7 @@ def predicted_classes(p: np.ndarray) -> np.ndarray:
 
 def predict(model: MlpModel, x) -> tuple:
     """Classify one vector: (class, confidence). Ties go to class 0."""
-    p = forward(model, x, mode="infer").p
+    p = forward(model, x).p
     cls = int(predicted_classes(p))
     return cls, float(p[cls])
 

@@ -148,7 +148,7 @@ def _run_stage(model: MlpModel, examples: list, config: TrainConfig,
         for batch_index, start in enumerate(starts, start=1):
             x_batch = x_shuffled[start:start + config.batch_size]
             y_batch = y_shuffled[start:start + config.batch_size]
-            trace = forward(model, x_batch, mode="train", rng=dropout_rng)
+            trace = forward(model, x_batch, rng=dropout_rng)
             batch_loss = cross_entropy(trace.p, y_batch)
             if not math.isfinite(batch_loss):
                 raise TrainingDivergence(

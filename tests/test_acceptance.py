@@ -127,7 +127,7 @@ def numeric_gradients(model: MlpModel, x: np.ndarray, y: int, h: float = 1e-5):
     """Central-difference loss gradients for every parameter tensor."""
 
     def loss() -> float:
-        return cross_entropy(forward(model, x, mode="infer").p, y)
+        return cross_entropy(forward(model, x).p, y)
 
     grads_w, grads_b = [], []
     for tensors, grads in ((model.weights, grads_w), (model.biases, grads_b)):
@@ -167,7 +167,7 @@ class TestCriterion2GradientOracle:
                                          seed=int(rng.integers(1 << 31))))
             x = rng.uniform(-1.0, 1.0, size=15)
             y = int(rng.integers(2))
-            trace = forward(model, x, mode="infer")
+            trace = forward(model, x)
             analytic = backward(model, trace, y)
             numeric_w, numeric_b = numeric_gradients(model, x, y)
             for a, n in zip(analytic.weights, numeric_w):
@@ -242,8 +242,8 @@ class TestCriterion5DropoutProperty:
         model = init_model(MlpConfig(hidden=(9, 8), keep_prob=1.0, seed=2))
         rng = np.random.default_rng(4)
         x = np.linspace(0.0, 1.0, 15)
-        train_trace = forward(model, x, mode="train", rng=rng)
-        infer_trace = forward(model, x, mode="infer")
+        train_trace = forward(model, x, rng=rng)
+        infer_trace = forward(model, x)
         assert np.array_equal(train_trace.p, infer_trace.p)
         for a, b in zip(train_trace.activations, infer_trace.activations):
             assert np.array_equal(a, b)

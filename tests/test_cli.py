@@ -354,6 +354,46 @@ class TestOutputTemplates:
         assert not list(tmp_path.iterdir())
 
 
+class TestSharedPaths:
+    """An output that names an input or another output is refused before any read."""
+
+    CORPUS = ["--reviews", "reviews.jsonl", "--labels", "labels.jsonl", "--stars", "2"]
+    SPLIT = ["--train-size", "40", "--test-size", "10", "--seed", "42"]
+
+    @pytest.fixture
+    def work(self, trained, tmp_path, monkeypatch):
+        """A directory holding copies of the corpus, a hard link and the 2-star model."""
+        for name in ("reviews", "labels"):
+            shutil.copy(trained[name], tmp_path / f"{name}.jsonl")
+        shutil.copy(trained["model"], tmp_path / "model-2.json")
+        os.link(tmp_path / "labels.jsonl", tmp_path / "hard-link.jsonl")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", *FAST_TRAIN, "--model", "same.json", "--out", "same.json"],
+         "--out 'same.json' names the same file as --model 'same.json'"),
+        (["ingest", *SPLIT, "--out", "reviews.jsonl"],
+         "--out 'reviews.jsonl' names the same file as --reviews 'reviews.jsonl'"),
+        (["eval", *SPLIT, "--model", "model-{stars}.json", "--out", "labels.jsonl"],
+         "--out 'labels.jsonl' names the same file as --labels 'labels.jsonl'"),
+        (["eval", *SPLIT, "--model", "model-{stars}.json", "--out", "./model-{stars}.json"],
+         "--out './model-2.json' names the same file as --model 'model-2.json'"),
+        (["extract", "--out", "new/../reviews.jsonl"],
+         "--out 'new/../reviews.jsonl' names the same file as --reviews 'reviews.jsonl'"),
+        (["sweep", *FAST_TRAIN, "--out", "hard-link.jsonl"],
+         "--out 'hard-link.jsonl' names the same file as --labels 'labels.jsonl'"),
+    ])
+    def test_is_a_usage_error_that_leaves_every_file_alone(self, work, capsys, argv,
+                                                          message):
+        before = {path: path.read_bytes() for path in work.iterdir()}
+        assert run(argv[0], *self.CORPUS, *argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sarcnet: error: {message}\n"
+        assert {path: path.read_bytes() for path in work.iterdir()} == before
+
+
 class TestIngest:
     def test_invalid_utf8_vote_costs_one_vote(self, corpus, tmp_path, capsys):
         labels = tmp_path / "labels.jsonl"
@@ -587,6 +627,14 @@ class TestExtract:
         assert done.returncode == 0
         digest = sha(Path(corpus["reviews"]))
         assert f"# reviews_digest: {digest}" in out.read_text().splitlines()
+
+    def test_empty_labels_path_is_data_error(self, corpus, tmp_path, capsys):
+        # As in every other command: "" names no file, not "no labels".
+        out = tmp_path / "features.csv"
+        assert run("extract", "--reviews", corpus["reviews"], "--labels", "",
+                   "--out", str(out)) == 2
+        assert "cannot read labels file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_star_subset(self, corpus, tmp_path, capsys):
         out = tmp_path / "features-2.csv"
@@ -1021,6 +1069,13 @@ class TestSweep:
                    "--train-size", "40", "--test-size", "10")
         assert code == 1
         assert "exactly one star" in capsys.readouterr().err
+
+    def test_stars_has_no_default(self, corpus, capsys):
+        code = run("sweep", "--reviews", corpus["reviews"], "--labels", corpus["labels"])
+        assert code == 1
+        assert "the following arguments are required: --stars" in capsys.readouterr().err
+        assert run("sweep", "--help") == 0
+        assert "(default all)" not in " ".join(capsys.readouterr().out.split())
 
     def test_table_and_out_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "sweep.txt"

@@ -160,15 +160,11 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             forward(zero_model(), np.ones(14))
 
-    def test_train_mode_requires_rng(self):
-        with pytest.raises(ValueError, match="requires a random generator"):
-            forward(zero_model(), np.ones(15), mode="train")
-
     def test_keep_prob_one_train_equals_infer(self):
         model = init_model(MlpConfig(hidden=(11, 9), keep_prob=1.0, seed=5))
         x = np.random.default_rng(0).random(15)
-        train_trace = forward(model, x, mode="train", rng=np.random.default_rng(1))
-        infer_trace = forward(model, x, mode="infer")
+        train_trace = forward(model, x, rng=np.random.default_rng(1))
+        infer_trace = forward(model, x)
         assert np.array_equal(train_trace.p, infer_trace.p)
         for a, b in zip(train_trace.activations, infer_trace.activations):
             assert np.array_equal(a, b)
@@ -186,8 +182,8 @@ class TestDropout:
     def test_infer_mode_applies_no_mask(self):
         model = init_model(MlpConfig(hidden=(9,), keep_prob=0.5, seed=2))
         x = np.full(15, 0.3)
-        a = forward(model, x, mode="infer")
-        b = forward(model, x, mode="infer")
+        a = forward(model, x)
+        b = forward(model, x)
         assert np.array_equal(a.p, b.p)
         assert a.masks == ()
 
@@ -231,7 +227,7 @@ class TestBackward:
         model = init_model(MlpConfig(hidden=(9, 8), keep_prob=0.6, seed=6))
         x = rng.random(15)
         y = 1
-        trace = forward(model, x, mode="train", rng=np.random.default_rng(99))
+        trace = forward(model, x, rng=np.random.default_rng(99))
 
         def frozen_loss(weights, biases):
             a = x
@@ -258,6 +254,49 @@ class TestBackward:
             denom = max(1e-12, np.linalg.norm(grads.weights[l]) + np.linalg.norm(numeric))
             assert np.linalg.norm(grads.weights[l] - numeric) / denom < 1e-4
 
+    @settings(max_examples=150)
+    @given(hidden=st.sampled_from([(9,), (8, 7)]),
+           keep_prob=st.sampled_from([0.5, 0.75, 1.0]),
+           seed=st.none() | st.integers(0, 2 ** 32 - 1),
+           rows=st.none() | st.integers(1, 5),
+           dead=st.sets(st.integers(0, 6), max_size=3),
+           data=st.data())
+    def test_gradients_match_the_pre_activation_gate_bit_for_bit(
+            self, hidden, keep_prob, seed, rows, dead, data):
+        # backward gates each hidden layer's ReLU on its post-dropout
+        # activation; this reference recomputes the pre-activation z from
+        # the trace, as forward computes it, and gates on z > 0 instead.
+        # tobytes() makes the signed zeros of dropped units count.
+        model = init_model(MlpConfig(hidden=hidden, keep_prob=keep_prob, seed=3))
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            for unit in dead:  # units whose pre-activation is exactly zero
+                w[unit] = 0.0
+                b[unit] = data.draw(st.sampled_from([0.0, -0.0]))
+        values = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+        shape = (15,) if rows is None else (rows, 15)
+        x = np.array(data.draw(st.lists(values, min_size=15 * (rows or 1),
+                                        max_size=15 * (rows or 1)))).reshape(shape)
+        y = data.draw(st.integers(0, 1)) if rows is None else np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+        trace = forward(model, x, rng=None if seed is None else np.random.default_rng(seed))
+
+        expected = np.empty_like(model.params)
+        views = MlpModel(model.config, expected)
+        delta = np.atleast_2d(trace.p).copy()
+        delta[np.arange(delta.shape[0]), np.atleast_1d(y)] -= 1.0
+        for l in range(model.n_layers - 1, -1, -1):
+            a_prev = trace.x if l == 0 else trace.activations[l - 1]
+            np.matmul(delta.T, np.atleast_2d(a_prev), out=views.weights[l])
+            delta.sum(axis=0, out=views.biases[l])
+            if l > 0:
+                below = trace.x if l == 1 else trace.activations[l - 2]
+                z = np.atleast_2d(below) @ model.weights[l - 1].T + model.biases[l - 1]
+                delta = delta @ model.weights[l]
+                if trace.masks:
+                    delta = delta * trace.masks[l - 1]
+                delta = delta * (z > 0)
+        assert backward(model, trace, y).params.tobytes() == expected.tobytes()
+
 
 class TestBatchParity:
     """Batched forward/backward against the per-example reference."""
@@ -275,7 +314,7 @@ class TestBatchParity:
 
         per_example = [reference_example(model, x, int(y), ref_rng)
                        for x, y in zip(xs, ys)]
-        trace = forward(model, xs, mode=mode, rng=rng)
+        trace = forward(model, xs, rng=rng)
         grads = backward(model, trace, ys)
 
         for l in range(model.n_layers):
@@ -293,11 +332,10 @@ class TestBatchParity:
     def test_single_vector_is_a_batch_of_one(self):
         model = init_model(MlpConfig(hidden=(11, 9), keep_prob=0.5, seed=3))
         x = np.random.default_rng(2).random(15)
-        single = forward(model, x, mode="train", rng=np.random.default_rng(8))
-        batch = forward(model, x[None, :], mode="train", rng=np.random.default_rng(8))
+        single = forward(model, x, rng=np.random.default_rng(8))
+        batch = forward(model, x[None, :], rng=np.random.default_rng(8))
         assert single.x.shape == (15,) and single.p.shape == (2,)
-        for ts, tb in ((single.zs, batch.zs), (single.activations, batch.activations),
-                       (single.masks, batch.masks)):
+        for ts, tb in ((single.activations, batch.activations), (single.masks, batch.masks)):
             for a, b in zip(ts, tb):
                 assert a.ndim == 1 and np.array_equal(a, b[0])
         grads_single = backward(model, single, 1)
