@@ -17,7 +17,9 @@ reproduces it byte for byte.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
-An output path that names an input, or another output, is a usage error.
+An output path that names an input, or another output, is a usage error;
+an empty output path is a data error. Both are refused before any input
+is read.
 Each flag has one spelling: an abbreviated flag is a usage error. Each
 whole number has one too (``+1``, ``007`` and ``" 1"`` are refused), and
 a decimal may not be padded or hold '_' or a non-ASCII character.
@@ -28,6 +30,7 @@ module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -177,14 +180,18 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
     """Refuse an output path that names an input or another output.
 
     outputs and inputs are (flag, path) pairs; --reviews and --labels are
-    inputs too. An empty or absent path names no file. Two paths name one
-    file when they resolve alike, or, where both exist, are one inode (a
-    hard link). Each command calls this before it reads any input.
+    inputs too. An empty or absent path names no file; an empty output
+    gets the error that opening it would give, before the work instead of
+    after it. Two paths name one file when they resolve alike, or, where
+    both exist, are one inode (a hard link). Each command calls this
+    before it reads any input.
     """
     named = [(flag, path) for flag, path in [("--reviews", args.reviews),
                                               ("--labels", args.labels), *inputs] if path]
     for flag, path in outputs:
-        if not path:
+        if path == "":
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if path is None:
             continue
         for other_flag, other in named:
             try:

@@ -5,9 +5,11 @@ initialization, ReLU hidden layers with inverted dropout, a max-shifted
 softmax head, exact backpropagation of the cross-entropy loss, and Adam
 updates. No autograd, no framework.
 
-Inputs are a single 15-vector or a (B, 15) batch; one matrix code path
-serves both, a single vector being a batch of one. Backward sums the
-gradients over the batch.
+forward takes a single 15-vector or a (B, 15) batch; one matrix code
+path serves both, a single vector being a batch of one. Backward sums
+the gradients over the batch. predict runs one 15-vector on its own
+path, without the trace or the batch reshapes, and gives bit for bit
+the class and probability that forward does.
 
 Dropout is the inverted kind: surviving activations are scaled by
 1/keep_prob at train time, so inference applies no masks and no
@@ -290,10 +292,27 @@ def predicted_classes(p: np.ndarray) -> np.ndarray:
 
 
 def predict(model: MlpModel, x) -> tuple:
-    """Classify one vector: (class, confidence). Ties go to class 0."""
-    p = forward(model, x).p
-    cls = int(predicted_classes(p))
-    return cls, float(p[cls])
+    """Classify one (15,) vector: (class, confidence). Ties go to class 0.
+
+    Any other shape, a batch included, is a ValueError; forward takes
+    batches. The result equals forward's class and probability bit for
+    bit: the same products on the same w.T views (a transposed copy
+    rounds differently), then the max-shifted softmax on the two logits
+    as Python floats, with np.exp, since math.exp may round differently.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.shape != (INPUT_DIM,):
+        raise ValueError(f"expected input shape ({INPUT_DIM},), got {a.shape}")
+    last = model.n_layers - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w.T + b
+        if l < last:
+            np.maximum(a, 0.0, out=a)
+    z0, z1 = a.tolist()
+    top = max(z0, z1)
+    e0, e1 = np.exp([z0 - top, z1 - top]).tolist()
+    p0, p1 = e0 / (e0 + e1), e1 / (e0 + e1)
+    return (1, p1) if p1 > p0 else (0, p0)
 
 
 def _array_to_hex(a: np.ndarray) -> list:

@@ -1,14 +1,16 @@
 """CLI behavior: subcommands, exit codes, artifacts, determinism.
 
 The tests drive ``sarcnet.cli.main`` in-process so coverage and
-monkeypatching work. Only the two that need a real stdin, a pipe or a
-redirected file, run the CLI in a fresh interpreter.
+monkeypatching work. Only three run the CLI in a fresh interpreter: two
+that need a real stdin, a pipe or a redirected file, and one that runs
+``predict`` with every warning made an error.
 """
 
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -34,12 +36,13 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_process(argv, **stdin):
+def run_process(argv, python_flags=(), **stdin):
     """The CLI in a fresh interpreter; stdin is run's input= or stdin= argument."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "sarcnet.cli", *argv], **stdin,
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *python_flags, "-m", "sarcnet.cli", *argv],
+                          **stdin, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 FAST_TRAIN = [
@@ -352,6 +355,33 @@ class TestOutputTemplates:
         assert code == 1
         assert "needs a {stars} placeholder" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestEmptyOutputPath:
+    """An empty output path gets open("")'s error before any input is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--out", ""],
+        ["extract", "--out", ""],
+        ["train", *FAST_TRAIN, "--model", ""],
+        ["train", *FAST_TRAIN, "--out", ""],
+        ["eval", "--out", ""],
+        ["sweep", *FAST_TRAIN, "--out", ""],
+    ], ids=["ingest", "extract", "train-model", "train-out", "eval", "sweep"])
+    def test_is_a_data_error_before_the_corpus_is_read(self, corpus, tmp_path, monkeypatch,
+                                                       capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before the output paths were checked")
+
+        monkeypatch.setattr(cli, "read_reviews", refuse)
+        monkeypatch.chdir(tmp_path)
+        code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "3", *argv[1:])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sarcnet: data error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSharedPaths:
@@ -891,6 +921,24 @@ class TestPredict:
         assert run("predict", "--model", str(trained["model"])) == 0
         assert written_before_second_line[0].count(b"\n") == 1
         assert out.getvalue().count(b"\n") == 2
+
+    def test_real_process_with_warnings_as_errors(self, trained, capsys, monkeypatch):
+        """The test suite makes only some warnings errors, RuntimeWarning among
+        them; -W error makes every one an error, a numpy DeprecationWarning
+        included, and the output matches the in-process run's."""
+        lines = ["Wow!! just what we needed...", "", "The soup was warm.",
+                 "Oh great, cold soup?!"]
+        stdin = "".join(f"{line}\n" for line in lines)
+        done = run_process(["predict", "--model", str(trained["model"])], ["-W", "error"],
+                           input=stdin.encode())
+        assert (done.returncode, done.stderr) == (0, b"")
+        out = done.stdout.decode().splitlines()
+        assert len(out) == 3
+        assert all(re.fullmatch(r"(non-)?sarcastic 0\.\d{4}", line) for line in out)
+        assert any(not line.endswith(" 0.5000") for line in out)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert run("predict", "--model", str(trained["model"])) == 0
+        assert capsys.readouterr().out.splitlines() == out
 
     def test_model_file_with_invalid_utf8_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "bad.json"

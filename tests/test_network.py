@@ -7,6 +7,8 @@ checks and edge cases.
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from sarcnet.network import (
     init_model,
     load_model,
     predict,
+    predicted_classes,
     relu,
     save_model,
     softmax,
@@ -495,6 +498,81 @@ class TestPredict:
     def test_tie_breaks_to_non_sarcastic(self):
         cls, confidence = predict(zero_model(), np.ones(15))
         assert (cls, confidence) == (0, 0.5)
+
+    @pytest.mark.parametrize("shape", [(1, 15), (2, 15), (14,), (15, 1), ()])
+    def test_refuses_every_shape_but_one_row(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected input shape (15,), got {shape}")):
+            predict(zero_model(), np.zeros(shape))
+
+
+def forward_prediction(model, x):
+    """predict's contract computed by forward: the class and its probability."""
+    p = forward(model, x).p
+    cls = int(predicted_classes(p))
+    return cls, float(p[cls])
+
+
+def assert_predicts_as_forward(model, rows):
+    """predict equals forward_prediction on every row, bit for bit, warning about nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in rows:
+            cls, confidence = predict(model, x)
+            want_cls, want_confidence = forward_prediction(model, x)
+            assert type(confidence) is float
+            assert (cls, confidence.hex()) == (want_cls, want_confidence.hex())
+
+
+UNIT_ROWS = st.lists(
+    st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1.0)),
+             min_size=15, max_size=15),
+    min_size=1, max_size=20)
+
+
+class TestPredictMatchesForward:
+    """predict's one-row path gives forward's class and probability bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [(7,), (15,), (9, 11), (15, 15)])
+    @given(rows=UNIT_ROWS, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.3, 3.0]))
+    def test_random_models_and_rows(self, hidden, rows, seed, scale):
+        model = init_model(MlpConfig(hidden=hidden, seed=0))
+        model.params[...] = np.random.default_rng(seed).normal(0.0, scale, model.params.shape)
+        assert_predicts_as_forward(model, np.array([np.zeros(15), *rows]))
+
+    @pytest.mark.parametrize("hidden", [(7,), (15,), (9, 11), (15, 15)])
+    def test_seeded_rows_with_close_logits(self, hidden):
+        """Small parameters keep the two logits close, where a last-bit change in
+        the exponential reaches the probability. With numpy's AVX-512 exp loop,
+        math.exp rounds about 1 in 20 results differently, and the
+        probability then moves on about 2% of these rows."""
+        model = init_model(MlpConfig(hidden=hidden, seed=0))
+        rng = np.random.default_rng(7)
+        model.params[...] = rng.normal(0.0, 0.3, model.params.shape)
+        rows = rng.random((1000, 15))
+        rows[::5] = 0.0
+        assert_predicts_as_forward(model, rows)
+
+    @pytest.mark.parametrize("hidden", [(7,), (9, 11)])
+    @given(rows=UNIT_ROWS, seed=st.integers(0, 2**32 - 1))
+    def test_equal_output_rows_tie_to_class_0(self, hidden, rows, seed):
+        model = init_model(MlpConfig(hidden=hidden, seed=0))
+        model.params[...] = np.random.default_rng(seed).normal(0.0, 3.0, model.params.shape)
+        model.weights[-1][1] = model.weights[-1][0]
+        model.biases[-1][1] = model.biases[-1][0]
+        rows = np.array([np.zeros(15), *rows])
+        assert_predicts_as_forward(model, rows)
+        assert all(predict(model, x) == (0, 0.5) for x in rows)
+
+    @pytest.mark.parametrize("output_signs, cls", [((1, -1), 0), ((-1, 1), 1)])
+    def test_saturated_logits_give_probability_one(self, output_signs, cls):
+        model = init_model(MlpConfig(hidden=(15, 15), seed=0))
+        model.params[...] = PARAM_LIMIT
+        model.weights[-1][...] *= np.array(output_signs)[:, None]
+        rows = np.vstack([np.ones(15), np.random.default_rng(0).random((8, 15))])
+        assert set(forward(model, rows).p.ravel()) == {0.0, 1.0}
+        assert_predicts_as_forward(model, rows)
+        assert all(predict(model, x) == (cls, 1.0) for x in rows)
 
 
 class TestSerialization:
