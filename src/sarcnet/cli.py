@@ -456,9 +456,11 @@ def cmd_eval(args) -> int:
         report_paths = [(args.out, stars_list)]
     _refuse_shared_paths(args, [("--out", path) for path, _ in report_paths],
                          [("--model", path) for path in model_paths.values()])
+    # A model that cannot be read fails the run before the corpus is read.
+    models = {stars: load_model(path) for stars, path in model_paths.items()}
     lexicons, prov, splits = _load_splits(args, stars_list, "eval", {})
     pipeline = FeaturePipeline(lexicons)
-    reports = {stars: evaluate(load_model(model_paths[stars]), list(split.test), pipeline)
+    reports = {stars: evaluate(models[stars], list(split.test), pipeline)
                for stars, split in splits.items()}
     for path, report_stars in report_paths:
         write_report(_prepare_out(path), {stars: reports[stars] for stars in report_stars},

@@ -855,13 +855,25 @@ class TestEval:
         assert code == 0
         assert (tmp_path / "report-2{x}.json").exists()
 
-    def test_missing_model_is_data_error(self, trained, tmp_path, capsys):
-        code = run("eval", "--reviews", trained["reviews"],
-                   "--labels", trained["labels"], "--stars", "2",
-                   "--train-size", "40", "--test-size", "10", "--seed", "42",
-                   "--model", str(tmp_path / "missing.json"),
-                   "--out", str(tmp_path / "report.json"))
+    @pytest.mark.parametrize("model, message", [
+        ("missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("notes.json", "model file is not valid JSON: Expecting value"),
+    ], ids=["missing", "empty-path", "not-json"])
+    def test_unreadable_model_is_a_data_error_before_the_corpus_is_read(
+            self, corpus, tmp_path, monkeypatch, capsys, model, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before the model was loaded")
+
+        monkeypatch.setattr(cli, "read_reviews", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "notes.json").write_text("not a model\n")
+        code = run("eval", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "2", "--train-size", "40", "--test-size", "10",
+                   "--model", model, "--out", "report.json")
         assert code == 2
+        assert capsys.readouterr() == ("", f"sarcnet: data error: {message}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["notes.json"]
 
 
 class TestPredict:

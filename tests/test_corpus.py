@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -194,9 +195,25 @@ class TestLabels:
         assert [e.line_number for e in errors] == [2, 3]
 
 
-VOTES = st.lists(st.builds(SarcasmLabel, st.sampled_from(["r1", "r2", "r3"]), st.booleans(),
-                           st.sampled_from(["a", "b", "c", "d"])), max_size=24)
+# About 70 annotators, so that a review's vote bits pass 64 bits, and votes
+# on r7, which VOTED_REVIEWS lacks, beside its reviews with no votes (r0, r4).
+ANNOTATORS = [f"annotator-{i}" for i in range(70)]
+VOTES = st.lists(st.builds(SarcasmLabel, st.sampled_from(["r1", "r2", "r3", "r7"]),
+                           st.booleans(), st.sampled_from(ANNOTATORS)), max_size=120)
 VOTED_REVIEWS = [Review(f"r{i}", 1 + i % 5, f"text {i}") for i in range(5)]
+
+
+def many_annotator_votes(n_annotators=3000, n_votes=20_000, seed=3000):
+    """Seeded votes on r0-r39 by n_annotators, each voting first in turn.
+
+    About one vote in thirteen repeats a (review, annotator) pair, and
+    about half of those change that annotator's earlier vote.
+    """
+    rng = random.Random(seed)
+    names = [f"annotator-{i}" for i in range(n_annotators)]
+    return [SarcasmLabel(f"r{rng.randrange(40)}", rng.random() < 0.5,
+                         names[i] if i < n_annotators else rng.choice(names))
+            for i in range(n_votes)]
 
 
 class TestTallyMatchesReference:
@@ -207,6 +224,9 @@ class TestTallyMatchesReference:
     @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")])
     @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "a"),
               SarcasmLabel("r2", True, "b"), SarcasmLabel("r2", True, "b")])
+    @example([SarcasmLabel("r2", False, name) for name in ANNOTATORS]
+             + [SarcasmLabel("r2", True, name) for name in ANNOTATORS[:36]]
+             + [SarcasmLabel("r2", False, name) for name in ANNOTATORS[1:36]])
     def test_resolve_labels(self, votes):
         expected = list(reference_corpus.resolve_labels(votes).items())
         assert list(resolve_labels(votes).items()) == expected
@@ -220,6 +240,44 @@ class TestTallyMatchesReference:
                     for review in VOTED_REVIEWS if review.review_id in resolved]
         assert label_reviews(VOTED_REVIEWS, votes) == expected
         assert label_reviews(VOTED_REVIEWS, (vote for vote in votes)) == expected
+
+    def test_three_thousand_annotators(self):
+        votes = many_annotator_votes()
+        resolved = reference_corpus.resolve_labels(votes)
+        assert list(resolve_labels(iter(votes)).items()) == list(resolved.items())
+        reviews = [Review(f"r{i}", 1, "text") for i in range(0, 60, 3)]
+        assert label_reviews(reviews, iter(votes)) == [
+            LabeledReview(review, resolved[review.review_id])
+            for review in reviews if review.review_id in resolved]
+
+
+class TestTallyMemory:
+    """The tally holds about one int and one dict slot per review, not a dict of votes."""
+
+    N_REVIEWS = 20_000
+    BYTES_PER_REVIEW = 150
+
+    def votes(self):
+        """Four annotators' votes on each review, made one at a time, each with its
+        own review_id string, as ``iter_labels`` yields them."""
+        for i in range(self.N_REVIEWS):
+            for k, annotator in enumerate(("a0", "a1", "a2", "a3")):
+                yield SarcasmLabel(f"review-{i:06d}", (i + k) % 3 == 0, annotator)
+
+    @pytest.mark.parametrize("tally", ["resolve_labels", "label_reviews"])
+    def test_peak_per_review(self, tally):
+        reviews = [Review(f"review-{i:06d}", 1 + i % 5, "text")
+                   for i in range(self.N_REVIEWS)]
+        call = {"resolve_labels": lambda: resolve_labels(self.votes()),
+                "label_reviews": lambda: label_reviews(reviews, self.votes())}[tally]
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == self.N_REVIEWS
+        assert peak / self.N_REVIEWS < self.BYTES_PER_REVIEW
 
 
 class TestIterLabels:
