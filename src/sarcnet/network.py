@@ -5,10 +5,9 @@ initialization, ReLU hidden layers with inverted dropout, a max-shifted
 softmax head, exact backpropagation of the cross-entropy loss, and Adam
 updates. No autograd, no framework.
 
-forward takes a single 15-vector or a (B, 15) batch; one matrix code
-path serves both, a single vector being a batch of one. Backward sums
-the gradients over the batch. predict runs one 15-vector on its own
-path, without the trace or the batch reshapes, and gives bit for bit
+forward, backward and cross_entropy take a (B, 15) batch with B
+classes; backward sums the gradients over the batch. predict runs one
+(15,) vector on its own path, without the trace, and gives bit for bit
 the class and probability that forward does.
 
 Dropout is the inverted kind: surviving activations are scaled by
@@ -123,11 +122,11 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything backward needs; every array has the rank of the input x."""
-    x: np.ndarray
+    """Everything backward needs; every array has one row per example."""
+    x: np.ndarray  # (B, 15)
     activations: tuple  # post-activation (and post-dropout) per layer
     masks: tuple  # dropout masks per hidden layer; empty without a generator
-    p: np.ndarray  # output probabilities, (2,) or (B, 2)
+    p: np.ndarray  # output probabilities, (B, 2)
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,6 @@ def init_adam_state(model: MlpModel) -> AdamState:
     return AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax: shift by the max so huge logits cannot overflow."""
     shifted = z - np.max(z, axis=-1, keepdims=True)
@@ -172,18 +167,16 @@ def dropout_mask(rng: "np.random.Generator", size, keep_prob: float) -> np.ndarr
 
 
 def forward(model: MlpModel, x, rng: "np.random.Generator | None" = None) -> ForwardTrace:
-    """Run a (15,) input or a (B, 15) batch through the network.
+    """Run a (B, 15) batch through the network.
 
-    The trace records everything backward needs, at the rank of x. Given
-    a generator, it applies dropout, drawing all masks of the batch as one
-    (B, sum(hidden)) block split by columns per layer: row by row that is
-    the order in which per-example, per-layer draws would read the generator.
+    The trace records everything backward needs. Given a generator, it
+    applies dropout, drawing all masks of the batch as one (B, sum(hidden))
+    block split by columns per layer: row by row that is the order in which
+    per-example, per-layer draws would read the generator.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != INPUT_DIM:
-        raise ValueError(
-            f"expected input shape ({INPUT_DIM},) or (B, {INPUT_DIM}), got {x.shape}")
-    a = x.reshape(-1, INPUT_DIM)
+    x = a = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+        raise ValueError(f"expected input shape (B, {INPUT_DIM}), got {x.shape}")
     masks = []
     if rng is not None:
         hidden = model.config.hidden
@@ -196,63 +189,55 @@ def forward(model: MlpModel, x, rng: "np.random.Generator | None" = None) -> For
         if l == last:
             a = softmax(z)
         else:
-            a = relu(z)
+            a = np.maximum(z, 0.0)
             if masks:
                 a = a * masks[l]
         activations.append(a)
-    if x.ndim == 1:
-        activations, masks = ([t[0] for t in ts] for ts in (activations, masks))
     return ForwardTrace(x=x, activations=tuple(activations), masks=tuple(masks),
                         p=activations[-1])
 
 
 def _class_indices(p: np.ndarray, y) -> np.ndarray:
-    """The classes y as row indices into p: an int for one row, B ints for B rows."""
+    """The B classes y of (B, 2) probability rows p, as row indices."""
     classes = np.asarray(y)
-    if classes.shape != p.shape[:-1]:
+    if p.ndim != 2 or classes.shape != p.shape[:1]:
         raise ValueError(
             f"expected one class per probability row, got shape {classes.shape} "
             f"for probabilities of shape {p.shape}")
     if not np.all((classes == 0) | (classes == 1)):
         raise ValueError(f"class must be 0 or 1, got {y}")
-    return classes.astype(np.intp).reshape(-1)
+    return classes.astype(np.intp)
 
 
 def cross_entropy(p, y) -> float:
-    """Negative log likelihood of the true class, clamped away from 0.
-
-    p is one probability row with an int class, or (B, 2) rows with B
-    classes; a batch's losses are summed.
-    """
+    """Summed -log of each (B, 2) row p's probability of its class y, clamped away from 0."""
     p = np.asarray(p)
-    rows = p.reshape(-1, p.shape[-1])
-    picked = rows[np.arange(len(rows)), _class_indices(p, y)]
+    picked = p[np.arange(len(p)), _class_indices(p, y)]
     return float(-np.log(np.maximum(picked, 1e-12)).sum())
 
 
 def backward(model: MlpModel, trace: ForwardTrace, y) -> MlpModel:
     """Exact gradients of cross_entropy(forward(x).p, y) for every parameter.
 
-    y is an int for a (15,) trace or B ints for a (B, 15) one; the
-    gradients are summed over the batch.
+    y holds the B classes of the trace's batch; the gradients are summed over it.
     """
     if len(trace.activations) != model.n_layers:
         raise ValueError("trace does not match model depth")
     classes = _class_indices(trace.p, y)
     n = model.n_layers
-    delta = np.atleast_2d(trace.p).copy()
-    delta[np.arange(delta.shape[0]), classes] -= 1.0
+    delta = trace.p.copy()
+    delta[np.arange(len(delta)), classes] -= 1.0
     # No zero fill: the loop writes every weight and bias view, which tile the vector.
     grads = MlpModel(model.config, np.empty_like(model.params))
     for l in range(n - 1, -1, -1):
         a_prev = trace.x if l == 0 else trace.activations[l - 1]
-        np.matmul(delta.T, np.atleast_2d(a_prev), out=grads.weights[l])
+        np.matmul(delta.T, a_prev, out=grads.weights[l])
         delta.sum(axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l]
             if trace.masks:
                 delta = delta * trace.masks[l - 1]
-            # relu(z) * mask > 0 exactly where z > 0 and the unit was kept.
+            # max(z, 0) * mask > 0 exactly where z > 0 and the unit was kept.
             delta = delta * (trace.activations[l - 1] > 0)
     return grads
 

@@ -354,14 +354,18 @@ def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
     Stage selection does not depend on the learning rate, so the staged
     and test vectors are built once and shared by every grid point.
     Returns (lr, ClassMetrics) pairs ranked best first: highest test
-    accuracy, ties to the lower learning rate.
+    accuracy, ties to the lower learning rate. A TrainingDivergence names
+    the star and the rate: ``N-star model, lr R: <reason>``.
     """
     pipe = pipeline if pipeline is not None else FeaturePipeline()
     staged = _staged_vectors(split, config, pipe)
     test = _test_vectors(list(split.test), pipe)
     results = []
     for lr in config.lr_grid:
-        model, _ = train_on_vectors(staged, replace(config, lr=lr), mlp_config)
+        try:
+            model, _ = train_on_vectors(staged, replace(config, lr=lr), mlp_config)
+        except TrainingDivergence as exc:
+            raise TrainingDivergence(f"{split.stars}-star model, lr {lr:g}: {exc}") from exc
         results.append((lr, prf1(_tally(model, *test))))
     return sorted(results, key=lambda pair: (-pair[1].accuracy, pair[0]))
 

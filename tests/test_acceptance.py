@@ -48,6 +48,9 @@ from sarcnet.network import (
     forward,
     init_adam_state,
     init_model,
+    load_model,
+    predict,
+    predicted_classes,
     softmax,
     zero_gradients,
 )
@@ -127,7 +130,7 @@ def numeric_gradients(model: MlpModel, x: np.ndarray, y: int, h: float = 1e-5):
     """Central-difference loss gradients for every parameter tensor."""
 
     def loss() -> float:
-        return cross_entropy(forward(model, x).p, y)
+        return cross_entropy(forward(model, x[None]).p, [y])
 
     grads_w, grads_b = [], []
     for tensors, grads in ((model.weights, grads_w), (model.biases, grads_b)):
@@ -167,8 +170,8 @@ class TestCriterion2GradientOracle:
                                          seed=int(rng.integers(1 << 31))))
             x = rng.uniform(-1.0, 1.0, size=15)
             y = int(rng.integers(2))
-            trace = forward(model, x)
-            analytic = backward(model, trace, y)
+            trace = forward(model, x[None])
+            analytic = backward(model, trace, [y])
             numeric_w, numeric_b = numeric_gradients(model, x, y)
             for a, n in zip(analytic.weights, numeric_w):
                 worst = max(worst, relative_error(a, n))
@@ -224,8 +227,8 @@ class TestCriterion4SoftmaxAndLoss:
 
     def test_cross_entropy_of_even_split_is_ln_two(self):
         p = np.array([0.5, 0.5])
-        assert abs(cross_entropy(p, 0) - math.log(2.0)) < 1e-12
-        assert abs(cross_entropy(p, 1) - math.log(2.0)) < 1e-12
+        assert abs(cross_entropy(p[None], [0]) - math.log(2.0)) < 1e-12
+        assert abs(cross_entropy(p[None], [1]) - math.log(2.0)) < 1e-12
 
 
 @pytest.mark.acceptance(5)
@@ -242,8 +245,8 @@ class TestCriterion5DropoutProperty:
         model = init_model(MlpConfig(hidden=(9, 8), keep_prob=1.0, seed=2))
         rng = np.random.default_rng(4)
         x = np.linspace(0.0, 1.0, 15)
-        train_trace = forward(model, x, rng=rng)
-        infer_trace = forward(model, x)
+        train_trace = forward(model, x[None], rng=rng)
+        infer_trace = forward(model, x[None])
         assert np.array_equal(train_trace.p, infer_trace.p)
         for a, b in zip(train_trace.activations, infer_trace.activations):
             assert np.array_equal(a, b)
@@ -472,6 +475,21 @@ class TestGoldenDigests:
         assert cli.main(["extract", *corpus, "--out", str(tmp_path / "features.csv")]) == 0
         actual = {name: sha(tmp_path / name) for name in self.INPUT_DIGESTS}
         assert actual == self.INPUT_DIGESTS
+
+    def test_eval_batch_and_predict_row_agree_on_every_class(self, criterion8_dir,
+                                                             minicorpus_dir):
+        """eval runs a batch through forward and predict one row on its own path.
+        Their last bits may differ; no review's class may."""
+        reviews, _ = read_reviews(minicorpus_dir / "reviews.jsonl")
+        pipeline = FeaturePipeline()
+        checked = 0
+        for stars in range(1, 6):
+            model = load_model(criterion8_dir / f"model-{stars}.json")
+            xs = np.array([pipeline.vector(r.text) for r in reviews if r.stars == stars])
+            batch = predicted_classes(forward(model, xs).p)
+            assert batch.tolist() == [predict(model, x)[0] for x in xs], f"{stars}-star"
+            checked += len(xs)
+        assert checked == len(reviews) == 500
 
 
 @pytest.mark.acceptance(9)

@@ -384,6 +384,35 @@ class TestEmptyOutputPath:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputIsADirectory:
+    """An output path that is an existing directory gets open()'s error before any write."""
+
+    @pytest.mark.parametrize("argv, directory", [
+        (["train", *FAST_TRAIN, "--stars", "1,2",
+          "--model", "m-{stars}.json", "--out", "h-{stars}.jsonl"], "m-2.json"),
+        (["ingest", "--stars", "2,3", "--train-size", "40", "--test-size", "10",
+          "--out", "s-{stars}.json"], "s-3.json"),
+    ], ids=["train", "ingest"])
+    def test_is_a_data_error_that_writes_nothing(self, corpus, tmp_path, monkeypatch,
+                                                 capsys, argv, directory):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "kept.txt").write_text("kept\n")
+        (tmp_path / "s-2.json").write_text("an earlier manifest\n")
+
+        def contents():
+            return {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+
+        before = contents()
+        monkeypatch.chdir(tmp_path)
+        code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   *argv[1:])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sarcnet: data error: [Errno 21] Is a directory: {directory!r}\n"
+        assert contents() == before
+
+
 class TestSharedPaths:
     """An output that names an input or another output is refused before any read."""
 
@@ -1163,6 +1192,15 @@ class TestSweep:
                        "--seed", "3", "--lr-grid", "0.001,0.01", "--out", str(out))
             assert code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_divergence_names_the_star_and_the_rate(self, corpus, capsys):
+        code = run("sweep", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "1", *FAST_TRAIN, "--lr-grid", "1e-3,1e300")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sarcnet: training failed: 1-star model, lr 1e+300: "
+                                "non-finite loss in stage 'main', epoch 1, batch 2\n")
 
     def test_empty_out_path_is_data_error(self, corpus, tmp_path, monkeypatch, capsys):
         """``--out ""`` names no file: exit 2 as ingest and extract do, not a silent skip."""

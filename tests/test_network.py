@@ -19,6 +19,7 @@ from model_layers import from_layers
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.network import (
     PARAM_LIMIT,
+    ForwardTrace,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -31,7 +32,6 @@ from sarcnet.network import (
     load_model,
     predict,
     predicted_classes,
-    relu,
     save_model,
     softmax,
     zero_gradients,
@@ -143,8 +143,8 @@ class TestInit:
 
 class TestForward:
     def test_zero_model_gives_uniform_probabilities(self):
-        trace = forward(zero_model(), np.ones(15))
-        assert trace.p == pytest.approx([0.5, 0.5])
+        trace = forward(zero_model(), np.ones(15)[None])
+        assert trace.p[0] == pytest.approx([0.5, 0.5])
 
     def test_softmax_stability_large_logits(self):
         p = softmax(np.array([1000.0, 0.0]))
@@ -166,14 +166,11 @@ class TestForward:
     def test_keep_prob_one_train_equals_infer(self):
         model = init_model(MlpConfig(hidden=(11, 9), keep_prob=1.0, seed=5))
         x = np.random.default_rng(0).random(15)
-        train_trace = forward(model, x, rng=np.random.default_rng(1))
-        infer_trace = forward(model, x)
+        train_trace = forward(model, x[None], rng=np.random.default_rng(1))
+        infer_trace = forward(model, x[None])
         assert np.array_equal(train_trace.p, infer_trace.p)
         for a, b in zip(train_trace.activations, infer_trace.activations):
             assert np.array_equal(a, b)
-
-    def test_relu(self):
-        assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
 
 class TestDropout:
@@ -185,43 +182,43 @@ class TestDropout:
     def test_infer_mode_applies_no_mask(self):
         model = init_model(MlpConfig(hidden=(9,), keep_prob=0.5, seed=2))
         x = np.full(15, 0.3)
-        a = forward(model, x)
-        b = forward(model, x)
+        a = forward(model, x[None])
+        b = forward(model, x[None])
         assert np.array_equal(a.p, b.p)
         assert a.masks == ()
 
 
 class TestCrossEntropy:
     def test_uniform(self):
-        assert cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2))
+        assert cross_entropy(np.array([0.5, 0.5])[None], [1]) == pytest.approx(math.log(2))
 
     def test_perfect(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
+        assert cross_entropy(np.array([0.0, 1.0])[None], [1]) == 0.0
 
     def test_clamped_worst_case(self):
-        loss = cross_entropy(np.array([1.0, 0.0]), 1)
+        loss = cross_entropy(np.array([1.0, 0.0])[None], [1])
         assert loss == pytest.approx(-math.log(1e-12))
 
 
 class TestBackward:
     def test_output_delta_at_symmetric_start(self):
         model = zero_model(hidden=(7,))
-        trace = forward(model, np.ones(15))
-        grads = backward(model, trace, y=1)
+        trace = forward(model, np.ones(15)[None])
+        grads = backward(model, trace, y=[1])
         assert grads.biases[-1] == pytest.approx([0.5, -0.5])
 
     def test_zero_input_zeroes_first_layer_weight_grads(self):
         model = init_model(MlpConfig(hidden=(8,), seed=4))
-        trace = forward(model, np.zeros(15))
-        grads = backward(model, trace, y=0)
+        trace = forward(model, np.zeros(15)[None])
+        grads = backward(model, trace, y=[0])
         assert np.all(grads.weights[0] == 0.0)
 
     def test_depth_mismatch_rejected(self):
         deep = init_model(MlpConfig(hidden=(9, 9), seed=0))
         shallow = init_model(MlpConfig(hidden=(9,), seed=0))
-        trace = forward(deep, np.ones(15))
+        trace = forward(deep, np.ones(15)[None])
         with pytest.raises(ValueError, match="depth"):
-            backward(shallow, trace, y=0)
+            backward(shallow, trace, y=[0])
 
     def test_train_mode_gradient_matches_frozen_mask_oracle(self):
         # Finite differences on a forward pass that replays the recorded
@@ -230,7 +227,7 @@ class TestBackward:
         model = init_model(MlpConfig(hidden=(9, 8), keep_prob=0.6, seed=6))
         x = rng.random(15)
         y = 1
-        trace = forward(model, x, rng=np.random.default_rng(99))
+        trace = forward(model, x[None], rng=np.random.default_rng(99))
 
         def frozen_loss(weights, biases):
             a = x
@@ -239,10 +236,10 @@ class TestBackward:
                 if l == len(weights) - 1:
                     a = softmax(z)
                 else:
-                    a = np.maximum(z, 0.0) * trace.masks[l]
-            return cross_entropy(a, y)
+                    a = np.maximum(z, 0.0) * trace.masks[l][0]
+            return cross_entropy(a[None], [y])
 
-        grads = backward(model, trace, y)
+        grads = backward(model, trace, [y])
         h = 1e-5
         for l in range(len(model.weights)):
             numeric = np.zeros_like(model.weights[l])
@@ -261,7 +258,7 @@ class TestBackward:
     @given(hidden=st.sampled_from([(9,), (8, 7)]),
            keep_prob=st.sampled_from([0.5, 0.75, 1.0]),
            seed=st.none() | st.integers(0, 2 ** 32 - 1),
-           rows=st.none() | st.integers(1, 5),
+           rows=st.integers(1, 5),
            dead=st.sets(st.integers(0, 6), max_size=3),
            data=st.data())
     def test_gradients_match_the_pre_activation_gate_bit_for_bit(
@@ -276,24 +273,22 @@ class TestBackward:
                 w[unit] = 0.0
                 b[unit] = data.draw(st.sampled_from([0.0, -0.0]))
         values = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
-        shape = (15,) if rows is None else (rows, 15)
-        x = np.array(data.draw(st.lists(values, min_size=15 * (rows or 1),
-                                        max_size=15 * (rows or 1)))).reshape(shape)
-        y = data.draw(st.integers(0, 1)) if rows is None else np.array(
-            data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+        x = np.array(data.draw(st.lists(values, min_size=15 * rows,
+                                        max_size=15 * rows))).reshape(rows, 15)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
         trace = forward(model, x, rng=None if seed is None else np.random.default_rng(seed))
 
         expected = np.empty_like(model.params)
         views = MlpModel(model.config, expected)
-        delta = np.atleast_2d(trace.p).copy()
-        delta[np.arange(delta.shape[0]), np.atleast_1d(y)] -= 1.0
+        delta = trace.p.copy()
+        delta[np.arange(rows), y] -= 1.0
         for l in range(model.n_layers - 1, -1, -1):
             a_prev = trace.x if l == 0 else trace.activations[l - 1]
-            np.matmul(delta.T, np.atleast_2d(a_prev), out=views.weights[l])
+            np.matmul(delta.T, a_prev, out=views.weights[l])
             delta.sum(axis=0, out=views.biases[l])
             if l > 0:
                 below = trace.x if l == 1 else trace.activations[l - 2]
-                z = np.atleast_2d(below) @ model.weights[l - 1].T + model.biases[l - 1]
+                z = below @ model.weights[l - 1].T + model.biases[l - 1]
                 delta = delta @ model.weights[l]
                 if trace.masks:
                     delta = delta * trace.masks[l - 1]
@@ -332,21 +327,6 @@ class TestBatchParity:
         assert cross_entropy(trace.p, ys) == pytest.approx(expected_loss,
                                                            rel=0, abs=1e-12)
 
-    def test_single_vector_is_a_batch_of_one(self):
-        model = init_model(MlpConfig(hidden=(11, 9), keep_prob=0.5, seed=3))
-        x = np.random.default_rng(2).random(15)
-        single = forward(model, x, rng=np.random.default_rng(8))
-        batch = forward(model, x[None, :], rng=np.random.default_rng(8))
-        assert single.x.shape == (15,) and single.p.shape == (2,)
-        for ts, tb in ((single.activations, batch.activations), (single.masks, batch.masks)):
-            for a, b in zip(ts, tb):
-                assert a.ndim == 1 and np.array_equal(a, b[0])
-        grads_single = backward(model, single, 1)
-        grads_batch = backward(model, batch, np.array([1]))
-        for a, b in zip(grads_single.weights + grads_single.biases,
-                        grads_batch.weights + grads_batch.biases):
-            assert np.array_equal(a, b)
-
     def test_class_count_must_match_rows(self):
         model = init_model(MlpConfig(hidden=(9,), seed=0))
         trace = forward(model, np.ones((3, 15)))
@@ -360,6 +340,25 @@ class TestBatchParity:
     def test_batch_rank_checked(self):
         with pytest.raises(ValueError, match="shape"):
             forward(zero_model(), np.ones((2, 3, 15)))
+
+    @pytest.mark.parametrize("shape", [(15,), (1, 14), (15, 1), ()])
+    def test_forward_refuses_every_shape_but_a_batch(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected input shape (B, 15), got {shape}")):
+            forward(zero_model(), np.ones(shape))
+
+    def test_an_int_class_is_refused(self):
+        model = zero_model()
+        trace = forward(model, np.ones((1, 15)))
+        # The one-vector trace forward used to give, rows stripped of the batch axis.
+        single = ForwardTrace(trace.x[0], tuple(a[0] for a in trace.activations), (),
+                              trace.p[0])
+        for t in (trace, single):
+            with pytest.raises(ValueError, match="one class per probability row"):
+                backward(model, t, 1)
+        for p in (np.array([0.5, 0.5]), np.array([[0.5, 0.5]])):
+            with pytest.raises(ValueError, match="one class per probability row"):
+                cross_entropy(p, 1)
 
 
 class TestAdam:
@@ -508,7 +507,7 @@ class TestPredict:
 
 def forward_prediction(model, x):
     """predict's contract computed by forward: the class and its probability."""
-    p = forward(model, x).p
+    p = forward(model, x[None]).p[0]
     cls = int(predicted_classes(p))
     return cls, float(p[cls])
 
