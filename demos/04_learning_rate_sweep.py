@@ -12,6 +12,7 @@ rate first, preferring the more conservative optimizer setting.
 from pathlib import Path
 
 from sarcnet import (
+    FeaturePipeline,
     Main,
     MlpConfig,
     NonSarcasticDominated,
@@ -20,6 +21,7 @@ from sarcnet import (
     derive_seed,
     iter_labels,
     label_reviews,
+    load_lexicons,
     lr_sweep,
     make_split,
     open_jsonl,
@@ -50,7 +52,7 @@ def main() -> None:
     mlp_config = MlpConfig(hidden=(15, 15), keep_prob=0.75,
                            seed=derive_seed(SEED, "init", STARS))
 
-    results = lr_sweep(split, config, mlp_config)
+    results = lr_sweep(split, config, mlp_config, FeaturePipeline(load_lexicons()))
     print(f"learning-rate sweep, {STARS}-star reviews, 70/30 split:\n")
     print(render_sweep_table(results), end="")
     print(f"\nbest by test accuracy: lr={results[0][0]:g}")

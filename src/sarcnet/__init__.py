@@ -33,7 +33,7 @@ _MODULE_EXPORTS = {
         "FeatureCounts", "FeatureDescriptor", "FeatureKind", "FeaturePipeline",
         "catalog", "extract_counts", "feature_names", "normalize",
     ),
-    "lexicons": ("Lexicons", "default_lexicons", "load_lexicons"),
+    "lexicons": ("Lexicons", "load_lexicons"),
     "network": (
         "AdamState", "ForwardTrace", "MlpConfig", "MlpModel",
         "adam_step", "backward", "cross_entropy", "forward", "init_adam_state",

@@ -18,8 +18,9 @@ reproduces it byte for byte.
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
 An output path that names an input, or another output, is a usage error;
-an empty output path, or one that is an existing directory, is a data
-error. All are refused before any input is read.
+an empty output path, one that is an existing directory, or one whose
+nearest existing ancestor is not a directory, is a data error. All are
+refused before any input is read.
 Each flag has one spelling: an abbreviated flag is a usage error. Each
 whole number has one too (``+1``, ``007`` and ``" 1"`` are refused), and
 a decimal may not be padded or hold '_' or a non-ASCII character.
@@ -181,8 +182,9 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
 
     outputs and inputs are (flag, path) pairs; --reviews and --labels are
     inputs too. An empty or absent path names no file; an empty output,
-    or one that is an existing directory, gets the error that opening it
-    would give, before the work instead of after it. Two paths name one
+    one that is an existing directory, or one whose nearest existing
+    ancestor is not a directory, gets the error that opening it would
+    give, before the work instead of after it. Two paths name one
     file when they resolve alike, or, where both exist, are one inode (a
     hard link). Each command calls this before it reads any input.
     """
@@ -195,6 +197,11 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
             continue
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        parent = os.path.dirname(path)
+        while parent and not os.path.lexists(parent):
+            parent = os.path.dirname(parent)
+        if parent and not os.path.isdir(parent):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
         for other_flag, other in named:
             try:
                 same = os.path.samefile(path, other)

@@ -33,7 +33,8 @@ are each one error for that line. Both parsers check an identifier field
 ``_string_problem``: it must be a non-empty string. It may not hold a
 lone surrogate (from a JSON ``\\u`` escape such as ``"\\udcff"``), which
 cannot be written back as UTF-8, and neither may a review's text. Both
-files are written through one serializer.
+files are written through one serializer, and the split manifest, the
+model and the eval report through another, ``_write_json``.
 
 A vote line in the serializer's own form, with printable-ASCII fields,
 skips even the scanner: ``iter_labels`` takes it with one match of
@@ -402,18 +403,20 @@ def make_split(pool, train_n: int, test_n: int, seed: int) -> DatasetSplit:
     )
 
 
-def write_split_manifest(path, split: DatasetSplit, provenance: dict | None = None) -> None:
+def _write_json(path, doc: dict, provenance: dict) -> None:
+    """Write doc with its provenance as one indented, sorted-key JSON document."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**doc, "provenance": provenance}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_split_manifest(path, split: DatasetSplit, provenance: dict) -> None:
     """Record a split so it can be audited and reconstructed."""
-    manifest = {
+    _write_json(path, {
         "stars": split.stars,
         "seed": split.seed,
         "train_n": len(split.train),
         "test_n": len(split.test),
         "train_review_ids": [lr.review.review_id for lr in split.train],
         "test_review_ids": [lr.review.review_id for lr in split.test],
-    }
-    if provenance is not None:
-        manifest["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, provenance)

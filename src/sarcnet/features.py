@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lexicons import Lexicons, default_lexicons
+from .lexicons import Lexicons, load_lexicons
 from .text import tokenize
 
 N_FEATURES = 15
@@ -234,14 +234,14 @@ def _classify_misses(chunks: list, hits: list, words: dict, table: dict) -> byte
     return b"".join(filter(None, hits)) + _hits(" ".join(unstored), words)
 
 
-def extract_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
+def extract_counts(text: str, lexicons: Lexicons) -> FeatureCounts:
     """Count every catalog feature over one review's text.
 
     The text is split at whitespace, each chunk's hit bytes are looked up
     in the lexicon set's chunk table (and computed only on a miss), and
     each count is the number of times its index occurs in their join.
     """
-    words, table = _tables(lexicons if lexicons is not None else default_lexicons())
+    words, table = _tables(lexicons)
     chunks = text.split()
     hits = list(map(table.get, chunks))
     try:
@@ -267,14 +267,15 @@ def normalize(counts: FeatureCounts) -> np.ndarray:
 class FeaturePipeline:
     """text -> count -> normalize, with one lexicon set.
 
-    Instances are cheap and hold nothing beyond the lexicons, so one
-    pipeline can serve a whole corpus (and is safe to share across
-    threads: the lexicon set's chunk table only ever maps a chunk to
-    the one hit string it has, whichever thread stores it).
+    Without a lexicon set, the constructor reads one with ``load_lexicons()``.
+    Instances hold nothing beyond the lexicons, so one pipeline can serve a
+    whole corpus (and is safe to share across threads: the lexicon set's
+    chunk table only ever maps a chunk to the one hit string it has,
+    whichever thread stores it).
     """
 
     def __init__(self, lexicons: Lexicons | None = None):
-        self.lexicons = lexicons if lexicons is not None else default_lexicons()
+        self.lexicons = lexicons if lexicons is not None else load_lexicons()
 
     def counts(self, text: str) -> FeatureCounts:
         return extract_counts(text, self.lexicons)
@@ -283,7 +284,7 @@ class FeaturePipeline:
         return normalize(self.counts(text))
 
 
-def write_feature_dump(path, rows, provenance=None) -> int:
+def write_feature_dump(path, rows, provenance: list) -> int:
     """Write a feature dump: '#' provenance stanza, then a CSV table.
 
     ``rows`` yields (review_id, label, FeatureCounts, vector) tuples; label
@@ -294,7 +295,7 @@ def write_feature_dump(path, rows, provenance=None) -> int:
     """
     names = feature_names()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in provenance or []:
+        for line in provenance:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["review_id", "word_count", "label"] + names)

@@ -10,7 +10,6 @@ files is carried into output artifacts for provenance tracking.
 import hashlib
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 
 from .errors import DataError
@@ -82,14 +81,3 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
         except UnicodeDecodeError as exc:
             raise DataError(f"lexicon file is not valid UTF-8: {path}: {exc}") from exc
     return Lexicons(digest=digest.hexdigest(), **sets)
-
-
-@lru_cache(maxsize=4)
-def _cached(resolved: str) -> Lexicons:
-    return load_lexicons(resolved)
-
-
-def default_lexicons() -> Lexicons:
-    """Cached load of the currently configured lexicon directory."""
-    return _cached(str(resolve_lexicon_dir().resolve()))
-

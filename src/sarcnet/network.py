@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import _write_json
 from .errors import DataError, TrainingDivergence
 
 INPUT_DIM = 15
@@ -327,9 +328,9 @@ def _config_from_doc(cfg) -> MlpConfig:
     return config
 
 
-def save_model(path, model: MlpModel, provenance: dict | None = None) -> None:
+def save_model(path, model: MlpModel, provenance: dict) -> None:
     """Write the versioned model document; float.hex() keeps it lossless."""
-    doc = {
+    _write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": {
@@ -347,12 +348,7 @@ def save_model(path, model: MlpModel, provenance: dict | None = None) -> None:
             }
             for w, b in zip(model.weights, model.biases)
         ],
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, provenance)
 
 
 def load_model(path) -> MlpModel:

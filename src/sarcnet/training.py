@@ -16,9 +16,9 @@ Each review is vectorized once per run, and each minibatch, accuracy
 pass and evaluation is one batched network call.
 
 Evaluation is read-only: the test reviews run through the feature
-pipeline and one infer-mode forward pass, tallying a confusion matrix
-with the sarcastic class as positive. Metrics use the 0-for-0/0 convention so
-degenerate classifiers still produce a report.
+pipeline and one forward pass without dropout, tallying a confusion
+matrix with the sarcastic class as positive. Metrics use the 0-for-0/0
+convention so degenerate classifiers still produce a report.
 """
 
 import json
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import DatasetSplit, derive_seed
+from .corpus import DatasetSplit, _write_json, derive_seed
 from .errors import DataError, TrainingDivergence
 from .features import FeaturePipeline
 from .network import (
@@ -250,13 +250,12 @@ def _staged_vectors(split: DatasetSplit, config: TrainConfig,
 
 
 def train(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
-          pipeline: FeaturePipeline | None = None) -> tuple:
+          pipeline: FeaturePipeline) -> tuple:
     """Train one star category's model on its split; returns (model, history).
 
     A TrainingDivergence names the star: ``N-star model: <reason>``.
     """
-    pipe = pipeline if pipeline is not None else FeaturePipeline()
-    staged = _staged_vectors(split, config, pipe)
+    staged = _staged_vectors(split, config, pipeline)
     try:
         return train_on_vectors(staged, config, mlp_config)
     except TrainingDivergence as exc:
@@ -306,15 +305,13 @@ def _tally(model: MlpModel, xs: np.ndarray, actual: np.ndarray) -> ConfusionMatr
     return ConfusionMatrix(tp=count(1, 1), fp=count(1, 0), fn=count(0, 1), tn=count(0, 0))
 
 
-def evaluate(model: MlpModel, test: list,
-             pipeline: FeaturePipeline | None = None) -> EvalResult:
+def evaluate(model: MlpModel, test: list, pipeline: FeaturePipeline) -> EvalResult:
     """Tally a confusion matrix over labeled test reviews (sarcastic = positive).
 
     Every error of the feature pipeline propagates. The model is never
     mutated.
     """
-    pipe = pipeline if pipeline is not None else FeaturePipeline()
-    return EvalResult(_tally(model, *_test_vectors(test, pipe)))
+    return EvalResult(_tally(model, *_test_vectors(test, pipeline)))
 
 
 def _ratio(num: float, den: float) -> float:
@@ -348,7 +345,7 @@ def macro_average(per_star: list) -> tuple:
 
 
 def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
-             pipeline: FeaturePipeline | None = None) -> list:
+             pipeline: FeaturePipeline) -> list:
     """Train and evaluate once per grid learning rate, identical seeds.
 
     Stage selection does not depend on the learning rate, so the staged
@@ -357,9 +354,8 @@ def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
     accuracy, ties to the lower learning rate. A TrainingDivergence names
     the star and the rate: ``N-star model, lr R: <reason>``.
     """
-    pipe = pipeline if pipeline is not None else FeaturePipeline()
-    staged = _staged_vectors(split, config, pipe)
-    test = _test_vectors(list(split.test), pipe)
+    staged = _staged_vectors(split, config, pipeline)
+    test = _test_vectors(list(split.test), pipeline)
     results = []
     for lr in config.lr_grid:
         try:
@@ -407,7 +403,7 @@ def render_sweep_table(results: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(reports: dict, provenance: dict | None = None) -> dict:
+def report_to_dict(reports: dict) -> dict:
     """Machine-readable eval report of stars -> EvalResult, full precision."""
     metrics = {s: prf1(rep.cm) for s, rep in sorted(reports.items())}
     doc = {
@@ -421,21 +417,16 @@ def report_to_dict(reports: dict, provenance: dict | None = None) -> dict:
     if len(reports) == 5:
         p, r, f1 = macro_average(list(metrics.values()))
         doc["macro"] = {"precision": p, "recall": r, "f1": f1}
-    if provenance is not None:
-        doc["provenance"] = provenance
     return doc
 
 
-def write_report(path, reports: dict, provenance: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(reports, provenance), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_report(path, reports: dict, provenance: dict) -> None:
+    _write_json(path, report_to_dict(reports), provenance)
 
 
-def write_history(path, history: list, provenance: dict | None = None) -> None:
-    """History file: optional provenance line, then one record per (stage, epoch)."""
+def write_history(path, history: list, provenance: dict) -> None:
+    """History file: the provenance line, then one record per (stage, epoch)."""
     with open(path, "w", encoding="utf-8") as fh:
-        if provenance is not None:
-            fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
+        fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
         for record in history:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")

@@ -21,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from sarcnet.features import FeatureCounts, FeatureKind, catalog
-from sarcnet.lexicons import Lexicons, default_lexicons
+from sarcnet.lexicons import Lexicons, load_lexicons
 
 ELLIPSIS_CHAR = "…"
+
+# The bundled lexicon set, loaded once and shared by every test module.
+LEXICONS = load_lexicons()
 
 # Characters for differential tests: those where the regex class \w and
 # isalpha/isdigit disagree ('_', '½', 'Ⅻ', '²', '٣'), the token
@@ -122,13 +125,12 @@ def tag_word(surface: str, lexicons: Lexicons) -> PosTag:
     return PosTag.NN
 
 
-def pos_tag(tokens: list, lexicons: Lexicons | None = None) -> list:
+def pos_tag(tokens: list, lexicons: Lexicons = LEXICONS) -> list:
     """Assign exactly one tag to every token; non-word tokens get OTHER."""
-    lex = lexicons if lexicons is not None else default_lexicons()
     tagged = []
     for token in tokens:
         if token.kind is TokenKind.WORD:
-            tagged.append(TaggedToken(token, tag_word(token.surface, lex)))
+            tagged.append(TaggedToken(token, tag_word(token.surface, lexicons)))
         else:
             tagged.append(TaggedToken(token, PosTag.OTHER))
     return tagged
@@ -150,9 +152,8 @@ def _is_elongated(surface: str) -> bool:
     return False
 
 
-def extract_counts(tagged: list, lexicons: Lexicons | None = None) -> FeatureCounts:
+def extract_counts(tagged: list, lexicons: Lexicons = LEXICONS) -> FeatureCounts:
     """Count every catalog feature over one review's tagged tokens."""
-    lex = lexicons if lexicons is not None else default_lexicons()
     c = dict.fromkeys([d.id for d in catalog()], 0)
     word_count = 0
     for tt in tagged:
@@ -162,21 +163,21 @@ def extract_counts(tagged: list, lexicons: Lexicons | None = None) -> FeatureCou
             lower = token.surface.lower()
             if tt.tag is PosTag.UH:
                 c["f1"] += 1
-            if lower in lex.invocations:
+            if lower in lexicons.invocations:
                 c["f2"] += 1
-            if lower in lex.intensifiers:
+            if lower in lexicons.intensifiers:
                 c["f3"] += 1
-            if lower in lex.positive_words:
+            if lower in lexicons.positive_words:
                 c["f4"] += 1
-            if lower in lex.negative_words:
+            if lower in lexicons.negative_words:
                 c["f5"] += 1
             if _is_all_caps(token.surface):
                 c["f12"] += 1
             if _is_elongated(token.surface):
                 c["f13"] += 1
-            if lower in lex.second_person:
+            if lower in lexicons.second_person:
                 c["f14"] += 1
-            if lower in lex.first_person_plural:
+            if lower in lexicons.first_person_plural:
                 c["f15"] += 1
         elif token.kind is TokenKind.PUNCT_RUN:
             s = token.surface
@@ -194,7 +195,7 @@ def extract_counts(tagged: list, lexicons: Lexicons | None = None) -> FeatureCou
     return FeatureCounts(word_count=word_count, **c)
 
 
-def reference_counts(text: str, lexicons: Lexicons | None = None) -> FeatureCounts:
+def reference_counts(text: str, lexicons: Lexicons = LEXICONS) -> FeatureCounts:
     """tokenize -> pos_tag -> extract_counts over ``text``."""
     return extract_counts(pos_tag(tokenize(text), lexicons), lexicons)
 

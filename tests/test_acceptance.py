@@ -394,13 +394,13 @@ class TestCriterion8EndToEndDeterminism:
 
 
 class TestGoldenDigests:
-    """Pins the bytes of the mini-corpus artifacts of criterion 8, ingest and
-    extract, and of predict's stdout.
+    """Pins the bytes of the mini-corpus artifacts of criterion 8, ingest,
+    extract and sweep, and of predict's stdout.
 
     Criterion 8 only checks that two reruns agree, so a change that drifts
     the floats would pass it silently. No command reads a manifest, a
-    feature dump or predict's output back, so only these digests see their
-    bytes move. The digests were taken on x86-64 (AVX-512) with Python
+    feature dump, a sweep table or predict's output back, so only these
+    digests see their bytes move. The digests were taken on x86-64 (AVX-512) with Python
     3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31; the last bits of the
     float math can differ on another BLAS or CPU. A change that alters artifact bytes on purpose
     re-pins them and says why.
@@ -432,6 +432,9 @@ class TestGoldenDigests:
     # predict's stdout for model-3.json over the mini-corpus texts, two in
     # four of them joined into one line by whitespace that ends no line
     PREDICT_DIGEST = "a76470ed73d29493dc36a6bc066f60e69f4c15442728d9bd798fb1fd799b3020"
+
+    # sweep's --out table for the 3-star split, criterion 8's flags, default grid
+    SWEEP_DIGEST = "973a8706af7fe8692c085adc2f92577bc1bf4827f26a7a52d8fcd2f55ae3e21b"
 
     # Whitespace that str.split() splits at but a predict line does not end at
     JOINERS = ("\t", "\x1c", "\x85", "\u2028", "\u3000")
@@ -475,6 +478,15 @@ class TestGoldenDigests:
         assert cli.main(["extract", *corpus, "--out", str(tmp_path / "features.csv")]) == 0
         actual = {name: sha(tmp_path / name) for name in self.INPUT_DIGESTS}
         assert actual == self.INPUT_DIGESTS
+
+    def test_sweep_table_digest(self, minicorpus_dir, tmp_path, capsys):
+        path = tmp_path / "sweep.txt"
+        assert cli.main(["sweep", "--reviews", str(minicorpus_dir / "reviews.jsonl"),
+                         "--labels", str(minicorpus_dir / "labels.jsonl"), "--stars", "3",
+                         *TestCriterion8EndToEndDeterminism.ARGS,
+                         *TestCriterion8EndToEndDeterminism.TRAIN_ARGS,
+                         "--out", str(path)]) == 0
+        assert sha(path) == self.SWEEP_DIGEST
 
     def test_eval_batch_and_predict_row_agree_on_every_class(self, criterion8_dir,
                                                              minicorpus_dir):

@@ -413,6 +413,28 @@ class TestOutputIsADirectory:
         assert contents() == before
 
 
+class TestOutputUnderAFile:
+    """An output whose nearest existing ancestor is a file is refused before any write."""
+
+    @pytest.mark.parametrize("argv, blocker, path", [
+        (["train", *FAST_TRAIN, "--stars", "1,2",
+          "--model", "d-{stars}/m.json", "--out", "d-{stars}/h.jsonl"], "d-2", "d-2/m.json"),
+        (["ingest", "--stars", "1,2", "--train-size", "40", "--test-size", "10",
+          "--out", "f/x/s-{stars}.json"], "f", "f/x/s-1.json"),
+    ], ids=["train", "ingest"])
+    def test_is_a_data_error_that_writes_nothing(self, corpus, tmp_path, monkeypatch,
+                                                 capsys, argv, blocker, path):
+        (tmp_path / blocker).write_text("a file\n")
+        monkeypatch.chdir(tmp_path)
+        code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   *argv[1:])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sarcnet: data error: [Errno 20] Not a directory: {path!r}\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == [blocker]
+
+
 class TestSharedPaths:
     """An output that names an input or another output is refused before any read."""
 

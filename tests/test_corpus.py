@@ -339,7 +339,7 @@ class TestFiles:
     def test_split_manifest_holds_every_field(self, tmp_path):
         split = make_split(make_pool(30, stars=4), 20, 10, seed=8)
         path = tmp_path / "split.json"
-        write_split_manifest(path, split)
+        write_split_manifest(path, split, {"seed": 8})
         manifest = json.loads(path.read_text(encoding="utf-8"))
         assert manifest == {
             "stars": 4,
@@ -348,6 +348,7 @@ class TestFiles:
             "test_n": 10,
             "train_review_ids": [lr.review.review_id for lr in split.train],
             "test_review_ids": [lr.review.review_id for lr in split.test],
+            "provenance": {"seed": 8},
         }
 
 

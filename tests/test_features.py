@@ -25,23 +25,22 @@ from sarcnet.features import (
     _tables,
 )
 from sarcnet.corpus import read_reviews
-from sarcnet.lexicons import default_lexicons
-from reference_text import EDGE_CHARS, reference_counts
+from reference_text import EDGE_CHARS, LEXICONS, reference_counts
 from reference_text import normalize as reference_normalize
 
 
 @pytest.fixture(scope="module")
 def pipeline():
-    return FeaturePipeline()
+    return FeaturePipeline(LEXICONS)
 
 
 def counts_for(text):
-    return extract_counts(text)
+    return extract_counts(text, LEXICONS)
 
 
-def chunk_table(lexicons=None):
-    """The chunk table extract_counts fills for a lexicon set (default: the default set)."""
-    return _tables(lexicons if lexicons is not None else default_lexicons())[1]
+def chunk_table(lexicons=LEXICONS):
+    """The chunk table extract_counts fills for a lexicon set (default: the bundled set)."""
+    return _tables(lexicons)[1]
 
 
 def minicorpus_texts(minicorpus_dir):
@@ -216,14 +215,14 @@ class TestFeatureDump:
 
     def test_header_lists_all_feature_names(self, tmp_path):
         path = tmp_path / "dump.csv"
-        write_feature_dump(path, [])
+        write_feature_dump(path, [], [])
         header = path.read_text().splitlines()[0]
         assert header.split(",") == ["review_id", "word_count", "label"] + feature_names()
 
     def test_values_have_nine_plus_significant_digits(self, tmp_path, pipeline):
         counts = pipeline.counts("Haha! you with a personality!!")
         path = tmp_path / "dump.csv"
-        write_feature_dump(path, [("r", None, counts, normalize(counts))])
+        write_feature_dump(path, [("r", None, counts, normalize(counts))], [])
         data_line = path.read_text().splitlines()[1]
         value = data_line.split(",")[3]
         mantissa = value.split("e")[0]
@@ -232,7 +231,7 @@ class TestFeatureDump:
 
 
 def _lexicon_words():
-    lex = default_lexicons()
+    lex = LEXICONS
     words = set().union(lex.interjections, lex.invocations, lex.intensifiers,
                         lex.positive_words, lex.negative_words, lex.second_person,
                         lex.first_person_plural)
@@ -252,7 +251,7 @@ _PIECE = st.one_of(
 )
 
 
-def assert_cold_then_warm(text, lexicons=None):
+def assert_cold_then_warm(text, lexicons=LEXICONS):
     """Count text twice: the first call may miss the chunk table and fill it, the
     second finds every stored chunk there. Both must match the reference."""
     expected = reference_counts(text, lexicons)
@@ -291,7 +290,7 @@ class TestMatchesReferencePipeline:
         assert_cold_then_warm(text)
 
     def test_laughter_in_the_interjection_lexicon_counts_once(self):
-        lex = replace(default_lexicons(), interjections=frozenset({"haha", "wow"}))
+        lex = replace(LEXICONS, interjections=frozenset({"haha", "wow"}))
         text = "haha HAHAHA wow ha"
         assert extract_counts(text, lex) == reference_counts(text, lex)
         assert extract_counts(text, lex).f1 == 3
@@ -322,12 +321,12 @@ class TestMatchesReferencePipeline:
         monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 3)
         table = chunk_table()
         table.clear()
-        extract_counts("wow!! you... SO")
+        extract_counts("wow!! you... SO", LEXICONS)
         assert list(table) == ["wow!!", "you...", "SO"]
         long_chunk = "soooo,GREAT!?" + "ha" * 12 + "…we"
         assert len(long_chunk) > 32
         text = f"haha\u3000wow!! we\x85aaa¿ you...\t{long_chunk} SO\u2028real?? SO"
-        assert extract_counts(text) == reference_counts(text)
+        assert extract_counts(text, LEXICONS) == reference_counts(text)
         assert list(table) == ["wow!!", "you...", "SO"]
 
     def test_long_token_is_counted_but_never_stored(self):
@@ -336,17 +335,16 @@ class TestMatchesReferencePipeline:
         for word in ("W" * 32, "W" * 33):
             expected = FeatureCounts(f12=1, f13=1, word_count=1)
             assert reference_counts(word) == expected
-            assert extract_counts(word) == extract_counts(word) == expected
+            assert extract_counts(word, LEXICONS) == extract_counts(word, LEXICONS) == expected
         assert list(table) == ["W" * 32]
 
     @pytest.mark.parametrize("default_first", [True, False],
                              ids=["default-first", "replaced-first"])
     def test_each_lexicon_set_has_its_own_table(self, default_first):
-        default = default_lexicons()
-        assert "wow" in default.interjections
-        without = replace(default, interjections=default.interjections - {"wow"})
-        chunk_table(default).clear()
-        runs = [(default, 1), (without, 0)]
+        assert "wow" in LEXICONS.interjections
+        without = replace(LEXICONS, interjections=LEXICONS.interjections - {"wow"})
+        chunk_table(LEXICONS).clear()
+        runs = [(LEXICONS, 1), (without, 0)]
         for lexicons, f1 in runs if default_first else runs[::-1]:
             assert extract_counts("wow", lexicons) == extract_counts("wow", lexicons)
             assert extract_counts("wow", lexicons).f1 == f1
@@ -355,10 +353,10 @@ class TestMatchesReferencePipeline:
     def test_one_pipeline_shared_by_four_threads(self, minicorpus_dir, monkeypatch):
         """Threads that fill the table while others read it get the same vectors."""
         texts = minicorpus_texts(minicorpus_dir)
-        pipeline = FeaturePipeline()
+        pipeline = FeaturePipeline(LEXICONS)
         expected = [pipeline.vector(text).tobytes() for text in texts]
         monkeypatch.setattr(sarcnet.features, "_TABLE_ENTRIES", 8)
-        table = chunk_table()
+        table = chunk_table(pipeline.lexicons)
         table.clear()
 
         def run(shift):

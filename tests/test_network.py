@@ -426,7 +426,7 @@ class TestFlatParameters:
         dims = model.config.layer_dims
         size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
         assert size == model.config.n_params == 512
-        save_model(tmp_path / "m.json", model)
+        save_model(tmp_path / "m.json", model, {})
         trace = forward(model, np.ones((3, 15)))
         grads = backward(model, trace, np.array([0, 1, 1]))
         state = init_adam_state(model)
@@ -589,7 +589,7 @@ class TestSerialization:
     def test_round_trip_predictions_match(self, tmp_path):
         model = init_model(MlpConfig(hidden=(15, 15), seed=2))
         path = tmp_path / "m.json"
-        save_model(path, model)
+        save_model(path, model, {})
         loaded = load_model(path)
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -599,7 +599,7 @@ class TestSerialization:
     def test_rejects_wrong_version(self, tmp_path):
         model = init_model(MlpConfig(hidden=(9,), seed=0))
         path = tmp_path / "m.json"
-        save_model(path, model)
+        save_model(path, model, {})
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
@@ -615,7 +615,7 @@ class TestSerialization:
     def test_rejects_shape_tampering(self, tmp_path):
         model = init_model(MlpConfig(hidden=(9,), seed=0))
         path = tmp_path / "m.json"
-        save_model(path, model)
+        save_model(path, model, {})
         doc = json.loads(path.read_text())
         doc["layers"][0]["shape"] = [8, 15]
         path.write_text(json.dumps(doc))
@@ -625,7 +625,7 @@ class TestSerialization:
     def test_rejects_non_finite_parameters(self, tmp_path):
         model = init_model(MlpConfig(hidden=(9,), seed=0))
         path = tmp_path / "m.json"
-        save_model(path, model)
+        save_model(path, model, {})
         doc = json.loads(path.read_text())
         doc["layers"][0]["weights"][0] = float("inf").hex()
         path.write_text(json.dumps(doc))
@@ -641,7 +641,7 @@ class TestSerialization:
         model.params[...] = PARAM_LIMIT
         model.weights[-1][...] *= np.array(output_signs)[:, None]
         path = tmp_path / "m.json"
-        save_model(path, model)
+        save_model(path, model, {})
         loaded = load_model(path)
         xs = np.vstack([np.zeros(15), np.ones(15), np.random.default_rng(0).random((8, 15))])
         assert np.isfinite(forward(loaded, xs).p).all()

@@ -47,3 +47,12 @@ def test_demo_runs_without_warnings(demo):
     if demo.name in STDOUT_DIGESTS:
         digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
         assert digest == STDOUT_DIGESTS[demo.name], result.stdout
+
+
+def test_minicorpus_regeneration_command_rebuilds_the_bundled_files(tmp_path):
+    """README's `python3 -m sarcnet.minicorpus <dir>` writes the shipped bytes."""
+    result = run_python("-m", "sarcnet.minicorpus", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    for name in ("reviews.jsonl", "labels.jsonl"):
+        assert ((tmp_path / name).read_bytes()
+                == (REPO_ROOT / "data" / "minicorpus" / name).read_bytes()), name

@@ -19,13 +19,13 @@ import sarcnet.text
 from reference_text import (
     EDGE_CHARS,
     ELLIPSIS_CHAR,
+    LEXICONS,
     PosTag,
     TokenKind,
     pos_tag,
     tag_word,
     tokenize,
 )
-from sarcnet.lexicons import default_lexicons
 
 
 def kinds(text):
@@ -34,7 +34,7 @@ def kinds(text):
 
 @pytest.fixture(scope="module")
 def lex():
-    return default_lexicons()
+    return LEXICONS
 
 
 class TestTokenize:

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from model_layers import from_layers
+from reference_text import LEXICONS
 
 import sarcnet.training as training
 from sarcnet.corpus import LabeledReview, Review, make_split
@@ -36,6 +37,8 @@ from sarcnet.training import (
     write_history,
     write_report,
 )
+
+PIPELINE = FeaturePipeline(LEXICONS)
 
 SARCASTIC_TEXTS = [
     "Wow!! just what we needed...",
@@ -268,7 +271,7 @@ class TestCurriculumTrain:
             lr=0.01, epochs=2, batch_size=10, seed=11,
             stages=(SarcasticOnly(12), NonSarcasticDominated(12, 3.0), Main()),
         )
-        model, history = train(split, config, MlpConfig(hidden=(10,), seed=2))
+        model, history = train(split, config, MlpConfig(hidden=(10,), seed=2), PIPELINE)
         assert [h.stage for h in history] == (
             ["sarcastic_only"] * 2 + ["non_sarcastic_dominated"] * 2 + ["main"] * 2)
         assert isinstance(model, MlpModel)
@@ -288,7 +291,7 @@ class TestCurriculumTrain:
         config = TrainConfig(stages=(SarcasticOnly(500),), epochs=1,
                              batch_size=5, seed=0)
         with pytest.raises(DataError, match="2-star stage 1 .* needs 500 sarcastic"):
-            train(split, config, MlpConfig(hidden=(8,), seed=0))
+            train(split, config, MlpConfig(hidden=(8,), seed=0), PIPELINE)
 
     def test_divergence_names_the_star(self, monkeypatch):
         monkeypatch.setattr(training, "cross_entropy", lambda p, y: float("inf"))
@@ -296,7 +299,7 @@ class TestCurriculumTrain:
         config = TrainConfig(stages=(Main(),), epochs=1, batch_size=5, seed=0)
         with pytest.raises(TrainingDivergence, match=r"^2-star model: non-finite loss in "
                                                      r"stage 'main', epoch 1, batch 1$"):
-            train(split, config, MlpConfig(hidden=(8,), seed=0))
+            train(split, config, MlpConfig(hidden=(8,), seed=0), PIPELINE)
 
 
 class TestBuildStagePool:
@@ -359,7 +362,7 @@ class TestBuildStagePool:
 
 class CountingPipeline(FeaturePipeline):
     def __init__(self):
-        super().__init__()
+        super().__init__(LEXICONS)
         self.calls = 0
 
     def vector(self, text):
@@ -387,8 +390,8 @@ class TestVectorizeOnce:
         assert pipe.calls == (len({lr.review.text for lr in split.train})
                               + len(split.test))
         for lr, metrics in results:
-            model, _ = train(split, replace(config, lr=lr), mlp)
-            assert metrics == prf1(evaluate(model, list(split.test)).cm)
+            model, _ = train(split, replace(config, lr=lr), mlp, PIPELINE)
+            assert metrics == prf1(evaluate(model, list(split.test), PIPELINE).cm)
 
 
 def constant_classifier(always: int):
@@ -403,34 +406,33 @@ def constant_classifier(always: int):
 class TestEvaluate:
     def test_constant_sarcastic_counts(self):
         test = [LabeledReview(Review(f"r{i}", 1, "meh"), i < 3) for i in range(10)]
-        outcome = evaluate(constant_classifier(1), test)
+        outcome = evaluate(constant_classifier(1), test, PIPELINE)
         assert outcome.cm == ConfusionMatrix(tp=3, fp=7, fn=0, tn=0)
         assert outcome.excluded == 0
 
     def test_order_invariance(self):
         test = [LabeledReview(Review(f"r{i}", 1, f"text {i}!"), i % 3 == 0)
                 for i in range(12)]
-        outcome_a = evaluate(constant_classifier(0), test)
-        outcome_b = evaluate(constant_classifier(0), list(reversed(test)))
+        outcome_a = evaluate(constant_classifier(0), test, PIPELINE)
+        outcome_b = evaluate(constant_classifier(0), list(reversed(test)), PIPELINE)
         assert outcome_a.cm == outcome_b.cm
 
     def test_matches_per_row_predict(self):
         test = synthetic_pool(40, stars=1, seed=3)
         model = init_model(MlpConfig(hidden=(12, 10), seed=8))
-        pipe = FeaturePipeline()
         tally = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
         for lr in test:
-            predicted, _ = predict(model, pipe.vector(lr.review.text))
+            predicted, _ = predict(model, PIPELINE.vector(lr.review.text))
             key = {(1, True): "tp", (1, False): "fp",
                    (0, True): "fn", (0, False): "tn"}[(predicted, lr.sarcastic)]
             tally[key] += 1
-        assert evaluate(model, test, pipe).cm == ConfusionMatrix(**tally)
+        assert evaluate(model, test, PIPELINE).cm == ConfusionMatrix(**tally)
 
     def test_ties_go_to_non_sarcastic(self):
         zero = constant_classifier(0)
         tied = from_layers(zero.config, zero.weights, (np.zeros(7), np.zeros(2)))
         test = [LabeledReview(Review(f"r{i}", 1, "so?!"), i < 4) for i in range(6)]
-        assert evaluate(tied, test).cm == ConfusionMatrix(tp=0, fp=0, fn=4, tn=2)
+        assert evaluate(tied, test, PIPELINE).cm == ConfusionMatrix(tp=0, fp=0, fn=4, tn=2)
 
     def test_pipeline_bug_propagates(self):
         """Every error of the pipeline propagates, a DataError too."""
@@ -441,7 +443,7 @@ class TestEvaluate:
                     raise error
 
             with pytest.raises(type(error), match=str(error)):
-                evaluate(constant_classifier(0), test, FailingPipeline())
+                evaluate(constant_classifier(0), test, FailingPipeline(LEXICONS))
 
 
 class TestMetrics:
@@ -492,8 +494,8 @@ class TestSweep:
         config = TrainConfig(stages=(Main(),), epochs=3, batch_size=10,
                              lr_grid=(1e-4, 1e-2), seed=13)
         mlp = MlpConfig(hidden=(9,), keep_prob=1.0, seed=3)
-        first = lr_sweep(split, config, mlp)
-        second = lr_sweep(split, config, mlp)
+        first = lr_sweep(split, config, mlp, PIPELINE)
+        second = lr_sweep(split, config, mlp, PIPELINE)
         assert first == second
         assert len(first) == 2
         assert first[0][1].accuracy >= first[1][1].accuracy
@@ -505,7 +507,7 @@ class TestSweep:
         config = TrainConfig(stages=(Main(),), epochs=1, batch_size=10,
                              lr_grid=(1e-12, 1e-11, 1e-2))
         mlp = MlpConfig(hidden=(9,), keep_prob=1.0, seed=3)
-        results = lr_sweep(split, config, mlp)
+        results = lr_sweep(split, config, mlp, PIPELINE)
         assert results[0][1].accuracy == results[1][1].accuracy
         assert [lr for lr, _ in results[:2]] == [1e-12, 1e-11]
 
