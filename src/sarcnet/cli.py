@@ -424,7 +424,7 @@ def _train_flags(args) -> dict:
 def cmd_train(args) -> int:
     from .features import FeaturePipeline
     from .network import save_model
-    from .training import train, write_history
+    from .training import _train_stars, write_history
 
     stars_list = _parse_stars(args.stars)
     stages = _parse_stages(args.stages)
@@ -436,10 +436,9 @@ def cmd_train(args) -> int:
     lexicons, prov, splits = _load_splits(args, stars_list, "train",
                                           {**_train_flags(args), "lr": args.lr})
     pipeline = FeaturePipeline(lexicons)
-    # Every star trains before any file is written, so a star that fails
-    # leaves no model or history behind.
-    trained = {stars: train(split, *configs[stars], pipeline)
-               for stars, split in splits.items()}
+    # Every star trains, in one stack, before any file is written, so a
+    # star that fails leaves no model or history behind.
+    trained = _train_stars(splits, configs, pipeline)
     for stars, (model, history) in trained.items():
         model_path = _prepare_out(model_paths[stars])
         save_model(model_path, model, prov)

@@ -10,6 +10,11 @@ classes; backward sums the gradients over the batch. predict runs one
 (15,) vector on its own path, without the trace, and gives bit for bit
 the class and probability that forward does.
 
+A model with (S, n_params) parameters is a stack of S networks of one
+shape. forward takes an (S, B, 15) batch, or one (B, 15) batch that all
+share; numpy's stacked matmul runs each member's own gemm, so each
+member's bits equal those of its unstacked run.
+
 Dropout is the inverted kind: surviving activations are scaled by
 1/keep_prob at train time, so inference applies no masks and no
 rescaling. forward applies dropout exactly when it is given a seeded
@@ -24,6 +29,7 @@ Models serialize to a versioned JSON document with float.hex() encoded
 parameters, which round-trips exactly.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,14 +94,15 @@ class MlpConfig:
 
 
 def _layer_views(config: MlpConfig, flat: np.ndarray) -> tuple:
-    """(weights, biases): per-layer views into a vector laid out W1, b1, W2, b2, ..."""
+    """(weights, biases): per-layer views, keeping any stack axis, into W1, b1, W2, b2, ..."""
     dims = config.layer_dims
+    lead = flat.shape[:-1]
     weights, biases = [], []
     start = 0
     for fan_in, fan_out in zip(dims, dims[1:]):
         end = start + fan_out * fan_in
-        weights.append(flat[start:end].reshape(fan_out, fan_in))
-        biases.append(flat[end:end + fan_out])
+        weights.append(flat[..., start:end].reshape(*lead, fan_out, fan_in))
+        biases.append(flat[..., end:end + fan_out])
         start = end + fan_out
     return tuple(weights), tuple(biases)
 
@@ -104,12 +111,12 @@ def _layer_views(config: MlpConfig, flat: np.ndarray) -> tuple:
 class MlpModel:
     """Parameters and per-layer views; writing into weights[l] changes params."""
     config: MlpConfig
-    params: np.ndarray  # (config.n_params,), laid out W1, b1, W2, b2, ...
-    weights: tuple = field(init=False, repr=False, compare=False)  # W_l, (fan_out, fan_in)
-    biases: tuple = field(init=False, repr=False, compare=False)  # b_l, (fan_out,)
+    params: np.ndarray  # (n_params,) or a stack (S, n_params), laid out W1, b1, W2, b2, ...
+    weights: tuple = field(init=False, repr=False, compare=False)  # W_l, ([S,] fan_out, fan_in)
+    biases: tuple = field(init=False, repr=False, compare=False)  # b_l, ([S,] fan_out)
 
     def __post_init__(self):
-        if self.params.shape != (self.config.n_params,):
+        if self.params.ndim not in (1, 2) or self.params.shape[-1] != self.config.n_params:
             raise ValueError(f"expected {self.config.n_params} parameters, "
                              f"got shape {self.params.shape}")
         weights, biases = _layer_views(self.config, self.params)
@@ -124,7 +131,7 @@ class MlpModel:
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything backward needs; every array has one row per example."""
-    x: np.ndarray  # (B, 15)
+    x: np.ndarray  # (B, 15), or (S, B, 15) for a stack
     activations: tuple  # post-activation (and post-dropout) per layer
     masks: tuple  # dropout masks per hidden layer; empty without a generator
     p: np.ndarray  # output probabilities, (B, 2)
@@ -154,7 +161,9 @@ def init_adam_state(model: MlpModel) -> AdamState:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax: shift by the max so huge logits cannot overflow."""
-    shifted = z - np.max(z, axis=-1, keepdims=True)
+    # Column by column: np.max along a 2-wide last axis costs more than the
+    # rest of the softmax, and the maximum is exact either way.
+    shifted = z - functools.reduce(np.maximum, np.moveaxis(z, -1, 0))[..., None]
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -162,31 +171,38 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # The generator annotations are strings: evaluated when the function is
 # defined, they would import numpy.random into every process that loads
 # this module, predict and eval included, which never draw a random number.
-def dropout_mask(rng: "np.random.Generator", size, keep_prob: float) -> np.ndarray:
-    """Inverted-dropout mask of the given size: entries are 0 or 1/keep_prob."""
-    return (rng.random(size) < keep_prob).astype(float) / keep_prob
+def dropout_mask(rng: "np.random.Generator | list", size, keep_prob: float) -> np.ndarray:
+    """Inverted-dropout mask of the given size: entries are 0 or 1/keep_prob.
+
+    Given a list of generators, a stack of one mask per generator.
+    """
+    draws = (np.stack([r.random(size) for r in rng]) if isinstance(rng, list)
+             else rng.random(size))
+    return (draws < keep_prob) / keep_prob
 
 
-def forward(model: MlpModel, x, rng: "np.random.Generator | None" = None) -> ForwardTrace:
-    """Run a (B, 15) batch through the network.
+def forward(model: MlpModel, x,
+            rng: "np.random.Generator | list | None" = None) -> ForwardTrace:
+    """Run a (B, 15) batch through the network, or through each member of a stack.
 
     The trace records everything backward needs. Given a generator, it
     applies dropout, drawing all masks of the batch as one (B, sum(hidden))
     block split by columns per layer: row by row that is the order in which
-    per-example, per-layer draws would read the generator.
+    per-example, per-layer draws would read the generator. A stack takes one
+    generator, whose block every member shares, or a list of one per member.
     """
     x = a = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+    if x.ndim not in (2, model.params.ndim + 1) or x.shape[-1] != INPUT_DIM:
         raise ValueError(f"expected input shape (B, {INPUT_DIM}), got {x.shape}")
     masks = []
     if rng is not None:
         hidden = model.config.hidden
-        block = dropout_mask(rng, (a.shape[0], sum(hidden)), model.config.keep_prob)
-        masks = np.split(block, np.cumsum(hidden)[:-1], axis=1)
+        block = dropout_mask(rng, (a.shape[-2], sum(hidden)), model.config.keep_prob)
+        masks = np.split(block, np.cumsum(hidden)[:-1], axis=-1)
     activations = []
     last = model.n_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
+        z = a @ np.swapaxes(w, -1, -2) + b[..., None, :]
         if l == last:
             a = softmax(z)
         else:
@@ -199,9 +215,9 @@ def forward(model: MlpModel, x, rng: "np.random.Generator | None" = None) -> For
 
 
 def _class_indices(p: np.ndarray, y) -> np.ndarray:
-    """The B classes y of (B, 2) probability rows p, as row indices."""
+    """The B classes y of (B, 2) probability rows p, as row indices; stacks keep their axes."""
     classes = np.asarray(y)
-    if p.ndim != 2 or classes.shape != p.shape[:1]:
+    if p.ndim < 2 or classes.shape != p.shape[:-1]:
         raise ValueError(
             f"expected one class per probability row, got shape {classes.shape} "
             f"for probabilities of shape {p.shape}")
@@ -210,11 +226,15 @@ def _class_indices(p: np.ndarray, y) -> np.ndarray:
     return classes.astype(np.intp)
 
 
-def cross_entropy(p, y) -> float:
-    """Summed -log of each (B, 2) row p's probability of its class y, clamped away from 0."""
+def cross_entropy(p, y):
+    """Summed -log of each (B, 2) row p's probability of its class y, clamped away from 0.
+
+    A stack (S, B, 2) of rows gives an (S,) array of sums.
+    """
     p = np.asarray(p)
-    picked = p[np.arange(len(p)), _class_indices(p, y)]
-    return float(-np.log(np.maximum(picked, 1e-12)).sum())
+    picked = np.where(_class_indices(p, y) == 1, p[..., 1], p[..., 0])
+    losses = -np.log(np.maximum(picked, 1e-12)).sum(axis=-1)
+    return float(losses) if p.ndim == 2 else losses
 
 
 def backward(model: MlpModel, trace: ForwardTrace, y) -> MlpModel:
@@ -226,14 +246,14 @@ def backward(model: MlpModel, trace: ForwardTrace, y) -> MlpModel:
         raise ValueError("trace does not match model depth")
     classes = _class_indices(trace.p, y)
     n = model.n_layers
-    delta = trace.p.copy()
-    delta[np.arange(len(delta)), classes] -= 1.0
+    # p - 1 at each row's class and p - 0 elsewhere: the one-hot subtraction.
+    delta = trace.p - (classes[..., None] == np.arange(OUTPUT_DIM))
     # No zero fill: the loop writes every weight and bias view, which tile the vector.
     grads = MlpModel(model.config, np.empty_like(model.params))
     for l in range(n - 1, -1, -1):
         a_prev = trace.x if l == 0 else trace.activations[l - 1]
-        np.matmul(delta.T, a_prev, out=grads.weights[l])
-        delta.sum(axis=0, out=grads.biases[l])
+        np.matmul(np.swapaxes(delta, -1, -2), a_prev, out=grads.weights[l])
+        delta.sum(axis=-2, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l]
             if trace.masks:
@@ -247,19 +267,28 @@ def zero_gradients(model: MlpModel) -> MlpModel:
     return MlpModel(model.config, np.zeros_like(model.params))
 
 
-def adam_step(model: MlpModel, grads: MlpModel, state: AdamState,
-              lr: float) -> tuple:
-    """One Adam update. Returns (new model, new state); inputs are untouched."""
-    if lr <= 0:
+def _nonfinite_block(config: MlpConfig, g: np.ndarray) -> str | None:
+    """The first parameter block of g, in layout order, holding a non-finite value, or None."""
+    finite = np.isfinite(g)
+    if finite.all():
+        return None
+    for l, blocks in enumerate(zip(*_layer_views(config, finite)), start=1):
+        for name, ok in zip("Wb", blocks):
+            if not ok.all():
+                return f"{name}{l}"
+
+
+def adam_step(model: MlpModel, grads: MlpModel, state: AdamState, lr) -> tuple:
+    """One Adam update. Returns (new model, new state); inputs are untouched.
+
+    A stack takes one rate for every member or an (S, 1) column of them.
+    """
+    if np.any(np.asarray(lr) <= 0):
         raise ValueError(f"learning rate must be positive, got {lr}")
     g = grads.params
-    finite = np.isfinite(g)
-    if not finite.all():
-        # Name the first bad parameter block, in layout order.
-        for l, blocks in enumerate(zip(*_layer_views(model.config, finite)), start=1):
-            for name, ok in zip("Wb", blocks):
-                if not ok.all():
-                    raise TrainingDivergence(f"non-finite gradient in {name}{l}")
+    block = _nonfinite_block(model.config, g)
+    if block is not None:
+        raise TrainingDivergence(f"non-finite gradient in {block}")
     t = state.t + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g

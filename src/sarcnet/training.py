@@ -12,8 +12,11 @@ Every random choice flows from a single base seed through derive_seed,
 so a (corpus, config, seed) triple always reproduces the same weights,
 history, and report.
 
-Each review is vectorized once per run, and each minibatch, accuracy
-pass and evaluation is one batched network call.
+Networks that share a shape and a curriculum train side by side as one
+stack: the stars of the train command, or the rates of a sweep. Each
+minibatch is one stacked network call, and each member's bits equal
+those of its lone run. Each review is vectorized once per run, and each
+member's accuracy pass and each evaluation is one batched network call.
 
 Evaluation is read-only: the test reviews run through the feature
 pipeline and one forward pass without dropout, tallying a confusion
@@ -36,6 +39,7 @@ from .network import (
     PARAM_LIMIT,
     MlpConfig,
     MlpModel,
+    _nonfinite_block,
     adam_step,
     backward,
     cross_entropy,
@@ -126,72 +130,105 @@ class HistoryRecord:
     train_accuracy: float
 
 
-def _run_stage(model: MlpModel, examples: list, config: TrainConfig,
-               stage_name: str, stage_seed: int, history: list) -> MlpModel:
-    """Run all epochs of one stage from fresh Adam moments; returns the model."""
-    if not examples:
-        raise DataError(f"stage {stage_name!r} has no examples")
-    if config.batch_size > len(examples):
-        raise DataError(
-            f"batch size {config.batch_size} exceeds stage size {len(examples)}")
-    xs = np.array([x for x, _ in examples], dtype=float)
-    ys = np.array([y for _, y in examples])
-    # Shuffling indices gives the same permutation as shuffling the examples.
-    order = list(range(len(examples)))
-    random.Random(stage_seed).shuffle(order)
-    x_shuffled, y_shuffled = xs[order], ys[order]
-    dropout_rng = np.random.default_rng(derive_seed(stage_seed, "dropout"))
-    state = init_adam_state(model)
-    for epoch in range(1, config.epochs + 1):
-        loss_sum = 0.0
-        starts = range(0, len(order), config.batch_size)
-        for batch_index, start in enumerate(starts, start=1):
-            x_batch = x_shuffled[start:start + config.batch_size]
-            y_batch = y_shuffled[start:start + config.batch_size]
-            trace = forward(model, x_batch, rng=dropout_rng)
-            batch_loss = cross_entropy(trace.p, y_batch)
-            if not math.isfinite(batch_loss):
-                raise TrainingDivergence(
-                    f"non-finite loss in stage {stage_name!r}, "
-                    f"epoch {epoch}, batch {batch_index}")
-            grads = backward(model, trace, y_batch)
-            # backward returns a fresh vector, so it is scaled to the mean in place.
-            grads.params[...] *= 1.0 / len(y_batch)
-            model, state = adam_step(model, grads, state, config.lr)
-            loss_sum += batch_loss
-        p = forward(model, xs).p
-        if not np.isfinite(p).all():
-            raise TrainingDivergence(
-                f"non-finite output in stage {stage_name!r}, epoch {epoch}")
-        if not (np.abs(model.params) <= PARAM_LIMIT).all():
-            raise TrainingDivergence(
-                f"parameters beyond {PARAM_LIMIT:g} in stage {stage_name!r}, epoch {epoch}")
-        correct = int(np.sum(predicted_classes(p) == ys))
-        history.append(HistoryRecord(
-            stage=stage_name,
-            epoch=epoch,
-            mean_loss=loss_sum / len(order),
-            train_accuracy=correct / len(order),
-        ))
-    return model
+def _train_stack(xs: np.ndarray, ys: np.ndarray, stages: list, configs: list,
+                 mlp_configs: list, labels: list) -> list:
+    """Train S networks in one loop; returns each member's (model, history).
+
+    Member s trains at ``configs[s].lr`` from ``init_model(mlp_configs[s])``.
+    xs (D, N, 15) and ys (D, N) hold D data members; each stage is (name, the
+    (D, n) rows it draws). D is S for a stack of stars, or 1 for a stack of
+    rates, which share the data, shuffle, dropout stream and initial model.
+    Each member runs a lone run's checks in order (loss, gradient, output,
+    PARAM_LIMIT) and stops counting at its first failure. The run raises
+    ``labels[s]`` and the first failure of the first failed member s, once
+    no earlier member trains on. Overflow is left to those checks, so numpy
+    prints no warnings first.
+    """
+    config, n_data = configs[0], len(xs)
+    for name, rows in stages:
+        if not rows.shape[1]:
+            raise DataError(f"stage {name!r} has no examples")
+        if config.batch_size > rows.shape[1]:
+            raise DataError(
+                f"batch size {config.batch_size} exceeds stage size {rows.shape[1]}")
+    inits = {c: init_model(c).params for c in mlp_configs}
+    model = MlpModel(mlp_configs[0], np.array([inits[c] for c in mlp_configs]))
+    lr = np.array([[c.lr] for c in configs])
+    histories = [[] for _ in configs]
+    failures = [None] * len(configs)
+
+    def fail(member, reason):
+        failures[member] = failures[member] or labels[member] + reason
+        if failures[0]:
+            raise TrainingDivergence(failures[0])
+
+    data = np.arange(n_data)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, (name, rows) in enumerate(stages):
+            seeds = [derive_seed(c.seed, "stage", index, name) for c in configs[:n_data]]
+            # Shuffling row indices gives the same permutation as shuffling the examples.
+            shuffled = rows.copy()
+            for member_rows, seed in zip(shuffled, seeds):
+                random.Random(seed).shuffle(member_rows)
+            rngs = [np.random.default_rng(derive_seed(seed, "dropout")) for seed in seeds]
+            state = init_adam_state(model)
+            for epoch in range(1, config.epochs + 1):
+                loss_sum = np.zeros(len(configs))
+                starts = range(0, rows.shape[1], config.batch_size)
+                for batch_index, start in enumerate(starts, start=1):
+                    batch = shuffled[:, start:start + config.batch_size]
+                    trace = forward(model, xs[data, batch], rngs if n_data > 1 else rngs[0])
+                    y_batch = np.broadcast_to(ys[data, batch], trace.p.shape[:-1])
+                    losses = cross_entropy(trace.p, y_batch)
+                    for member in np.flatnonzero(~np.isfinite(losses)):
+                        fail(member, f"non-finite loss in stage {name!r}, "
+                                     f"epoch {epoch}, batch {batch_index}")
+                    grads = backward(model, trace, y_batch)
+                    # backward returns a fresh array, so it is scaled to the mean in place.
+                    grads.params[...] *= 1.0 / batch.shape[1]
+                    for member in np.flatnonzero(~np.isfinite(grads.params).all(axis=1)):
+                        block = _nonfinite_block(model.config, grads.params[member])
+                        fail(member, f"non-finite gradient in {block}")
+                        grads.params[member] = 0.0  # so that the others step
+                    model, state = adam_step(model, grads, state, lr)
+                    del trace, grads  # freed before the next batch's are made
+                    loss_sum += losses
+                # One member at a time, so that one member's activations are held.
+                for member, params in enumerate(model.params):
+                    if failures[member]:
+                        continue
+                    own = member % n_data, rows[member % n_data]
+                    p = forward(MlpModel(model.config, params), xs[own]).p
+                    if not np.isfinite(p).all():
+                        fail(member, f"non-finite output in stage {name!r}, epoch {epoch}")
+                    elif not (np.abs(params) <= PARAM_LIMIT).all():
+                        fail(member, f"parameters beyond {PARAM_LIMIT:g} "
+                                     f"in stage {name!r}, epoch {epoch}")
+                    else:
+                        correct = int(np.sum(predicted_classes(p) == ys[own]))
+                        histories[member].append(HistoryRecord(
+                            name, epoch, float(loss_sum[member]) / rows.shape[1],
+                            correct / rows.shape[1]))
+    failure = next(filter(None, failures), None)
+    if failure:
+        raise TrainingDivergence(failure)
+    return [(MlpModel(c, params), history)
+            for c, params, history in zip(mlp_configs, model.params, histories)]
 
 
 def train_on_vectors(staged_examples: list, config: TrainConfig,
                      mlp_config: MlpConfig) -> tuple:
     """Train over prepared stages of (name, [(vector, class)]) pairs.
 
-    Returns (model, history). This is the core loop; ``train`` wraps it
-    with review vectorization and curriculum subset selection.
-
-    Overflow in a diverging run is left to the loss, gradient and output
-    checks, which raise TrainingDivergence, so numpy prints no warnings first.
+    Returns (model, history): the one-member stack of ``train`` and ``lr_sweep``.
     """
-    model = init_model(mlp_config)
-    history = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for index, (stage_name, examples) in enumerate(staged_examples):
-            stage_seed = derive_seed(config.seed, "stage", index, stage_name)
-            model = _run_stage(model, examples, config, stage_name, stage_seed, history)
+    examples = [example for _, stage in staged_examples for example in stage]
+    xs = np.array([[x for x, _ in examples]], dtype=float).reshape(1, -1, INPUT_DIM)
+    ends = np.cumsum([len(stage) for _, stage in staged_examples], dtype=np.intp)
+    stages = [(name, np.arange(end - len(stage), end)[None])
+              for (name, stage), end in zip(staged_examples, ends)]
+    ((model, history),) = _train_stack(xs, np.array([[y for _, y in examples]]), stages,
+                                       [config], [mlp_config], [""])
     return model, history
 
 
@@ -227,26 +264,45 @@ def build_stage_pool(stage, split: DatasetSplit, base_seed: int, stage_index: in
     return chosen
 
 
-def _staged_vectors(split: DatasetSplit, config: TrainConfig,
-                   pipeline: FeaturePipeline) -> list:
-    """The (name, [(vector, class)]) stages ``train_on_vectors`` takes.
+def _stack_inputs(splits: list, configs: list, pipeline: FeaturePipeline) -> tuple:
+    """(xs, ys, stages) of ``_train_stack``, one data member per split's train side.
 
-    Each distinct review text is vectorized once, however many stages
-    include it.
+    Every member's stage pools are drawn before any review is vectorized, so
+    a shortage anywhere stops the run before any work. Each distinct text
+    that a split's stages draw is vectorized once.
     """
-    vectors = {}
+    pools = []
+    for split, config in zip(splits, configs):
+        row = {id(lr): i for i, lr in enumerate(split.train)}
+        pools.append([np.array([row[id(lr)] for lr in build_stage_pool(stage, split, config.seed,
+                                                                       index)], dtype=np.intp)
+                      for index, stage in enumerate(config.stages)])
+    assert len({tuple(map(len, pool)) for pool in pools}) == 1, "stage sizes differ"
+    xs = np.zeros((len(splits), len(splits[0].train), INPUT_DIM))
+    for member, (split, pool) in enumerate(zip(splits, pools)):
+        first = {}  # text -> the first row holding its vector
+        for i in dict.fromkeys(np.concatenate(pool).tolist()):
+            text = split.train[i].review.text
+            xs[member, i] = xs[member, first[text]] if text in first else pipeline.vector(text)
+            first.setdefault(text, i)
+    ys = np.array([[lr.sarcastic for lr in split.train] for split in splits], dtype=int)
+    return xs, ys.reshape(len(splits), -1), [
+        (stage.name, np.stack([pool[index] for pool in pools]))
+        for index, stage in enumerate(configs[0].stages)]
 
-    def vector(text):
-        if text not in vectors:
-            vectors[text] = pipeline.vector(text)
-        return vectors[text]
 
-    staged = []
-    for index, stage in enumerate(config.stages):
-        members = build_stage_pool(stage, split, config.seed, index)
-        staged.append((stage.name, [(vector(lr.review.text), 1 if lr.sarcastic else 0)
-                                    for lr in members]))
-    return staged
+def _train_stars(splits: dict, configs: dict, pipeline: FeaturePipeline) -> dict:
+    """Train every star's model on its split, as one stack; stars -> (model, history).
+
+    configs maps each star to its (TrainConfig, MlpConfig); they differ only
+    in their seeds. A TrainingDivergence names the first failed star in the
+    order of ``splits``: ``N-star model: <reason>``.
+    """
+    train_configs, mlp_configs = zip(*(configs[stars] for stars in splits))
+    xs, ys, stages = _stack_inputs(list(splits.values()), train_configs, pipeline)
+    trained = _train_stack(xs, ys, stages, train_configs, mlp_configs,
+                           [f"{stars}-star model: " for stars in splits])
+    return dict(zip(splits, trained))
 
 
 def train(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
@@ -255,11 +311,8 @@ def train(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
 
     A TrainingDivergence names the star: ``N-star model: <reason>``.
     """
-    staged = _staged_vectors(split, config, pipeline)
-    try:
-        return train_on_vectors(staged, config, mlp_config)
-    except TrainingDivergence as exc:
-        raise TrainingDivergence(f"{split.stars}-star model: {exc}") from exc
+    return _train_stars({split.stars: split}, {split.stars: (config, mlp_config)},
+                        pipeline)[split.stars]
 
 
 @dataclass(frozen=True)
@@ -346,23 +399,22 @@ def macro_average(per_star: list) -> tuple:
 
 def lr_sweep(split: DatasetSplit, config: TrainConfig, mlp_config: MlpConfig,
              pipeline: FeaturePipeline) -> list:
-    """Train and evaluate once per grid learning rate, identical seeds.
+    """Train every grid learning rate as one stack, identical seeds, and evaluate each.
 
-    Stage selection does not depend on the learning rate, so the staged
-    and test vectors are built once and shared by every grid point.
-    Returns (lr, ClassMetrics) pairs ranked best first: highest test
-    accuracy, ties to the lower learning rate. A TrainingDivergence names
-    the star and the rate: ``N-star model, lr R: <reason>``.
+    The rates share everything else: the stages, shuffles, dropout streams
+    and initial model are drawn once, and the staged and test vectors are
+    built once. Returns (lr, ClassMetrics) pairs ranked best first: highest
+    test accuracy, ties to the lower learning rate. A TrainingDivergence
+    names the star and the first failed rate in grid order:
+    ``N-star model, lr R: <reason>``.
     """
-    staged = _staged_vectors(split, config, pipeline)
+    xs, ys, stages = _stack_inputs([split], [config], pipeline)
     test = _test_vectors(list(split.test), pipeline)
-    results = []
-    for lr in config.lr_grid:
-        try:
-            model, _ = train_on_vectors(staged, replace(config, lr=lr), mlp_config)
-        except TrainingDivergence as exc:
-            raise TrainingDivergence(f"{split.stars}-star model, lr {lr:g}: {exc}") from exc
-        results.append((lr, prf1(_tally(model, *test))))
+    trained = _train_stack(xs, ys, stages, [replace(config, lr=lr) for lr in config.lr_grid],
+                           [mlp_config] * len(config.lr_grid),
+                           [f"{split.stars}-star model, lr {lr:g}: " for lr in config.lr_grid])
+    results = [(lr, prf1(_tally(model, *test)))
+               for lr, (model, _) in zip(config.lr_grid, trained)]
     return sorted(results, key=lambda pair: (-pair[1].accuracy, pair[0]))
 
 

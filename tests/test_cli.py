@@ -9,6 +9,7 @@ that need a real stdin, a pipe or a redirected file, and one that runs
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -191,7 +192,7 @@ class TestParsingAndExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(sarcnet.training, "train", refuse)
+        monkeypatch.setattr(sarcnet.training, "_train_stars", refuse)
         monkeypatch.setattr(sarcnet.training, "lr_sweep", refuse)
         monkeypatch.chdir(tmp_path)
         command, *flags = argv
@@ -293,7 +294,7 @@ class TestParsingAndExitCodes:
         def explode(*args, **kwargs):
             raise TrainingDivergence("non-finite gradient in W1")
 
-        monkeypatch.setattr(sarcnet.training, "train", explode)
+        monkeypatch.setattr(sarcnet.training, "_train_stars", explode)
         code = run("train", "--reviews", corpus["reviews"],
                    "--labels", corpus["labels"], "--stars", "1", *FAST_TRAIN,
                    "--model", str(tmp_path / "m.json"),
@@ -348,7 +349,7 @@ class TestOutputTemplates:
             raise AssertionError("work started before the output paths were checked")
 
         monkeypatch.setattr(cli, "read_reviews", refuse)
-        monkeypatch.setattr(sarcnet.training, "train", refuse)
+        monkeypatch.setattr(sarcnet.training, "_train_stars", refuse)
         monkeypatch.chdir(tmp_path)
         code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
                    "--stars", "1,2", *argv[1:])
@@ -578,13 +579,13 @@ class TestIngest:
                       "--seed", "42"]
         assert run("ingest", *split_args, "--out", str(tmp_path / "split.json")) == 0
         fitted = []
-        real_train = sarcnet.training.train
+        real_train_stars = sarcnet.training._train_stars
 
-        def recording_train(split, *args, **kwargs):
-            fitted.append(split)
-            return real_train(split, *args, **kwargs)
+        def recording_train_stars(splits, *args, **kwargs):
+            fitted.extend(splits.values())
+            return real_train_stars(splits, *args, **kwargs)
 
-        monkeypatch.setattr(sarcnet.training, "train", recording_train)
+        monkeypatch.setattr(sarcnet.training, "_train_stars", recording_train_stars)
         assert run("train", *split_args, "--stages", "main", "--epochs", "1",
                    "--batch-size", "10", "--model", str(tmp_path / "model.json"),
                    "--out", str(tmp_path / "history.jsonl")) == 0
@@ -792,28 +793,54 @@ class TestTrain:
         assert sha(model) == sha(trained["model"])
         assert sha(history) == sha(trained["history"])
 
-    def test_later_star_divergence_writes_nothing(self, corpus, tmp_path, monkeypatch,
-                                                  capsys):
-        """Every star trains before any file is written: a later failure leaves none."""
-        real_train = sarcnet.training.train
-        trained = []
+    def diverge(self, monkeypatch, when):
+        """Make the stacked losses of star member m non-finite from batch when[m] on.
 
-        def second_star_diverges(split, *args, **kwargs):
-            trained.append(split.stars)
-            if len(trained) == 2:
-                raise TrainingDivergence(f"{split.stars}-star model: non-finite loss")
-            return real_train(split, *args, **kwargs)
+        Returns the member count of each stacked loss call.
+        """
+        real = sarcnet.training.cross_entropy
+        stacks = []
 
-        monkeypatch.setattr(sarcnet.training, "train", second_star_diverges)
-        code = run("train", "--reviews", corpus["reviews"],
+        def diverging(p, y):
+            stacks.append(len(p))
+            losses = real(p, y)
+            for member, first_batch in when.items():
+                if len(stacks) >= first_batch:
+                    losses[member] = math.inf
+            return losses
+
+        monkeypatch.setattr(sarcnet.training, "cross_entropy", diverging)
+        return stacks
+
+    def train_1_2_3(self, corpus, tmp_path):
+        return run("train", "--reviews", corpus["reviews"],
                    "--labels", corpus["labels"], "--stars", "1,2,3", *FAST_TRAIN,
                    "--model", str(tmp_path / "models" / "m-{stars}.json"),
                    "--out", str(tmp_path / "h-{stars}.jsonl"))
+
+    def test_later_star_divergence_writes_nothing(self, corpus, tmp_path, monkeypatch,
+                                                  capsys):
+        """Every star trains before any file is written: a later failure leaves none."""
+        stacks = self.diverge(monkeypatch, {1: 1})  # star 2, from its first batch
+        code = self.train_1_2_3(corpus, tmp_path)
         assert code == 3
-        assert trained == [1, 2]
+        assert set(stacks) == {3}  # the three stars train as one stack
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "sarcnet: training failed: 2-star model: non-finite loss\n"
+        assert captured.err == ("sarcnet: training failed: 2-star model: non-finite loss "
+                                "in stage 'main', epoch 1, batch 1\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_first_star_in_order_reports_its_first_failure(self, corpus, tmp_path,
+                                                               monkeypatch, capsys):
+        """Star 3 diverges first, star 2 later: the run reports star 2, at its batch."""
+        # 40 reviews in batches of 10: batch 5 is epoch 2's first.
+        self.diverge(monkeypatch, {2: 1, 1: 5})
+        code = self.train_1_2_3(corpus, tmp_path)
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "sarcnet: training failed: 2-star model: non-finite loss in stage 'main', "
+                "epoch 2, batch 1\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_creates_missing_output_directories(self, corpus, tmp_path, capsys):
@@ -842,13 +869,22 @@ class TestStageFeasibility:
                 "--train-size", "50", "--test-size", "0", "--stages", "sarcastic:20,main",
                 "--epochs", "1", "--batch-size", "10"]
 
-    def test_later_star_short_writes_nothing(self, skewed, tmp_path, capsys):
-        code = run("train", *skewed, "--stars", "1,2",
+    @pytest.mark.parametrize("flags", [[], ["--lr", "1e308"]],
+                             ids=["star-1-trains", "star-1-diverges"])
+    def test_later_star_short_writes_nothing(self, skewed, tmp_path, monkeypatch, capsys,
+                                             flags):
+        """A shortage is found before any star takes a step, even one that would diverge."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(sarcnet.training, "adam_step", refuse)
+        code = run("train", *skewed, "--stars", "1,2", *flags,
                    "--model", str(tmp_path / "m-{stars}.json"),
                    "--out", str(tmp_path / "h-{stars}.jsonl"))
         assert code == 2
-        assert ("2-star stage 1 (sarcastic_only) needs 20 sarcastic reviews, "
-                "the train side has 10") in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "sarcnet: data error: 2-star stage 1 (sarcastic_only) needs 20 sarcastic "
+            "reviews, the train side has 10\n")
         assert not list(tmp_path.glob("m-*")) and not list(tmp_path.glob("h-*"))
 
     def test_fillable_star_trains(self, skewed, tmp_path, capsys):

@@ -179,6 +179,19 @@ class TestDropout:
         mask = dropout_mask(rng, 1000, 0.75)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
 
+    @pytest.mark.parametrize("keep_prob", [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    def test_mask_bits_equal_the_float_copy_of_the_draws(self, keep_prob):
+        """The boolean draws divide to float64 with the bits of their float copy."""
+        mask = dropout_mask(np.random.default_rng(7), 3000, keep_prob)
+        copied = (np.random.default_rng(7).random(3000) < keep_prob).astype(float) / keep_prob
+        assert mask.dtype == np.float64
+        assert mask.tobytes() == copied.tobytes()
+        stacked = dropout_mask([np.random.default_rng(7), np.random.default_rng(8)], 3000,
+                               keep_prob)
+        assert stacked[0].tobytes() == mask.tobytes()
+        assert stacked[1].tobytes() == dropout_mask(np.random.default_rng(8), 3000,
+                                                    keep_prob).tobytes()
+
     def test_infer_mode_applies_no_mask(self):
         model = init_model(MlpConfig(hidden=(9,), keep_prob=0.5, seed=2))
         x = np.full(15, 0.3)

@@ -16,10 +16,22 @@ import sarcnet.training as training
 from sarcnet.corpus import LabeledReview, Review, make_split
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.features import FeaturePipeline
-from sarcnet.network import MlpConfig, MlpModel, init_model, predict
+from sarcnet.network import (
+    MlpConfig,
+    MlpModel,
+    adam_step,
+    backward,
+    cross_entropy,
+    forward,
+    init_adam_state,
+    init_model,
+    predict,
+    predicted_classes,
+)
 from sarcnet.training import (
     ClassMetrics,
     ConfusionMatrix,
+    HistoryRecord,
     Main,
     NonSarcasticDominated,
     SarcasticOnly,
@@ -261,6 +273,101 @@ class TestTrainLoop:
                                       MlpConfig(hidden=(15, 15), keep_prob=1.0, seed=0))
         losses = [h.mean_loss for h in history]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+
+def reference_train(staged_examples: list, config: TrainConfig, mlp_config: MlpConfig) -> tuple:
+    """One network's curriculum, one unstacked call per minibatch: the stacked loop's oracle."""
+    model = init_model(mlp_config)
+    history = []
+    for index, (name, examples) in enumerate(staged_examples):
+        stage_seed = derive_seed(config.seed, "stage", index, name)
+        xs = np.array([x for x, _ in examples], dtype=float)
+        ys = np.array([y for _, y in examples])
+        order = list(range(len(examples)))
+        random.Random(stage_seed).shuffle(order)
+        rng = np.random.default_rng(derive_seed(stage_seed, "dropout"))
+        state = init_adam_state(model)
+        for epoch in range(1, config.epochs + 1):
+            loss_sum = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start:start + config.batch_size]
+                trace = forward(model, xs[batch], rng=rng)
+                loss_sum += cross_entropy(trace.p, ys[batch])
+                grads = backward(model, trace, ys[batch])
+                grads.params[...] *= 1.0 / len(batch)
+                model, state = adam_step(model, grads, state, config.lr)
+            correct = int(np.sum(predicted_classes(forward(model, xs).p) == ys))
+            history.append(HistoryRecord(name, epoch, loss_sum / len(order),
+                                         correct / len(order)))
+    return model, history
+
+
+def reference_stages(split, config) -> list:
+    return [(stage.name, [(PIPELINE.vector(lr.review.text), int(lr.sarcastic))
+                          for lr in training.build_stage_pool(stage, split, config.seed, index)])
+            for index, stage in enumerate(config.stages)]
+
+
+class TestStackedTraining:
+    """A stack of networks trains each member to the bits of its own lone run."""
+
+    # 6, 12 and 40 reviews in batches of 5: the first two end on batches of 1 and 2.
+    STAGES = (SarcasticOnly(6), NonSarcasticDominated(12, 3.0), Main())
+
+    def assert_trained_alone(self, trained, split, config, mlp):
+        model, history = trained
+        expected_model, expected_history = reference_train(
+            reference_stages(split, config), config, mlp)
+        assert model.config == mlp
+        assert model.params.tobytes() == expected_model.params.tobytes()
+        assert history == expected_history
+
+    @pytest.mark.parametrize("hidden", [(8,), (15, 15)])
+    @pytest.mark.parametrize("keep_prob", [1.0, 0.75])
+    def test_star_stack(self, hidden, keep_prob):
+        """Each star has its own split, seeds and initial model."""
+        splits = {stars: make_split(synthetic_pool(60, stars=stars, seed=stars), 40, 20,
+                                    seed=stars)
+                  for stars in (4, 1, 3)}
+        configs = {stars: (TrainConfig(stages=self.STAGES, epochs=2, batch_size=5,
+                                       seed=10 + stars),
+                           MlpConfig(hidden=hidden, keep_prob=keep_prob, seed=20 + stars))
+                   for stars in splits}
+        trained = training._train_stars(splits, configs, PIPELINE)
+        assert list(trained) == [4, 1, 3]
+        for stars, split in splits.items():
+            self.assert_trained_alone(trained[stars], split, *configs[stars])
+
+    @pytest.mark.parametrize("hidden", [(8,), (15, 15)])
+    @pytest.mark.parametrize("keep_prob", [1.0, 0.75])
+    def test_rate_stack(self, hidden, keep_prob):
+        """Every rate shares the split, seeds and initial model."""
+        split = make_split(synthetic_pool(60), 40, 20, seed=4)
+        config = TrainConfig(stages=self.STAGES, epochs=2, batch_size=5, seed=1)
+        mlp = MlpConfig(hidden=hidden, keep_prob=keep_prob, seed=2)
+        rates = [replace(config, lr=lr) for lr in (1e-3, 1e-2, 1e-1)]
+        trained = training._train_stack(*training._stack_inputs([split], [config], PIPELINE),
+                                        rates, [mlp] * len(rates), [""] * len(rates))
+        for member, rate in zip(trained, rates):
+            self.assert_trained_alone(member, split, rate, mlp)
+
+    def test_the_first_rate_in_grid_order_reports_its_first_failure(self):
+        """The second rate fails first, in epoch 1; the first fails in epoch 3."""
+        split = make_split(synthetic_pool(60), 40, 20, seed=4)
+        config = TrainConfig(stages=(Main(),), epochs=4, batch_size=10, seed=1,
+                             lr_grid=(2e99, 1e308))
+        mlp = MlpConfig(hidden=(8,), seed=0)
+        alone = "parameters beyond 1e+100 in stage 'main', epoch 3"
+        for lr, failure in zip(config.lr_grid, (alone, "non-finite loss in stage 'main', "
+                                                        "epoch 1, batch 2")):
+            with pytest.raises(TrainingDivergence,
+                               match=f"^{re.escape(f'2-star model: {failure}')}$"):
+                train(split, replace(config, lr=lr), mlp, PIPELINE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence,
+                               match=f"^{re.escape(f'2-star model, lr 2e+99: {alone}')}$"):
+                lr_sweep(split, config, mlp, PIPELINE)
 
 
 class TestCurriculumTrain:
