@@ -46,10 +46,10 @@ from .corpus import (
     SarcasmLabel,
     _DECODING,
     _UNDECODABLE,
+    _read_votes,
     _string_problem,
     append_labels,
     derive_seed,
-    iter_labels,
     label_reviews,
     make_split,
     open_jsonl,
@@ -276,13 +276,14 @@ def _load_reviews(path) -> list:
 def _consume_labels(path, consume):
     """Return consume(votes) over the labels file's valid votes, streamed.
 
-    The votes are parsed as consume reads them and never held as a list;
+    The votes are (annotator, review_id, sarcastic) triples, parsed a
+    block at a time as consume reads them and never held as one list;
     the dropped lines are reported once the file is read.
     """
     errors = []
     try:
         with open_jsonl(path) as fh:
-            result = consume(iter_labels(fh, errors))
+            result = consume(_read_votes(fh, errors))
     except OSError as exc:
         raise DataError(f"cannot read labels file: {exc}") from exc
     _warn_parse_errors(path, errors)
@@ -302,9 +303,14 @@ def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
               "train_size": args.train_size, "test_size": args.test_size, **flags}
     prov = _provenance(args.seed, config, lexicons,
                        {"reviews": args.reviews, "labels": args.labels})
+    # Each star's pool in one pass, in input order.
+    pools = {stars: [] for stars in stars_list}
+    for lr in labeled:
+        pool = pools.get(lr.review.stars)
+        if pool is not None:
+            pool.append(lr)
     splits = {}
-    for stars in stars_list:
-        pool = [lr for lr in labeled if lr.review.stars == stars]
+    for stars, pool in pools.items():
         try:
             splits[stars] = make_split(pool, args.train_size, args.test_size,
                                        derive_seed(args.seed, "split", stars))
@@ -333,7 +339,7 @@ def cmd_label(args) -> int:
     reviews = _load_reviews(args.reviews)
     try:
         voted = _consume_labels(args.labels, lambda votes: {
-            label.review_id for label in votes if label.annotator == args.annotator})
+            review_id for annotator, review_id, _ in votes if annotator == args.annotator})
     except DataError as exc:
         # No labels file yet: the first vote creates it, in a directory made now.
         if not isinstance(exc.__cause__, FileNotFoundError):

@@ -21,35 +21,52 @@ them it passes the {annotator: vote} dict per review that it replaced.
 
 Both files are decoded as UTF-8 with undecodable bytes kept as
 surrogate escapes, so a line holding one is an ``invalid UTF-8`` error
-and the lines around it still parse. Each parser loops over its own
-lines and hands each one to ``_decode_line``, which gives the line's JSON
-value or the reason it has none, and leaves the field checks to the
-parser. It strips the line's leading JSON whitespace, refuses a
-surrogate escape, and otherwise makes one call of the C JSON scanner, so
-every line takes the same path and every reason comes from one place:
-bad JSON, a value nested too deeply for the scanner, and trailing data
-are each one error for that line. Both parsers check an identifier field
-(``review_id``, and a vote's ``annotator``) with one rule,
-``_string_problem``: it must be a non-empty string. It may not hold a
-lone surrogate (from a JSON ``\\u`` escape such as ``"\\udcff"``), which
-cannot be written back as UTF-8, and neither may a review's text. Both
-files are written through one serializer, and the split manifest, the
-model and the eval report through another, ``_write_json``.
+and the lines around it still parse. The per-line parsers hand each
+line to ``_decode_line``, which gives the line's JSON value or the
+reason it has none, and leaves the field checks to the parser. It
+strips the line's leading JSON whitespace, refuses a surrogate escape,
+and otherwise makes one call of the C JSON scanner, so every line takes
+the same path and every reason comes from one place: bad JSON, a value
+nested too deeply for the scanner, and trailing data are each one error
+for that line. Both parsers check an identifier field (``review_id``,
+and a vote's ``annotator``) with one rule, ``_string_problem``: it must
+be a non-empty string. It may not hold a lone surrogate (from a JSON
+``\\u`` escape such as ``"\\udcff"``), which cannot be written back as
+UTF-8, and neither may a review's text. Both files are written through
+one serializer, and the split manifest, the model and the eval report
+through another, ``_write_json``.
 
-A vote line in the serializer's own form, with printable-ASCII fields,
-skips even the scanner: ``iter_labels`` takes it with one match of
-``_VOTE_LINE``, which is that exact line (sorted keys, ``json.dumps``'
-separators, an optional newline) with no quote or backslash in either
-string. JSON decodes such a line to those same strings, and it passes
-every field check (non-empty, ASCII so no surrogate, a real boolean),
-so the match gives the record the decoder would. Every other line goes
-through ``_decode_line`` and the checks under its own line number, so no
-record, reason or line number changes. ``write_labels`` and
-``append_labels``, the only writers of a labels file, write this form.
+``read_reviews`` and the commands' vote reader take a file in blocks of
+whole lines, about ``_BLOCK_SIZE`` characters each, as ``readlines``
+gives them: lines end at "\\n" only, as when the file is iterated, so a
+U+2028 or a form feed inside a text stays in its line. A line in the
+writers' own form skips even the scanner: sorted keys, ``json.dumps``'
+separators, and strings of printable ASCII with no quote or backslash,
+so each string is its own JSON value. That is ``_VOTE_LINE`` for a
+vote, and for a review ``{"review_id": …, "stars": …, "text": …}`` with
+stars one digit from 1 to 5. JSON decodes such a line to those same
+strings and that int, and it passes every check that does not depend on
+other lines or on blank text (non-empty identifiers, ASCII so no
+surrogate, a real boolean, stars in range), so a match gives the record
+the decoder would. A block is probed at ``_PROBES`` lines spread over
+it. If each is in that form, one ``findall`` of the form's multi-line
+pattern takes the block's form lines; when that is every line, reviews
+run only the checks on text and on a duplicate id, in line order, and
+votes go to the tally as they are. Otherwise one ``finditer`` finds the
+runs of form lines, and the lines between them (a blank one, a BOM,
+another key order, an escape, non-ASCII text) go to the per-line parsers
+under their own line numbers. A block with a probed line in another
+form goes to them whole: such lines are then common, and the per-line
+parser is the cheaper way through them. No record, reason, line number
+or order changes. ``write_reviews``, ``write_labels`` and
+``append_labels``, the only writers of these files, write this form.
 
 The record types are named tuples: immutable, compared by value, and
 cheap to build in bulk. The parsers build them with the C tuple
-constructor, skipping each named tuple's Python-level ``__new__``.
+constructor, skipping each named tuple's Python-level ``__new__``. The
+vote tally takes plain (annotator, review_id, sarcastic) triples, the
+order of the fields in a vote line, so the commands' writer-form votes
+are never built into records.
 
 Splits shuffle a single-star pool with a seeded Fisher-Yates permutation
 (``random.Random(seed).shuffle``) and cut it into train/test prefixes,
@@ -64,6 +81,8 @@ import os
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DataError
@@ -113,11 +132,27 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _JSON_WHITESPACE = " \t\n\r"
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 _scan_once = json.JSONDecoder().scan_once
-# A vote line as the writer gives it for printable-ASCII fields: sorted keys,
+# The readers take a file in blocks of about this many characters.
+_BLOCK_SIZE = 1 << 14
+# A line as the writers give it for printable-ASCII fields: sorted keys,
 # json.dumps' default separators, and no quote or backslash in a string, so
-# each string is its own JSON value. Such a line passes every vote check.
-_VOTE_LINE = re.compile(r'\{"annotator": "([ !#-\[\]-~]+)", "review_id": "([ !#-\[\]-~]+)", '
-                        r'"sarcastic": (true|false)\}\n?')
+# each string is its own JSON value. A vote line passes every vote check; its
+# last group is "t" for true and empty for false (findall's "", a match's
+# None), so truthy exactly when the vote is sarcastic. A review line passes
+# every check but blank text and a duplicate id.
+_VOTE_FORM = (r'\{"annotator": "([ !#-\[\]-~]+)", "review_id": "([ !#-\[\]-~]+)", '
+              r'"sarcastic": (?:(t)rue|false)\}')
+_REVIEW_FORM = r'\{"review_id": "([ !#-\[\]-~]+)", "stars": ([1-5]), "text": "([ !#-\[\]-~]*)"\}'
+_VOTE_LINE = re.compile(_VOTE_FORM + r"\n?")
+# Each line of a block: re.M anchors ^ and $ at every "\n", and no field
+# can hold one, so each match is one whole line in the form. The _RUNS
+# patterns take each run of such lines, with their "\n"s.
+_VOTE_LINES = re.compile(f"^{_VOTE_FORM}$", re.M)
+_REVIEW_LINES = re.compile(f"^{_REVIEW_FORM}$", re.M)
+_VOTE_RUNS = re.compile(f"^(?:{_VOTE_FORM}\n)+", re.M)
+_REVIEW_RUNS = re.compile(f"^(?:{_REVIEW_FORM}\n)+", re.M)
+# The readers look at this many lines spread over a block before its findall.
+_PROBES = 8
 # The C constructor of every tuple: a named tuple's own __new__ is a Python
 # function that calls it, one extra frame per record.
 _new_tuple = tuple.__new__
@@ -183,6 +218,52 @@ def _coerce_stars(value):
     return None
 
 
+def _take_reviews(numbered, reviews, errors, seen_ids) -> None:
+    """Append the Review of each (line_number, line) of numbered to reviews.
+
+    A line is a str, which is decoded and checked field by field, or the
+    groups of a writer-form line: JSON would decode that line to those
+    strings and the int of that digit, and it passes the checks on
+    review_id and stars. Each line that fails a check appends one
+    ParseError to errors instead; a blank line gives nothing. seen_ids
+    holds the review_ids taken so far.
+    """
+    for line_number, line in numbered:
+        if line.__class__ is tuple:
+            review_id, stars, text = line
+            stars = int(stars)
+        else:
+            decoded = _decode_line(line)
+            if decoded is None:
+                continue
+            record, reason = decoded
+            if reason is None:
+                try:
+                    review_id = record["review_id"]
+                    stars = _coerce_stars(record["stars"])
+                    text = record["text"]
+                except (KeyError, TypeError):
+                    reason = _shape_problem(record, ("review_id", "stars", "text"))
+                else:
+                    reason = _string_problem("review_id", review_id)
+                    if reason is None and stars not in STAR_VALUES:
+                        reason = "stars out of range"
+            if reason is not None:
+                errors.append(ParseError(line_number, reason))
+                continue
+        if not isinstance(text, str) or not text.strip():
+            reason = "empty text"
+        elif not text.isascii() and _SURROGATE.search(text):
+            reason = "text holds a lone surrogate"
+        elif review_id in seen_ids:
+            reason = f"duplicate review_id: {review_id}"
+        else:
+            seen_ids.add(review_id)
+            reviews.append(_new_tuple(Review, (review_id, stars, text)))
+            continue
+        errors.append(ParseError(line_number, reason))
+
+
 def parse_review_stream(lines) -> tuple:
     """Parse JSON-lines review records into (reviews, parse_errors).
 
@@ -194,37 +275,7 @@ def parse_review_stream(lines) -> tuple:
     """
     reviews = []
     errors = []
-    seen_ids = set()
-    for line_number, line in enumerate(lines, start=1):
-        decoded = _decode_line(line)
-        if decoded is None:
-            continue
-        record, reason = decoded
-        if reason is not None:
-            errors.append(ParseError(line_number, reason))
-            continue
-        try:
-            review_id = record["review_id"]
-            stars = _coerce_stars(record["stars"])
-            text = record["text"]
-        except (KeyError, TypeError):
-            reason = _shape_problem(record, ("review_id", "stars", "text"))
-        else:
-            reason = _string_problem("review_id", review_id)
-            if reason is None:
-                if stars not in STAR_VALUES:
-                    reason = "stars out of range"
-                elif not isinstance(text, str) or not text.strip():
-                    reason = "empty text"
-                elif not text.isascii() and _SURROGATE.search(text):
-                    reason = "text holds a lone surrogate"
-                elif review_id in seen_ids:
-                    reason = f"duplicate review_id: {review_id}"
-                else:
-                    seen_ids.add(review_id)
-                    reviews.append(_new_tuple(Review, (review_id, stars, text)))
-                    continue
-        errors.append(ParseError(line_number, reason))
+    _take_reviews(enumerate(lines, 1), reviews, errors, set())
     return reviews, errors
 
 
@@ -233,9 +284,74 @@ def open_jsonl(path):
     return open(path, **_DECODING)
 
 
+def _blocks(fh):
+    """Yield (first line number, lines) of an open file, about _BLOCK_SIZE characters at a time.
+
+    The lines are the ones iterating the file gives, each with its
+    "\\n": they end at "\\n" only.
+    """
+    first = 1
+    while lines := fh.readlines(_BLOCK_SIZE):
+        yield first, lines
+        first += len(lines)
+
+
+def _runs(fh, form_lines, form_runs):
+    """Yield (first line number, rows, lines) of each run of an open file's lines, in order.
+
+    A run of lines in the writers' form gives the list of their
+    form_lines groups as rows, and lines None; any other run gives rows
+    None and its lines, for the per-line parser. A block goes line by
+    line, whole, if any of _PROBES lines spread over it, the first among
+    them, is in another form: such lines are then common, and the
+    per-line parser costs each of them less than a findall and a gap of
+    its own. Any other block takes one findall. If lines in another form
+    hide among its form lines, one finditer of form_runs finds the runs
+    of form lines, and the findall's rows are cut to fit them.
+    """
+    for first, lines in _blocks(fh):
+        block = "".join(lines)
+        step = -(-len(block) // _PROBES)
+        if not all(form_lines.match(block, block.rfind("\n", 0, at) + 1)
+                   for at in range(0, len(block), step)):
+            yield first, None, lines
+            continue
+        rows = form_lines.findall(block)
+        if len(rows) == len(lines):
+            yield first, rows, None
+            continue
+        # A last line without its "\n" is in no run; the per-line parser
+        # takes it.
+        taken = line = end = 0
+        for run in form_runs.finditer(block):
+            start = run.start()
+            if start > end:
+                n_other = block.count("\n", end, start)
+                yield first + line, None, lines[line:line + n_other]
+                line += n_other
+            end = run.end()
+            n_form = block.count("\n", start, end)
+            yield first + line, rows[taken:taken + n_form], None
+            taken += n_form
+            line += n_form
+        if line < len(lines):
+            yield first + line, None, lines[line:]
+
+
 def read_reviews(path) -> tuple:
+    """(reviews, parse_errors) of a reviews file, as ``parse_review_stream`` gives them.
+
+    The file is read a block at a time; its runs of writer-form lines
+    take one findall (see the module docstring).
+    """
+    reviews = []
+    errors = []
+    seen_ids = set()
     with open_jsonl(path) as fh:
-        return parse_review_stream(fh)
+        for first, rows, lines in _runs(fh, _REVIEW_LINES, _REVIEW_RUNS):
+            _take_reviews(enumerate(rows if lines is None else lines, first),
+                          reviews, errors, seen_ids)
+    return reviews, errors
 
 
 def _write_jsonl(path, mode: str, records) -> None:
@@ -249,20 +365,13 @@ def write_reviews(path, reviews) -> None:
     _write_jsonl(path, "w", reviews)
 
 
-def iter_labels(lines, errors):
-    """Yield each valid SarcasmLabel of JSON-lines label votes, in input order.
-
-    ``lines`` is any iterable of strings. Each invalid line (invalid
-    UTF-8, bad JSON, missing field, wrong type, a lone surrogate in a
-    string field) appends one ParseError to ``errors`` instead. A line
-    in the writer's own form (``_VOTE_LINE``) is taken by one match;
-    every other line is decoded and checked field by field.
-    """
-    for line_number, line in enumerate(lines, start=1):
+def _labels(lines, first, errors):
+    """Yield each valid SarcasmLabel of lines, numbered from first; see ``iter_labels``."""
+    for line_number, line in enumerate(lines, start=first):
         match = _VOTE_LINE.fullmatch(line)
         if match is not None:
             annotator, review_id, sarcastic = match.groups()
-            yield _new_tuple(SarcasmLabel, (review_id, sarcastic == "true", annotator))
+            yield _new_tuple(SarcasmLabel, (review_id, sarcastic is not None, annotator))
             continue
         decoded = _decode_line(line)
         if decoded is None:
@@ -287,6 +396,48 @@ def iter_labels(lines, errors):
         errors.append(ParseError(line_number, reason))
 
 
+def iter_labels(lines, errors):
+    """Yield each valid SarcasmLabel of JSON-lines label votes, in input order.
+
+    ``lines`` is any iterable of strings. Each invalid line (invalid
+    UTF-8, bad JSON, missing field, wrong type, a lone surrogate in a
+    string field) appends one ParseError to ``errors`` instead. A line
+    in the writer's own form (``_VOTE_LINE``) is taken by one match;
+    every other line is decoded and checked field by field.
+    """
+    return _labels(lines, 1, errors)
+
+
+# (annotator, review_id, sarcastic) of a SarcasmLabel: the order of a vote
+# line's fields, in which the tally takes its votes.
+_triple = itemgetter(2, 0, 1)
+
+
+class _Votes(chain):
+    """The vote triples of ``_read_votes``, one run's list at a time.
+
+    A chain runs no Python code per vote, and this type of it tells
+    ``_triples`` that its votes are triples already, not records.
+    """
+
+
+def _read_votes(fh, errors) -> _Votes:
+    """The (annotator, review_id, sarcastic) triple of each valid vote of an open labels file.
+
+    They are the votes ``iter_labels`` yields, in its order, and each
+    invalid line appends its ParseError to errors as the run of lines
+    holding it is read. sarcastic is truthy when the vote is sarcastic.
+    A run of writer-form lines is a slice of one findall's list, any
+    other run one list of the per-line parser's triples, so at most one
+    block's triples are held at a time.
+    """
+    def runs():
+        for first, rows, lines in _runs(fh, _VOTE_LINES, _VOTE_RUNS):
+            yield rows if lines is None else list(map(_triple, _labels(lines, first, errors)))
+
+    return _Votes.from_iterable(runs())
+
+
 def write_labels(path, labels) -> None:
     _write_jsonl(path, "w", labels)
 
@@ -306,8 +457,13 @@ def append_labels(path, labels) -> None:
     _write_jsonl(path, "a", labels)
 
 
-def _tally(votes, labels) -> dict:
-    """Fold the votes of labels into votes, then resolve each entry in place.
+def _triples(labels):
+    """labels as (annotator, review_id, sarcastic) triples: a _Votes is one already."""
+    return labels if isinstance(labels, _Votes) else map(_triple, labels)
+
+
+def _tally(votes, triples) -> dict:
+    """Fold (annotator, review_id, sarcastic) triples into votes, then resolve each entry in place.
 
     votes maps a review_id to an int of vote bits, 0 for none yet; a vote
     for an id not among its keys adds one. The i-th annotator to appear
@@ -317,10 +473,10 @@ def _tally(votes, labels) -> dict:
     annotator's two bits and sets its own, so its last vote wins. The
     voters of a review are then the set "voted" bits and the sarcastic
     ones the rest; each entry becomes its majority label, or None if it
-    had no vote.
+    had no vote. A triple's sarcastic is truthy when its vote is.
     """
     masks = {}
-    for review_id, sarcastic, annotator in labels:
+    for annotator, review_id, sarcastic in triples:
         annotator_masks = masks.get(annotator)
         if annotator_masks is None:
             voted = 1 << 2 * len(masks)
@@ -348,7 +504,7 @@ def resolve_labels(labels) -> dict:
     1,500 annotators per file it passes the {annotator: vote} dict per
     review it replaced.
     """
-    return _tally({}, labels)
+    return _tally({}, _triples(labels))
 
 
 def label_reviews(reviews, labels) -> list:
@@ -359,7 +515,8 @@ def label_reviews(reviews, labels) -> list:
     vote's id string is freed once it is counted; votes for other ids
     are tallied and then ignored.
     """
-    resolved = _tally(dict.fromkeys((review.review_id for review in reviews), 0), labels)
+    resolved = _tally(dict.fromkeys((review.review_id for review in reviews), 0),
+                      _triples(labels))
     return [
         _new_tuple(LabeledReview, (review, label))
         for review in reviews

@@ -162,9 +162,13 @@ def init_adam_state(model: MlpModel) -> AdamState:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax: shift by the max so huge logits cannot overflow."""
     # Column by column: np.max along a 2-wide last axis costs more than the
-    # rest of the softmax, and the maximum is exact either way.
+    # rest of the softmax, and the maximum is exact either way. So does
+    # np.sum; the row sum of OUTPUT_DIM = 2 columns is one addition, the
+    # bits np.sum gives, and any other width takes np.sum.
     shifted = z - functools.reduce(np.maximum, np.moveaxis(z, -1, 0))[..., None]
     e = np.exp(shifted)
+    if e.shape[-1] == 2:
+        return e / (e[..., :1] + e[..., 1:])
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -1,20 +1,30 @@
 """Ingestion, label resolution, and seeded splits."""
 
+import io
 import json
 import random
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_corpus
+from sarcnet import corpus
 from sarcnet.corpus import (
+    _REVIEW_LINES,
+    _REVIEW_RUNS,
     _VOTE_LINE,
+    _VOTE_LINES,
+    _VOTE_RUNS,
     LabeledReview,
     ParseError,
     Review,
     SarcasmLabel,
+    _blocks,
+    _read_votes,
+    _runs,
     append_labels,
     iter_labels,
     label_reviews,
@@ -28,6 +38,7 @@ from sarcnet.corpus import (
     write_split_manifest,
 )
 from sarcnet.errors import DataError
+from sarcnet.minicorpus import build_minicorpus
 
 
 def review_line(review_id="r1", stars=3, text="ok food", **extra):
@@ -39,6 +50,26 @@ def parse_votes(lines):
     """(votes, errors) of iter_labels over lines, the votes read into a list."""
     errors = []
     return list(iter_labels(lines, errors)), errors
+
+
+def read_votes(path):
+    """(votes, errors) of the commands' block reader over a labels file, as SarcasmLabels."""
+    errors = []
+    with open_jsonl(path) as fh:
+        votes = [SarcasmLabel(review_id, bool(sarcastic), annotator)
+                 for annotator, review_id, sarcastic in _read_votes(fh, errors)]
+    return votes, errors
+
+
+@contextmanager
+def block_size(n, probes=None):
+    """Read files in blocks of about n characters for the duration, probing
+    each block at probes lines if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_BLOCK_SIZE", n)
+        if probes is not None:
+            patch.setattr(corpus, "_PROBES", probes)
+        yield
 
 
 def make_pool(n, stars=1, sarcastic_every=2):
@@ -514,15 +545,38 @@ class TestMatchesReferenceParsers:
         A file's lines carry their newline (CRLF read as LF), which the
         ``_VOTE_LINE`` match allows for, and its last line may have none.
         """
+        self.check_file_lines(tmp_path_factory, lines)
+
+    @settings(max_examples=300)
+    @given(st.lists(LINE, max_size=12))
+    @vote_edge_examples
+    def test_file_lines_in_tiny_blocks(self, tmp_path_factory, lines):
+        """The same, with blocks of 3 characters: nearly every line is a block of its own."""
+        with block_size(3):
+            self.check_file_lines(tmp_path_factory, lines)
+
+    @settings(max_examples=300)
+    @given(st.lists(LINE, max_size=12))
+    @vote_edge_examples
+    def test_file_lines_in_runs(self, tmp_path_factory, lines):
+        """The same, with blocks of 160 characters probed at their first line
+        only: other lines among writer-form ones are cut out as runs."""
+        with block_size(160, probes=1):
+            self.check_file_lines(tmp_path_factory, lines)
+
+    @staticmethod
+    def check_file_lines(tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("lines") / "corpus.jsonl"
         # A lone surrogate cannot be written as UTF-8; its \\u escape stands
         # for it, and in a JSON string means the same.
         path.write_bytes("\n".join(lines).encode("utf-8", "backslashreplace"))
         with open_jsonl(path) as fh:
             file_lines = fh.readlines()
-        assert read_reviews(path) == reference_corpus.parse_review_stream(file_lines)
+        expected_votes = reference_corpus.parse_label_stream(file_lines)
         with open_jsonl(path) as fh:
-            assert parse_votes(fh) == reference_corpus.parse_label_stream(file_lines)
+            assert parse_votes(fh) == expected_votes
+        assert read_reviews(path) == reference_corpus.parse_review_stream(file_lines)
+        assert read_votes(path) == expected_votes
 
     def test_bundled_minicorpus(self, minicorpus_dir):
         for name, parse, reference in (
@@ -582,6 +636,14 @@ class TestLineReader:
         ]
 
 
+# Arbitrary bytes, and strings of JSON fragments, undecodable bytes, line ends and BOMs.
+GARBAGE = (st.binary(max_size=64)
+           | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"review_id"', b":", b",",
+                                       b"1", b"null", b"\xff", b"\xc3", b" ", b"\r",
+                                       b"\n", b"\x0b", b"\xef\xbb\xbf"]),
+                      max_size=12).map(b"".join))
+
+
 class TestInvalidUtf8File:
     def test_read_reviews_drops_only_the_bad_line(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
@@ -604,20 +666,188 @@ class TestInvalidUtf8File:
         assert errors == [ParseError(2, "invalid UTF-8")]
 
     @settings(max_examples=200)
-    @given(content=st.binary(max_size=64)
-           | st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"review_id"', b":", b",",
-                                       b"1", b"null", b"\xff", b"\xc3", b" ", b"\r",
-                                       b"\n", b"\x0b", b"\xef\xbb\xbf"]),
-                      max_size=12).map(b"".join))
+    @given(content=GARBAGE)
     def test_arbitrary_bytes_never_raise(self, tmp_path_factory, content):
+        self.check_garbage(tmp_path_factory, content)
+
+    @settings(max_examples=200)
+    @given(content=GARBAGE)
+    def test_arbitrary_bytes_in_tiny_blocks(self, tmp_path_factory, content):
+        with block_size(2):
+            self.check_garbage(tmp_path_factory, content)
+
+    @staticmethod
+    def check_garbage(tmp_path_factory, content):
+        """Every non-blank line of content is one record or one error, and the
+        block readers give the per-line parsers' results."""
         path = tmp_path_factory.mktemp("garbage") / "corpus.jsonl"
         path.write_bytes(content)
         with open_jsonl(path) as fh:
             lines = fh.readlines()
         with open_jsonl(path) as fh:
             votes = parse_votes(fh)
-        for records, errors in (read_reviews(path), votes):
+        reviews, block_votes = read_reviews(path), read_votes(path)
+        for records, errors in (reviews, votes, block_votes):
             assert len(records) + len(errors) == non_blank(lines)
+        assert block_votes == votes
+        with open_jsonl(path) as fh:
+            assert reviews == parse_review_stream(fh)
+
+
+def writer_review(review_id, text="ok food", stars=2):
+    return json.dumps({"review_id": review_id, "stars": stars, "text": text},
+                      ensure_ascii=False, sort_keys=True)
+
+
+def boundary_file(path) -> None:
+    """Write a file of review and vote lines whose ends and contents test the block cuts.
+
+    Line 15's CR is the last byte of the first 8,192, the size of the
+    chunks a text file decodes, so its CRLF is cut there too.
+    """
+    head = "".join([
+        "\ufeff" + writer_review("r0") + "\n",            # 1: a BOM on line 1
+        writer_review("r1") + "\r\n",                     # 2
+        vote_line("r1", annotator="a") + "\r\n",          # 3
+        vote_line("r1", annotator="b") + "\r",            # 4: a lone CR
+        writer_review("r2") + "\n",                       # 5
+        "\n",                                             # 6: blank
+        writer_review("r3", "a\u2028b") + "\n",           # 7: no line break
+        writer_review("r4", "c\x85d") + "\n",             # 8: nor this
+        writer_review("r5", "e\x0cf").replace("\\f", "\x0c") + "\n",  # 9: a raw form feed
+        vote_line("r3", annotator="a") + "\n",            # 10
+        "{}\n",                                           # 11
+        vote_line("r4", False, annotator="a") + "\n",     # 12
+        writer_review("r1") + "\n",                       # 13: a duplicate id
+        "null\n",                                         # 14
+    ]).encode()
+    long_review = writer_review("r6", "x" * (8191 - len(head) - len(writer_review("r6", ""))))
+    path.write_bytes(head + (long_review + "\r\n").encode()
+                     + writer_review("r7").encode())  # 15, then 16: no newline
+
+
+class TestBlockReader:
+    """The block readers give the per-line parsers' records and errors, wherever blocks are cut."""
+
+    REVIEWS = ["r1", "r2", "r3", "r4", "r6", "r7"]
+    REVIEW_ERRORS = [
+        ParseError(1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ParseError(3, "missing field: stars, text"),
+        ParseError(4, "missing field: stars, text"),
+        ParseError(9, "invalid JSON: Invalid control character at"),
+        ParseError(10, "missing field: stars, text"),
+        ParseError(11, "missing field: review_id, stars, text"),
+        ParseError(12, "missing field: stars, text"),
+        ParseError(13, "duplicate review_id: r1"),
+        ParseError(14, "record is not an object"),
+    ]
+    VOTES = [SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", True, "b"),
+             SarcasmLabel("r3", True, "a"), SarcasmLabel("r4", False, "a")]
+    VOTE_ERRORS = [
+        ParseError(1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        *(ParseError(n, "missing field: sarcastic, annotator") for n in (2, 5, 7, 8)),
+        ParseError(9, "invalid JSON: Invalid control character at"),
+        ParseError(11, "missing field: review_id, sarcastic, annotator"),
+        ParseError(13, "missing field: sarcastic, annotator"),
+        ParseError(14, "record is not an object"),
+        *(ParseError(n, "missing field: sarcastic, annotator") for n in (15, 16)),
+    ]
+
+    @pytest.mark.parametrize("block, probes", [(1, None), (2, None), (7, None), (64, None),
+                                               (64, 1), (200, 1), (corpus._BLOCK_SIZE, None)])
+    def test_boundary_file(self, tmp_path, block, probes):
+        path = tmp_path / "corpus.jsonl"
+        boundary_file(path)
+        with block_size(block, probes):
+            reviews, review_errors = read_reviews(path)
+            votes = read_votes(path)
+        assert [r.review_id for r in reviews] == self.REVIEWS
+        assert reviews[2:4] == [Review("r3", 2, "a\u2028b"), Review("r4", 2, "c\x85d")]
+        assert review_errors == self.REVIEW_ERRORS
+        assert votes == (self.VOTES, self.VOTE_ERRORS)
+        with open_jsonl(path) as fh:
+            assert (reviews, review_errors) == parse_review_stream(fh)
+        with open_jsonl(path) as fh:
+            assert votes == parse_votes(fh)
+
+    def test_runs_of_a_mixed_block(self, tmp_path):
+        """A block whose probed line is in the writers' form is cut at its other
+        lines, and the findall's rows fill the runs of form lines."""
+        path = tmp_path / "corpus.jsonl"
+        for forms, form_lines, rows, read, parse in (
+                (REVIEW_FORMS, [writer_review(f"r{i % 3}") for i in range(4)],
+                 ("r0", "2", "ok food"), read_reviews, parse_review_stream),
+                (VOTE_FORMS, [vote_line(f"r{i % 3}") for i in range(4)],
+                 ("a", "r0", "t"), read_votes, parse_votes)):
+            lines = [form_lines[0] + "\n", form_lines[0].replace("r0", "ré0") + "\n", "\n",
+                     form_lines[1] + "\n", form_lines[3] + "\n", "{}\n",
+                     form_lines[2]]  # no newline: no run holds the last line
+            path.write_text("".join(lines), encoding="utf-8")
+            with block_size(corpus._BLOCK_SIZE, probes=1), open_jsonl(path) as fh:
+                runs = list(_runs(fh, *forms))
+            assert runs == [(1, [rows], None), (2, None, lines[1:3]),
+                            (4, [tuple(x.replace("r0", "r1") for x in rows), rows], None),
+                            (6, None, lines[5:])]
+            with block_size(corpus._BLOCK_SIZE, probes=1):
+                assert read(path) == parse(lines)
+            assert read(path)[1][-1] == ParseError(6, "missing field: " + (
+                "review_id, stars, text" if read is read_reviews
+                else "review_id, sarcastic, annotator"))
+
+    @pytest.mark.parametrize("other", [None, 0, 5, 7])
+    def test_probes_send_a_block_whole(self, tmp_path, other):
+        """The probes fall on each of eight lines of one length: one of them in
+        another form sends the block line by line, whole."""
+        path = tmp_path / "reviews.jsonl"
+        lines = [writer_review(f"r{i}") + "\n" for i in range(8)]
+        if other is not None:
+            lines[other] = writer_review(f"r{other}", "ok foöd") + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with open_jsonl(path) as fh:
+            runs = list(_runs(fh, *REVIEW_FORMS))
+        if other is None:
+            assert runs == [(1, [(f"r{i}", "2", "ok food") for i in range(8)], None)]
+        else:
+            assert runs == [(1, None, lines)]
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_duplicate_id_in_another_block(self, tmp_path, block):
+        path = tmp_path / "reviews.jsonl"
+        lines = [writer_review(f"r{i}") for i in range(12)] + [writer_review("r3", "again")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with block_size(block):
+            reviews, errors = read_reviews(path)
+        assert [r.review_id for r in reviews] == [f"r{i}" for i in range(12)]
+        assert errors == [ParseError(13, "duplicate review_id: r3")]
+
+    def test_blocks_split_at_newlines_only(self):
+        text = "a\u2028b\x85c\x0cd\x1c\ne\n\nfg\nh"
+        with block_size(4):
+            blocks = list(_blocks(io.StringIO(text, newline="\n")))
+        assert blocks == [(1, ["a\u2028b\x85c\x0cd\x1c\n"]), (2, ["e\n", "\n", "fg\n"]),
+                          (5, ["h"])]
+
+    def test_votes_are_read_one_block_at_a_time(self, tmp_path):
+        """The first vote costs one block of the file; its errors are in by then."""
+        path = tmp_path / "labels.jsonl"
+        lines = ["{}", *(vote_line(f"r{i}") for i in range(50))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        errors = []
+        read = []
+
+        class CountedFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def readlines(self, hint):
+                read.append(self.fh.readlines(hint))
+                return read[-1]
+
+        with block_size(256), open_jsonl(path) as fh:
+            votes = _read_votes(CountedFile(fh), errors)
+            assert next(votes) == ("a", "r0", True)
+            assert errors == [ParseError(1, "missing field: review_id, sarcastic, annotator")]
+            assert len(read) == 1 and len(read[0]) < 10
 
 
 class TestRecordTypes:
@@ -638,6 +868,17 @@ class TestRecordTypes:
 # The strings _VOTE_LINE takes: printable ASCII but the quote and the backslash.
 VOTE_LINE_STRINGS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
                                           exclude_characters='"\\'), min_size=1)
+
+
+# The patterns of each reader's runs: its writers' form, line by line and in runs.
+REVIEW_FORMS = (_REVIEW_LINES, _REVIEW_RUNS)
+VOTE_FORMS = (_VOTE_LINES, _VOTE_RUNS)
+
+
+def all_in_writer_form(path, forms) -> bool:
+    """Whether every block the readers cut from the file is one run taken by one findall."""
+    with open_jsonl(path) as fh:
+        return all(text is None for _, _, text in _runs(fh, *forms))
 
 
 class TestWriters:
@@ -673,16 +914,55 @@ class TestWriters:
             lines = fh.readlines()
         assert len(lines) == len(votes)
         assert all(_VOTE_LINE.fullmatch(line) for line in lines)
+        assert all_in_writer_form(path, VOTE_FORMS)
         with open_jsonl(path) as fh:
             assert parse_votes(fh) == (votes, [])
+        assert read_votes(path) == (votes, [])
+
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(Review, VOTE_LINE_STRINGS, st.sampled_from((1, 2, 3, 4, 5)),
+                              VOTE_LINE_STRINGS | st.sampled_from(["", " ", "  "])),
+                    max_size=6))
+    def test_every_review_written_takes_the_fast_path(self, tmp_path_factory, reviews):
+        """Blank texts and repeated ids too: their checks run on the fast path."""
+        path = tmp_path_factory.mktemp("reviews") / "reviews.jsonl"
+        write_reviews(path, reviews)
+        assert all_in_writer_form(path, REVIEW_FORMS)
+        with open_jsonl(path) as fh:
+            assert read_reviews(path) == parse_review_stream(fh)
 
     def test_minicorpus_votes_take_the_fast_path(self, minicorpus_dir):
         with open_jsonl(minicorpus_dir / "labels.jsonl") as fh:
             lines = fh.readlines()
         assert len(lines) == 2000
         assert all(_VOTE_LINE.fullmatch(line) for line in lines)
+        assert all_in_writer_form(minicorpus_dir / "labels.jsonl", VOTE_FORMS)
         # The edge examples of the differential tests are built on this line.
         assert _VOTE_LINE.fullmatch(vote_line())
+
+    def test_minicorpus_reviews_take_the_fast_path(self, minicorpus_dir):
+        assert all_in_writer_form(minicorpus_dir / "reviews.jsonl", REVIEW_FORMS)
+
+    @pytest.mark.parametrize("seed", [1, 8801])
+    def test_generated_corpus_takes_the_fast_path(self, tmp_path, seed):
+        """A build_minicorpus corpus written as the benchmark writes its files."""
+        reviews, _, labels = build_minicorpus(seed, 40)
+        with open(tmp_path / "reviews.jsonl", "w", encoding="utf-8") as fh:
+            for r in reviews:
+                fh.write(json.dumps({"review_id": r.review_id, "stars": r.stars,
+                                     "text": r.text}, ensure_ascii=False, sort_keys=True))
+                fh.write("\n")
+        with open(tmp_path / "labels.jsonl", "w", encoding="utf-8") as fh:
+            for label in labels:
+                fh.write(json.dumps({"review_id": label.review_id,
+                                     "sarcastic": label.sarcastic,
+                                     "annotator": label.annotator},
+                                    ensure_ascii=False, sort_keys=True))
+                fh.write("\n")
+        assert all_in_writer_form(tmp_path / "reviews.jsonl", REVIEW_FORMS)
+        assert all_in_writer_form(tmp_path / "labels.jsonl", VOTE_FORMS)
+        assert read_reviews(tmp_path / "reviews.jsonl") == (reviews, [])
+        assert read_votes(tmp_path / "labels.jsonl") == (labels, [])
 
     def test_append_ends_an_unterminated_last_line(self, tmp_path):
         path = tmp_path / "labels.jsonl"

@@ -159,6 +159,28 @@ class TestForward:
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0.0)
 
+    def test_softmax_row_sum_has_the_bits_of_np_sum(self):
+        """The two-column sum is np.sum's, NaN payloads and signed zeros included."""
+        specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.5, -745.0, 1e308]
+        rows = np.array([[a, b] for a in specials for b in specials])
+        rng = np.random.default_rng(11)
+        batch = np.concatenate([rows, rng.normal(0.0, 30.0, size=(36, 2))])
+        stacked = np.stack([batch, batch[::-1], rng.permutation(batch)])
+        for z in (batch, stacked, rows[17], rng.normal(size=2)):
+            with np.errstate(invalid="ignore"):  # inf - inf and the NaN rows
+                e = np.exp(z - np.maximum(z[..., 0], z[..., 1])[..., None])
+                expected = e / e.sum(axis=-1, keepdims=True)
+                got = softmax(z)
+            assert got.shape == z.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_softmax_of_other_widths(self, width):
+        z = np.random.default_rng(width).normal(0.0, 30.0, size=(4, 5, width))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(softmax(z), e / e.sum(axis=-1, keepdims=True), rtol=1e-15)
+        np.testing.assert_allclose(softmax(z).sum(axis=-1), 1.0, rtol=1e-14)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             forward(zero_model(), np.ones(14))
