@@ -276,9 +276,9 @@ def _load_reviews(path) -> list:
 def _consume_labels(path, consume):
     """Return consume(votes) over the labels file's valid votes, streamed.
 
-    The votes are (annotator, review_id, sarcastic) triples, parsed a
-    block at a time as consume reads them and never held as one list;
-    the dropped lines are reported once the file is read.
+    The votes, (annotator, review_id, sarcastic) as in a SarcasmLabel, are
+    parsed a block at a time as consume reads them and never held as one
+    list; the dropped lines are reported once the file is read.
     """
     errors = []
     try:
@@ -364,8 +364,8 @@ def cmd_label(args) -> int:
             break
         if answer == "s":
             continue
-        append_labels(args.labels,
-                      [SarcasmLabel(review.review_id, answer == "y", args.annotator)])
+        append_labels(args.labels, [SarcasmLabel(
+            annotator=args.annotator, review_id=review.review_id, sarcastic=answer == "y")])
         recorded += 1
     print(f"\nrecorded {recorded} labels from {args.annotator}")
     return EXIT_OK

@@ -6,8 +6,8 @@ Yelp Dataset Challenge review files. Bad lines are collected as
 ParseError records instead of aborting, so one mangled record in a
 multi-million-line file costs one record, not the run.
 
-Labels are a separate append-only JSON-lines file: one (review_id,
-annotator, sarcastic) vote per line. The resolved label is the majority
+Labels are a separate append-only JSON-lines file: one (annotator,
+review_id, sarcastic) vote per line. The resolved label is the majority
 vote over annotators, with ties going to non-sarcastic. A later line by
 the same annotator for the same review supersedes the earlier one.
 ``iter_labels`` yields the votes one at a time and ``resolve_labels``
@@ -63,10 +63,11 @@ or order changes. ``write_reviews``, ``write_labels`` and
 
 The record types are named tuples: immutable, compared by value, and
 cheap to build in bulk. The parsers build them with the C tuple
-constructor, skipping each named tuple's Python-level ``__new__``. The
-vote tally takes plain (annotator, review_id, sarcastic) triples, the
-order of the fields in a vote line, so the commands' writer-form votes
-are never built into records.
+constructor, skipping each named tuple's Python-level ``__new__``. A
+vote's fields are in its line's sorted key order, (annotator, review_id,
+sarcastic), in a ``SarcasmLabel``, a ``_VOTE_LINES`` findall row (its
+sarcastic "t" or "") and the tally alike, so the commands' writer-form
+votes go to the tally as the findall gives them.
 
 Splits shuffle a single-star pool with a seeded Fisher-Yates permutation
 (``random.Random(seed).shuffle``) and cut it into train/test prefixes,
@@ -82,7 +83,6 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DataError
@@ -95,9 +95,9 @@ class Review(NamedTuple):
 
 
 class SarcasmLabel(NamedTuple):
+    annotator: str
     review_id: str
     sarcastic: bool
-    annotator: str
 
 
 class LabeledReview(NamedTuple):
@@ -371,7 +371,7 @@ def _labels(lines, first, errors):
         match = _VOTE_LINE.fullmatch(line)
         if match is not None:
             annotator, review_id, sarcastic = match.groups()
-            yield _new_tuple(SarcasmLabel, (review_id, sarcastic is not None, annotator))
+            yield _new_tuple(SarcasmLabel, (annotator, review_id, sarcastic is not None))
             continue
         decoded = _decode_line(line)
         if decoded is None:
@@ -391,7 +391,7 @@ def _labels(lines, first, errors):
                       or (None if isinstance(sarcastic, bool) else "sarcastic must be a boolean")
                       or _string_problem("annotator", annotator))
             if reason is None:
-                yield _new_tuple(SarcasmLabel, (review_id, sarcastic, annotator))
+                yield _new_tuple(SarcasmLabel, (annotator, review_id, sarcastic))
                 continue
         errors.append(ParseError(line_number, reason))
 
@@ -408,34 +408,18 @@ def iter_labels(lines, errors):
     return _labels(lines, 1, errors)
 
 
-# (annotator, review_id, sarcastic) of a SarcasmLabel: the order of a vote
-# line's fields, in which the tally takes its votes.
-_triple = itemgetter(2, 0, 1)
-
-
-class _Votes(chain):
-    """The vote triples of ``_read_votes``, one run's list at a time.
-
-    A chain runs no Python code per vote, and this type of it tells
-    ``_triples`` that its votes are triples already, not records.
-    """
-
-
-def _read_votes(fh, errors) -> _Votes:
-    """The (annotator, review_id, sarcastic) triple of each valid vote of an open labels file.
+def _read_votes(fh, errors) -> chain:
+    """Each valid vote of an open labels file, as (annotator, review_id, sarcastic).
 
     They are the votes ``iter_labels`` yields, in its order, and each
-    invalid line appends its ParseError to errors as the run of lines
-    holding it is read. sarcastic is truthy when the vote is sarcastic.
-    A run of writer-form lines is a slice of one findall's list, any
-    other run one list of the per-line parser's triples, so at most one
-    block's triples are held at a time.
+    invalid line appends its ParseError to errors as it is read, a block
+    at a time. A run of writer-form lines gives a slice of one findall's
+    rows, whose sarcastic is "t" or "", truthy exactly when the vote is;
+    any other run gives the per-line parser's SarcasmLabels.
     """
-    def runs():
-        for first, rows, lines in _runs(fh, _VOTE_LINES, _VOTE_RUNS):
-            yield rows if lines is None else list(map(_triple, _labels(lines, first, errors)))
-
-    return _Votes.from_iterable(runs())
+    return chain.from_iterable(
+        rows if lines is None else _labels(lines, first, errors)
+        for first, rows, lines in _runs(fh, _VOTE_LINES, _VOTE_RUNS))
 
 
 def write_labels(path, labels) -> None:
@@ -457,15 +441,10 @@ def append_labels(path, labels) -> None:
     _write_jsonl(path, "a", labels)
 
 
-def _triples(labels):
-    """labels as (annotator, review_id, sarcastic) triples: a _Votes is one already."""
-    return labels if isinstance(labels, _Votes) else map(_triple, labels)
+def _tally(tally, votes) -> dict:
+    """Fold (annotator, review_id, sarcastic) votes into tally, then resolve each entry in place.
 
-
-def _tally(votes, triples) -> dict:
-    """Fold (annotator, review_id, sarcastic) triples into votes, then resolve each entry in place.
-
-    votes maps a review_id to an int of vote bits, 0 for none yet; a vote
+    tally maps a review_id to an int of vote bits, 0 for none yet; a vote
     for an id not among its keys adds one. The i-th annotator to appear
     owns bits 2i ("voted") and 2i+1 ("the last vote was sarcastic"), and
     its three masks are stored once, beside its name: both bits cleared,
@@ -473,21 +452,21 @@ def _tally(votes, triples) -> dict:
     annotator's two bits and sets its own, so its last vote wins. The
     voters of a review are then the set "voted" bits and the sarcastic
     ones the rest; each entry becomes its majority label, or None if it
-    had no vote. A triple's sarcastic is truthy when its vote is.
+    had no vote. A vote's sarcastic is truthy when the vote is.
     """
     masks = {}
-    for annotator, review_id, sarcastic in triples:
+    for annotator, review_id, sarcastic in votes:
         annotator_masks = masks.get(annotator)
         if annotator_masks is None:
             voted = 1 << 2 * len(masks)
             annotator_masks = masks[annotator] = (~(3 * voted), voted, 3 * voted)
         clear, no, yes = annotator_masks
-        votes[review_id] = votes.get(review_id, 0) & clear | (yes if sarcastic else no)
+        tally[review_id] = tally.get(review_id, 0) & clear | (yes if sarcastic else no)
     voted_bits = (4 ** len(masks) - 1) // 3  # 0b0101...: every annotator's "voted" bit
-    for review_id, bits in votes.items():
+    for review_id, bits in tally.items():
         voters = (bits & voted_bits).bit_count()
-        votes[review_id] = 2 * (bits.bit_count() - voters) > voters if bits else None
-    return votes
+        tally[review_id] = 2 * (bits.bit_count() - voters) > voters if bits else None
+    return tally
 
 
 def resolve_labels(labels) -> dict:
@@ -495,16 +474,17 @@ def resolve_labels(labels) -> dict:
 
     One vote per (review_id, annotator): since the file is append-only,
     the last vote an annotator recorded for a review wins. ``labels`` is
-    any iterable of votes and is read once, so a stream from
-    ``iter_labels`` is never held as a list. What stays is one int and
-    one dict slot per review, its key the review_id of its first vote,
-    and three masks per annotator (see ``_tally``). The int holds two
-    bits per annotator, up to the last one to vote on that review, so it
-    grows with the number of annotators: somewhere between 1,000 and
-    1,500 annotators per file it passes the {annotator: vote} dict per
-    review it replaced.
+    any iterable of (annotator, review_id, sarcastic) votes, such as
+    SarcasmLabels. It goes straight to the tally and is read once, so a
+    stream from ``iter_labels`` is never held as a list. What stays is
+    one int and one dict slot per review, its key the review_id of its
+    first vote, and three masks per annotator (see ``_tally``). The int
+    holds two bits per annotator, up to the last one to vote on that
+    review, so it grows with the number of annotators: somewhere between
+    1,000 and 1,500 annotators per file it passes the {annotator: vote}
+    dict per review it replaced.
     """
-    return _tally({}, _triples(labels))
+    return _tally({}, labels)
 
 
 def label_reviews(reviews, labels) -> list:
@@ -515,8 +495,7 @@ def label_reviews(reviews, labels) -> list:
     vote's id string is freed once it is counted; votes for other ids
     are tallied and then ignored.
     """
-    resolved = _tally(dict.fromkeys((review.review_id for review in reviews), 0),
-                      _triples(labels))
+    resolved = _tally(dict.fromkeys((review.review_id for review in reviews), 0), labels)
     return [
         _new_tuple(LabeledReview, (review, label))
         for review in reviews

@@ -109,7 +109,8 @@ def build_minicorpus(seed: int = GENERATOR_SEED,
             if rng.random() < DISSENT_RATE:
                 votes[rng.randrange(len(ANNOTATORS))] = not sarcastic
             for annotator, vote in zip(ANNOTATORS, votes):
-                labels.append(SarcasmLabel(review_id, vote, annotator))
+                labels.append(SarcasmLabel(
+                    annotator=annotator, review_id=review_id, sarcastic=vote))
     return reviews, truth, labels
 
 

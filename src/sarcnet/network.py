@@ -11,7 +11,7 @@ classes; backward sums the gradients over the batch. predict runs one
 the class and probability that forward does.
 
 A model with (S, n_params) parameters is a stack of S networks of one
-shape. forward takes an (S, B, 15) batch, or one (B, 15) batch that all
+shape. forward takes an (S, B, 15) batch, or a (1, B, 15) batch that all
 share; numpy's stacked matmul runs each member's own gemm, so each
 member's bits equal those of its unstacked run.
 
@@ -187,16 +187,16 @@ def dropout_mask(rng: "np.random.Generator | list", size, keep_prob: float) -> n
 
 def forward(model: MlpModel, x,
             rng: "np.random.Generator | list | None" = None) -> ForwardTrace:
-    """Run a (B, 15) batch through the network, or through each member of a stack.
+    """Run a (B, 15) batch through the network, or an (S, B, 15) one through a stack of S.
 
     The trace records everything backward needs. Given a generator, it
     applies dropout, drawing all masks of the batch as one (B, sum(hidden))
     block split by columns per layer: row by row that is the order in which
-    per-example, per-layer draws would read the generator. A stack takes one
-    generator, whose block every member shares, or a list of one per member.
+    per-example, per-layer draws would read the generator. A stack takes a
+    list of one generator per member, or of one whose block all share.
     """
     x = a = np.asarray(x, dtype=float)
-    if x.ndim not in (2, model.params.ndim + 1) or x.shape[-1] != INPUT_DIM:
+    if x.ndim != model.params.ndim + 1 or x.shape[-1] != INPUT_DIM:
         raise ValueError(f"expected input shape (B, {INPUT_DIM}), got {x.shape}")
     masks = []
     if rng is not None:

@@ -177,7 +177,7 @@ def _train_stack(xs: np.ndarray, ys: np.ndarray, stages: list, configs: list,
                 starts = range(0, rows.shape[1], config.batch_size)
                 for batch_index, start in enumerate(starts, start=1):
                     batch = shuffled[:, start:start + config.batch_size]
-                    trace = forward(model, xs[data, batch], rngs if n_data > 1 else rngs[0])
+                    trace = forward(model, xs[data, batch], rngs)
                     y_batch = np.broadcast_to(ys[data, batch], trace.p.shape[:-1])
                     losses = cross_entropy(trace.p, y_batch)
                     for member in np.flatnonzero(~np.isfinite(losses)):

@@ -116,7 +116,7 @@ def parse_label_stream(lines) -> tuple:
         if _SURROGATE.search(annotator):
             errors.append(ParseError(line_number, "annotator holds a lone surrogate"))
             continue
-        labels.append(SarcasmLabel(review_id, sarcastic, annotator))
+        labels.append(SarcasmLabel(annotator, review_id, sarcastic))
     return labels, errors
 
 

@@ -551,7 +551,7 @@ class TestIngest:
         labels = tmp_path / "labels.jsonl"
         write_reviews(reviews, [Review("a", 1, "x"), Review("b", 1, "y"),
                                 Review("c", 5, "z"), Review("d", 3, "w")])
-        write_labels(labels, [SarcasmLabel(rid, True, "ann") for rid in ("a", "b", "c")])
+        write_labels(labels, [SarcasmLabel("ann", rid, True) for rid in ("a", "b", "c")])
         return ["--reviews", str(reviews), "--labels", str(labels)]
 
     def test_hand_counted_star_pools(self, tmp_path, capsys):
@@ -861,7 +861,7 @@ class TestStageFeasibility:
         # 1-star: 30 sarcastic of 50; 2-star: 10 sarcastic of 50.
         reviews = [Review(f"r{stars}-{i}", stars, "Wow!! sooo good..." if i < n else "Fine.")
                    for stars, n in ((1, 30), (2, 10)) for i in range(50)]
-        labels = [SarcasmLabel(r.review_id, r.text.startswith("Wow"), "a") for r in reviews]
+        labels = [SarcasmLabel("a", r.review_id, r.text.startswith("Wow")) for r in reviews]
         write_reviews(tmp_path / "reviews.jsonl", reviews)
         write_labels(tmp_path / "labels.jsonl", labels)
         return ["--reviews", str(tmp_path / "reviews.jsonl"),
@@ -1172,7 +1172,7 @@ class TestLabel:
         with sarcnet.corpus.open_jsonl(labels) as lines:
             votes = list(sarcnet.corpus.iter_labels(lines, errors))
         assert errors == []
-        assert votes == [SarcasmLabel("a", True, "a"), SarcasmLabel("a", True, "b")]
+        assert votes == [SarcasmLabel("a", "a", True), SarcasmLabel("b", "a", True)]
 
     @pytest.mark.parametrize("annotator, reason", [
         ("", "annotator must be a non-empty string"),

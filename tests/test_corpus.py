@@ -56,7 +56,7 @@ def read_votes(path):
     """(votes, errors) of the commands' block reader over a labels file, as SarcasmLabels."""
     errors = []
     with open_jsonl(path) as fh:
-        votes = [SarcasmLabel(review_id, bool(sarcastic), annotator)
+        votes = [SarcasmLabel(annotator, review_id, bool(sarcastic))
                  for annotator, review_id, sarcastic in _read_votes(fh, errors)]
     return votes, errors
 
@@ -190,28 +190,28 @@ class TestMakeSplit:
 
 class TestLabels:
     def test_majority_wins(self):
-        labels = [SarcasmLabel("r1", True, a) for a in "abc"]
-        labels.append(SarcasmLabel("r1", False, "d"))
+        labels = [SarcasmLabel(a, "r1", True) for a in "abc"]
+        labels.append(SarcasmLabel("d", "r1", False))
         assert resolve_labels(labels) == {"r1": True}
 
     def test_tie_resolves_to_non_sarcastic(self):
-        labels = [SarcasmLabel("r1", v, a)
+        labels = [SarcasmLabel(a, "r1", v)
                   for v, a in [(True, "a"), (True, "b"), (False, "c"), (False, "d")]]
         assert resolve_labels(labels) == {"r1": False}
 
     def test_last_vote_per_annotator_wins(self):
         labels = [
-            SarcasmLabel("r1", False, "a"),
-            SarcasmLabel("r1", False, "b"),
-            SarcasmLabel("r1", True, "a"),
-            SarcasmLabel("r1", True, "b"),
-            SarcasmLabel("r1", True, "c"),
+            SarcasmLabel("a", "r1", False),
+            SarcasmLabel("b", "r1", False),
+            SarcasmLabel("a", "r1", True),
+            SarcasmLabel("b", "r1", True),
+            SarcasmLabel("c", "r1", True),
         ]
         assert resolve_labels(labels) == {"r1": True}
 
     def test_label_reviews_drops_unlabeled(self):
         reviews = [Review("r1", 1, "a"), Review("r2", 1, "b")]
-        labeled = label_reviews(reviews, [SarcasmLabel("r1", True, "a")])
+        labeled = label_reviews(reviews, [SarcasmLabel("a", "r1", True)])
         assert [lr.review.review_id for lr in labeled] == ["r1"]
         assert labeled[0].sarcastic
 
@@ -229,8 +229,9 @@ class TestLabels:
 # About 70 annotators, so that a review's vote bits pass 64 bits, and votes
 # on r7, which VOTED_REVIEWS lacks, beside its reviews with no votes (r0, r4).
 ANNOTATORS = [f"annotator-{i}" for i in range(70)]
-VOTES = st.lists(st.builds(SarcasmLabel, st.sampled_from(["r1", "r2", "r3", "r7"]),
-                           st.booleans(), st.sampled_from(ANNOTATORS)), max_size=120)
+VOTES = st.lists(st.builds(SarcasmLabel, st.sampled_from(ANNOTATORS),
+                           st.sampled_from(["r1", "r2", "r3", "r7"]), st.booleans()),
+                 max_size=120)
 VOTED_REVIEWS = [Review(f"r{i}", 1 + i % 5, f"text {i}") for i in range(5)]
 
 
@@ -242,8 +243,9 @@ def many_annotator_votes(n_annotators=3000, n_votes=20_000, seed=3000):
     """
     rng = random.Random(seed)
     names = [f"annotator-{i}" for i in range(n_annotators)]
-    return [SarcasmLabel(f"r{rng.randrange(40)}", rng.random() < 0.5,
-                         names[i] if i < n_annotators else rng.choice(names))
+    # By keyword: the seeded draws run in this order.
+    return [SarcasmLabel(review_id=f"r{rng.randrange(40)}", sarcastic=rng.random() < 0.5,
+                         annotator=names[i] if i < n_annotators else rng.choice(names))
             for i in range(n_votes)]
 
 
@@ -252,12 +254,12 @@ class TestTallyMatchesReference:
 
     @settings(max_examples=300)
     @given(VOTES)
-    @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")])
-    @example([SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "a"),
-              SarcasmLabel("r2", True, "b"), SarcasmLabel("r2", True, "b")])
-    @example([SarcasmLabel("r2", False, name) for name in ANNOTATORS]
-             + [SarcasmLabel("r2", True, name) for name in ANNOTATORS[:36]]
-             + [SarcasmLabel("r2", False, name) for name in ANNOTATORS[1:36]])
+    @example([SarcasmLabel("a", "r1", True), SarcasmLabel("b", "r1", False)])
+    @example([SarcasmLabel("a", "r1", True), SarcasmLabel("a", "r1", False),
+              SarcasmLabel("b", "r2", True), SarcasmLabel("b", "r2", True)])
+    @example([SarcasmLabel(name, "r2", False) for name in ANNOTATORS]
+             + [SarcasmLabel(name, "r2", True) for name in ANNOTATORS[:36]]
+             + [SarcasmLabel(name, "r2", False) for name in ANNOTATORS[1:36]])
     def test_resolve_labels(self, votes):
         expected = list(reference_corpus.resolve_labels(votes).items())
         assert list(resolve_labels(votes).items()) == expected
@@ -293,7 +295,7 @@ class TestTallyMemory:
         own review_id string, as ``iter_labels`` yields them."""
         for i in range(self.N_REVIEWS):
             for k, annotator in enumerate(("a0", "a1", "a2", "a3")):
-                yield SarcasmLabel(f"review-{i:06d}", (i + k) % 3 == 0, annotator)
+                yield SarcasmLabel(annotator, f"review-{i:06d}", (i + k) % 3 == 0)
 
     @pytest.mark.parametrize("tally", ["resolve_labels", "label_reviews"])
     def test_peak_per_review(self, tally):
@@ -342,7 +344,7 @@ class TestLoneSurrogates:
                  r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800x"}',
                  r'{"review_id": "r1", "sarcastic": true, "annotator": "\ud800\udc00"}']
         labels, errors = parse_votes(lines)
-        assert labels == [SarcasmLabel("r1", True, "\U00010000")]
+        assert labels == [SarcasmLabel("\U00010000", "r1", True)]
         assert errors == [ParseError(1, "review_id holds a lone surrogate"),
                           ParseError(2, "annotator holds a lone surrogate")]
 
@@ -606,7 +608,7 @@ class TestLineReader:
     def test_deep_nesting_costs_one_label(self):
         lines = ['{"review_id": ' * 200_000, label_line()]
         labels, errors = parse_votes(lines)
-        assert labels == [SarcasmLabel("r1", True, "a")]
+        assert labels == [SarcasmLabel("a", "r1", True)]
         assert errors == [ParseError(1, "invalid JSON: nested too deeply")]
 
     def test_integer_too_long_to_convert_costs_one_record(self):
@@ -620,7 +622,7 @@ class TestLineReader:
         lines = ['{"review_id": "r1", "sarcastic": true, "annotator": "a\udcff"}',
                  label_line()]
         labels, errors = parse_votes(lines)
-        assert labels == [SarcasmLabel("r1", True, "a")]
+        assert labels == [SarcasmLabel("a", "r1", True)]
         assert errors == [ParseError(1, "invalid UTF-8")]
 
     def test_json_reasons(self):
@@ -741,8 +743,8 @@ class TestBlockReader:
         ParseError(13, "duplicate review_id: r1"),
         ParseError(14, "record is not an object"),
     ]
-    VOTES = [SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", True, "b"),
-             SarcasmLabel("r3", True, "a"), SarcasmLabel("r4", False, "a")]
+    VOTES = [SarcasmLabel("a", "r1", True), SarcasmLabel("b", "r1", True),
+             SarcasmLabel("a", "r3", True), SarcasmLabel("a", "r4", False)]
     VOTE_ERRORS = [
         ParseError(1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         *(ParseError(n, "missing field: sarcastic, annotator") for n in (2, 5, 7, 8)),
@@ -860,7 +862,7 @@ class TestRecordTypes:
 
     def test_field_order(self):
         assert Review._fields == ("review_id", "stars", "text")
-        assert SarcasmLabel._fields == ("review_id", "sarcastic", "annotator")
+        assert SarcasmLabel._fields == ("annotator", "review_id", "sarcastic")
         assert LabeledReview._fields == ("review", "sarcastic")
         assert ParseError._fields == ("line_number", "reason")
 
@@ -891,18 +893,35 @@ class TestWriters:
     def test_labels_write_then_append(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text("stale\n")
-        write_labels(path, [SarcasmLabel("r1", True, "a")])
-        append_labels(path, [SarcasmLabel("r1", False, "b")])
+        write_labels(path, [SarcasmLabel("a", "r1", True)])
+        append_labels(path, [SarcasmLabel("b", "r1", False)])
         assert path.read_text() == (
             '{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
             '{"annotator": "b", "review_id": "r1", "sarcastic": false}\n')
         with open_jsonl(path) as fh:
             labels, errors = parse_votes(fh)
         assert errors == []
-        assert labels == [SarcasmLabel("r1", True, "a"), SarcasmLabel("r1", False, "b")]
+        assert labels == [SarcasmLabel("a", "r1", True), SarcasmLabel("b", "r1", False)]
+
+    def test_a_vote_has_one_field_order(self, tmp_path):
+        """A written vote's keys, its findall row, its record and what the readers
+        unpack it to all list its fields in one order."""
+        path = tmp_path / "labels.jsonl"
+        write_labels(path, [SarcasmLabel(annotator="ann", review_id="rev", sarcastic=True)])
+        line = path.read_text()
+        record = json.loads(line)
+        fields = tuple(record.values())
+        assert tuple(record) == SarcasmLabel._fields
+        assert _VOTE_LINES.findall(line) == [(*fields[:2], "t")]
+        with open_jsonl(path) as fh:
+            ((annotator, review_id, sarcastic),) = iter_labels(fh, [])
+        assert (annotator, review_id, sarcastic) == fields
+        with open_jsonl(path) as fh:
+            ((annotator, review_id, sarcastic),) = _read_votes(fh, [])
+        assert (annotator, review_id, bool(sarcastic)) == fields
 
     @settings(max_examples=200)
-    @given(st.lists(st.builds(SarcasmLabel, VOTE_LINE_STRINGS, st.booleans(), VOTE_LINE_STRINGS),
+    @given(st.lists(st.builds(SarcasmLabel, VOTE_LINE_STRINGS, VOTE_LINE_STRINGS, st.booleans()),
                     max_size=6),
            st.integers(0, 6))
     def test_every_vote_written_takes_the_fast_path(self, tmp_path_factory, votes, cut):
@@ -967,8 +986,8 @@ class TestWriters:
     def test_append_ends_an_unterminated_last_line(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_bytes(b'{"annotator": "a", "review_id": "r1", "sarcastic": true}')
-        append_labels(path, [SarcasmLabel("r1", False, "b")])
-        append_labels(path, [SarcasmLabel("r2", True, "b")])
+        append_labels(path, [SarcasmLabel("b", "r1", False)])
+        append_labels(path, [SarcasmLabel("b", "r2", True)])
         assert path.read_bytes() == (
             b'{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
             b'{"annotator": "b", "review_id": "r1", "sarcastic": false}\n'
@@ -978,6 +997,6 @@ class TestWriters:
     def test_append_adds_no_newline_after_a_whole_line(self, tmp_path, content):
         path = tmp_path / "labels.jsonl"
         path.write_bytes(content)
-        append_labels(path, [SarcasmLabel("r1", True, "a")])
+        append_labels(path, [SarcasmLabel("a", "r1", True)])
         assert path.read_bytes() == \
             content + b'{"annotator": "a", "review_id": "r1", "sarcastic": true}\n'
