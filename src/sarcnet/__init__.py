@@ -37,7 +37,7 @@ _MODULE_EXPORTS = {
     "network": (
         "AdamState", "ForwardTrace", "MlpConfig", "MlpModel",
         "adam_step", "backward", "cross_entropy", "forward", "init_adam_state",
-        "init_model", "load_model", "predict", "save_model", "softmax",
+        "init_model", "load_model", "predict", "predict_batch", "save_model", "softmax",
     ),
     "text": ("tokenize",),
     "training": (

@@ -3,7 +3,9 @@
 Subcommands: ingest (split manifests per star), label (interactive
 annotation loop), extract (feature dump), train (model + history),
 eval (metrics report), predict (classify text lines), sweep (learning
-rate grid).
+rate grid). predict answers a regular file a block of lines at a time,
+and a pipe or a terminal a line at a time, each answer flushed before
+the next line is read.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, insufficient pools), 3 runtime failure (training divergence).
@@ -35,6 +37,7 @@ import errno
 import hashlib
 import json
 import os
+import stat
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -46,6 +49,7 @@ from .corpus import (
     SarcasmLabel,
     _DECODING,
     _UNDECODABLE,
+    _blocks,
     _read_votes,
     _string_problem,
     append_labels,
@@ -372,7 +376,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .features import FeaturePipeline, normalize, write_feature_dump
+    from .features import FeatureCounts, _count_rows, _normalize_rows, write_feature_dump
 
     stars_list = _parse_stars(args.stars)
     _refuse_shared_paths(args, [("--out", args.out)])
@@ -386,14 +390,18 @@ def cmd_extract(args) -> int:
         resolved = _consume_labels(args.labels, resolve_labels)
         corpus_files["labels"] = args.labels
     lexicons = load_lexicons()
-    pipeline = FeaturePipeline(lexicons)
     config = {"command": "extract", "stars": stars_list}
     prov = _provenance(None, config, lexicons, corpus_files)
 
     def rows():
-        for review in reviews:
-            counts = pipeline.counts(review.text)
-            yield review.review_id, resolved.get(review.review_id), counts, normalize(counts)
+        # One count matrix per 1,024 reviews, so that the counts and vectors
+        # of every review are never held at once.
+        for start in range(0, len(reviews), 1024):
+            block = reviews[start:start + 1024]
+            counts = _count_rows([review.text for review in block], lexicons)
+            for review, row, vector in zip(block, counts.tolist(), _normalize_rows(counts)):
+                yield (review.review_id, resolved.get(review.review_id),
+                       FeatureCounts._make(row), vector)
 
     written = write_feature_dump(_prepare_out(args.out), rows(), _provenance_lines(prov))
     print(f"wrote {written} feature rows -> {args.out}")
@@ -483,15 +491,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _predict_lines(stream, source: str):
-    """Yield the non-blank lines of stream, warning about invalid UTF-8 ones."""
-    for number, line in enumerate(stream, start=1):
-        if not line.isascii() and _UNDECODABLE.search(line):
-            print(f"warning: {source}:{number}: invalid UTF-8", file=sys.stderr)
-            continue
-        text = line.strip()
-        if text:
-            yield text
+def _predict_blocks(stream):
+    """Yield (first line number, lines) of the predict input.
+
+    A regular file, named or on standard input, gives blocks of whole
+    lines (``_blocks``). A pipe, a terminal, or a stream without a file
+    descriptor gives one line at a time, so each answer can go out
+    before the next line is read.
+    """
+    try:
+        regular = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    except (AttributeError, OSError, ValueError):  # no file descriptor
+        regular = False
+    if regular:
+        return _blocks(stream)
+    return ((number, [line]) for number, line in enumerate(stream, start=1))
 
 
 def _predict_input(path):
@@ -507,17 +521,35 @@ def _predict_input(path):
 
 
 def cmd_predict(args) -> int:
+    """Answer each block of input lines with one matrix, one predict_batch and one write.
+
+    A line that is not valid UTF-8 is skipped with a warning, written
+    after the answers to the lines before it and before those to the
+    lines after it, so stdout and stderr merged keep line order.
+    """
     from .features import FeaturePipeline
-    from .network import load_model, predict
+    from .network import load_model, predict_batch
 
     model = load_model(args.model)
     pipeline = FeaturePipeline(load_lexicons())
     opened, source = _predict_input(args.input)
     with opened as stream:
-        for text in _predict_lines(stream, source):
-            label, confidence = predict(model, pipeline.vector(text))
-            name = "sarcastic" if label == 1 else "non-sarcastic"
-            print(f"{name} {confidence:.4f}", flush=True)
+        for first, lines in _predict_blocks(stream):
+            texts, skipped = [], []  # skipped: (answers before it, line number)
+            for number, line in enumerate(lines, start=first):
+                if not line.isascii() and _UNDECODABLE.search(line):
+                    skipped.append((len(texts), number))
+                elif text := line.strip():
+                    texts.append(text)
+            classes, confidences = predict_batch(model, pipeline.matrix(texts))
+            answers = [f"{('non-sarcastic', 'sarcastic')[label]} {confidence:.4f}\n"
+                       for label, confidence in zip(classes.tolist(), confidences.tolist())]
+            done = 0
+            for at, number in skipped:
+                print("".join(answers[done:at]), end="", flush=True)
+                print(f"warning: {source}:{number}: invalid UTF-8", file=sys.stderr)
+                done = at
+            print("".join(answers[done:]), end="", flush=True)
     return EXIT_OK
 
 

@@ -6,9 +6,11 @@ softmax head, exact backpropagation of the cross-entropy loss, and Adam
 updates. No autograd, no framework.
 
 forward, backward and cross_entropy take a (B, 15) batch with B
-classes; backward sums the gradients over the batch. predict runs one
-(15,) vector on its own path, without the trace, and gives bit for bit
-the class and probability that forward does.
+classes; backward sums the gradients over the batch. predict_batch
+classifies a (B, 15) batch row by row, without the trace: each row is
+its own (1, 15) product, as one stacked matmul, so it gives bit for bit
+the class and probability that forward does for that row alone. predict
+is its one-row case, for one (15,) vector.
 
 A model with (S, n_params) parameters is a stack of S networks of one
 shape. forward takes an (S, B, 15) batch, or a (1, B, 15) batch that all
@@ -29,7 +31,6 @@ Models serialize to a versioned JSON document with float.hex() encoded
 parameters, which round-trips exactly.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -161,14 +162,14 @@ def init_adam_state(model: MlpModel) -> AdamState:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax: shift by the max so huge logits cannot overflow."""
-    # Column by column: np.max along a 2-wide last axis costs more than the
-    # rest of the softmax, and the maximum is exact either way. So does
-    # np.sum; the row sum of OUTPUT_DIM = 2 columns is one addition, the
-    # bits np.sum gives, and any other width takes np.sum.
-    shifted = z - functools.reduce(np.maximum, np.moveaxis(z, -1, 0))[..., None]
-    e = np.exp(shifted)
-    if e.shape[-1] == 2:
+    # OUTPUT_DIM = 2 columns take their row maximum and row sum as one
+    # elementwise op on the two column slices: np.max or np.sum along a
+    # 2-wide last axis costs more than the rest of the softmax. The bits are
+    # the same: the maximum is exact, and a sum of two is one addition.
+    if z.shape[-1] == 2:
+        e = np.exp(z - np.maximum(z[..., :1], z[..., 1:]))
         return e / (e[..., :1] + e[..., 1:])
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -197,7 +198,8 @@ def forward(model: MlpModel, x,
     """
     x = a = np.asarray(x, dtype=float)
     if x.ndim != model.params.ndim + 1 or x.shape[-1] != INPUT_DIM:
-        raise ValueError(f"expected input shape (B, {INPUT_DIM}), got {x.shape}")
+        batch = "B" if model.params.ndim == 1 else "S, B"
+        raise ValueError(f"expected input shape ({batch}, {INPUT_DIM}), got {x.shape}")
     masks = []
     if rng is not None:
         hidden = model.config.hidden
@@ -310,28 +312,40 @@ def predicted_classes(p: np.ndarray) -> np.ndarray:
     return (p[..., 1] > p[..., 0]).astype(int)
 
 
-def predict(model: MlpModel, x) -> tuple:
-    """Classify one (15,) vector: (class, confidence). Ties go to class 0.
+def predict_batch(model: MlpModel, xs) -> tuple:
+    """Classify a (B, 15) batch: (classes, confidences), two (B,) arrays. Ties go to class 0.
 
-    Any other shape, a batch included, is a ValueError; forward takes
-    batches. The result equals forward's class and probability bit for
-    bit: the same products on the same w.T views (a transposed copy
-    rounds differently), then the max-shifted softmax on the two logits
-    as Python floats, with np.exp, since math.exp may round differently.
+    Each row equals forward's class and probability for that row alone,
+    bit for bit. forward's (B, 15) @ w.T is one gemm, whose last bits may
+    differ from a lone row's; here the batch is a stack of B (1, 15) rows,
+    which numpy's matmul runs as one gemv per row on the same w.T views
+    (a transposed copy rounds differently), then forward's softmax.
     """
-    a = np.asarray(x, dtype=float)
-    if a.shape != (INPUT_DIM,):
-        raise ValueError(f"expected input shape ({INPUT_DIM},), got {a.shape}")
+    a = np.asarray(xs, dtype=float)
+    if a.ndim != 2 or a.shape[-1] != INPUT_DIM:
+        raise ValueError(f"expected input shape (B, {INPUT_DIM}), got {a.shape}")
+    a = a[:, None, :]
     last = model.n_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w.T + b
         if l < last:
             np.maximum(a, 0.0, out=a)
-    z0, z1 = a.tolist()
-    top = max(z0, z1)
-    e0, e1 = np.exp([z0 - top, z1 - top]).tolist()
-    p0, p1 = e0 / (e0 + e1), e1 / (e0 + e1)
-    return (1, p1) if p1 > p0 else (0, p0)
+    p = softmax(a[:, 0])
+    # The class's probability is the larger one; on a tie both are the same float.
+    return predicted_classes(p), np.maximum(p[:, 0], p[:, 1])
+
+
+def predict(model: MlpModel, x) -> tuple:
+    """Classify one (15,) vector: (class, confidence), predict_batch's one-row case.
+
+    Any other shape, a batch included, is a ValueError; predict_batch
+    takes batches.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.shape != (INPUT_DIM,):
+        raise ValueError(f"expected input shape ({INPUT_DIM},), got {a.shape}")
+    classes, confidences = predict_batch(model, a[None])
+    return int(classes[0]), float(confidences[0])
 
 
 def _array_to_hex(a: np.ndarray) -> list:

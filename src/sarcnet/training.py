@@ -15,8 +15,9 @@ history, and report.
 Networks that share a shape and a curriculum train side by side as one
 stack: the stars of the train command, or the rates of a sweep. Each
 minibatch is one stacked network call, and each member's bits equal
-those of its lone run. Each review is vectorized once per run, and each
-member's accuracy pass and each evaluation is one batched network call.
+those of its lone run. Each review is vectorized once per run, a block of
+reviews at a time, and each member's accuracy pass and each evaluation is
+one batched network call.
 
 Evaluation is read-only: the test reviews run through the feature
 pipeline and one forward pass without dropout, tallying a confusion
@@ -268,8 +269,9 @@ def _stack_inputs(splits: list, configs: list, pipeline: FeaturePipeline) -> tup
     """(xs, ys, stages) of ``_train_stack``, one data member per split's train side.
 
     Every member's stage pools are drawn before any review is vectorized, so
-    a shortage anywhere stops the run before any work. Each distinct text
-    that a split's stages draw is vectorized once.
+    a shortage anywhere stops the run before any work. Each review that a
+    split's stages draw is vectorized once, in one block per split, in the
+    order the stages first draw it.
     """
     pools = []
     for split, config in zip(splits, configs):
@@ -280,11 +282,8 @@ def _stack_inputs(splits: list, configs: list, pipeline: FeaturePipeline) -> tup
     assert len({tuple(map(len, pool)) for pool in pools}) == 1, "stage sizes differ"
     xs = np.zeros((len(splits), len(splits[0].train), INPUT_DIM))
     for member, (split, pool) in enumerate(zip(splits, pools)):
-        first = {}  # text -> the first row holding its vector
-        for i in dict.fromkeys(np.concatenate(pool).tolist()):
-            text = split.train[i].review.text
-            xs[member, i] = xs[member, first[text]] if text in first else pipeline.vector(text)
-            first.setdefault(text, i)
+        drawn = list(dict.fromkeys(np.concatenate(pool).tolist()))
+        xs[member, drawn] = pipeline.matrix([split.train[i].review.text for i in drawn])
     ys = np.array([[lr.sarcastic for lr in split.train] for split in splits], dtype=int)
     return xs, ys.reshape(len(splits), -1), [
         (stage.name, np.stack([pool[index] for pool in pools]))
@@ -343,9 +342,8 @@ class EvalResult:
 
 
 def _test_vectors(test: list, pipeline: FeaturePipeline) -> tuple:
-    """(vectors, classes) of the test reviews."""
-    xs = np.array([pipeline.vector(lr.review.text) for lr in test], dtype=float)
-    return (xs.reshape(len(test), INPUT_DIM),
+    """(vectors, classes) of the test reviews, vectorized as one block."""
+    return (pipeline.matrix([lr.review.text for lr in test]),
             np.array([1 if lr.sarcastic else 0 for lr in test], dtype=int))
 
 

@@ -1,7 +1,7 @@
 """CLI behavior: subcommands, exit codes, artifacts, determinism.
 
 The tests drive ``sarcnet.cli.main`` in-process so coverage and
-monkeypatching work. Only three run the CLI in a fresh interpreter: two
+monkeypatching work. Only six run the CLI in a fresh interpreter: five
 that need a real stdin, a pipe or a redirected file, and one that runs
 ``predict`` with every warning made an error.
 """
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import select
 import shutil
 import subprocess
 import sys
@@ -37,13 +38,17 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_process(argv, python_flags=(), **stdin):
-    """The CLI in a fresh interpreter; stdin is run's input= or stdin= argument."""
+def cli_process(argv, python_flags=()) -> dict:
+    """The arguments of a subprocess call that runs the CLI in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *python_flags, "-m", "sarcnet.cli", *argv],
-                          **stdin, capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return {"args": [sys.executable, *python_flags, "-m", "sarcnet.cli", *argv],
+            "env": dict(os.environ, PYTHONPATH=path)}
+
+
+def run_process(argv, python_flags=(), **stdin):
+    """The CLI in a fresh interpreter; stdin is run's input= or stdin= argument."""
+    return subprocess.run(**cli_process(argv, python_flags), **stdin, capture_output=True)
 
 
 FAST_TRAIN = [
@@ -1038,6 +1043,84 @@ class TestPredict:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         assert run("predict", "--model", str(trained["model"])) == 0
         assert capsys.readouterr().out.splitlines() == out
+
+    def test_file_generator_and_pipe_give_the_same_answers(self, trained, tmp_path, capsys,
+                                                           monkeypatch, minicorpus_dir):
+        """A file, named or redirected to stdin, is answered a block at a time, a
+        generator on stdin and a pipe a line at a time; each gives the same stdout."""
+        texts = [json.loads(line)["text"] for line in
+                 (minicorpus_dir / "reviews.jsonl").read_text().splitlines()]
+        lines = [text if i % 9 else "  " for i, text in enumerate(texts * 2)]
+        path = tmp_path / "texts.txt"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        assert len(path.read_text()) > 2 * sarcnet.corpus._BLOCK_SIZE
+        model = str(trained["model"])
+        blocks = []
+
+        def spy(fh):
+            for first, block in sarcnet.corpus._blocks(fh):
+                blocks.append(len(block))
+                yield first, block
+
+        monkeypatch.setattr(cli, "_blocks", spy)
+        assert run("predict", "--model", model, str(path)) == 0
+        from_file = capsys.readouterr().out
+        assert len(blocks) >= 3 and sum(blocks) == len(lines)
+        assert len(from_file.splitlines()) == sum(1 for line in lines if line.strip())
+        blocks.clear()
+        monkeypatch.setattr(sys, "stdin", (f"{line}\n" for line in lines))
+        assert run("predict", "--model", model) == 0
+        assert capsys.readouterr().out == from_file
+        assert blocks == []
+        with open(path, "rb") as fh:
+            redirected = run_process(["predict", "--model", model], stdin=fh)
+        piped = run_process(["predict", "--model", model], input=path.read_bytes())
+        for done in (redirected, piped):
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert done.stdout.decode() == from_file
+
+    def test_a_pipe_is_answered_before_its_next_line_is_written(self, trained):
+        lines = ["Wow!! just what we needed...", "", "The soup was warm.",
+                 "Oh great, cold soup?!"]
+        answers = []
+        with subprocess.Popen(**cli_process(["predict", "--model", str(trained["model"])]),
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as process:
+            try:
+                for line in lines:
+                    process.stdin.write(f"{line}\n".encode())
+                    process.stdin.flush()
+                    if line:
+                        ready, _, _ = select.select([process.stdout], [], [], 60)
+                        assert ready, f"no answer to {line!r} within 60 s"
+                        answers.append(process.stdout.readline().decode())
+                process.stdin.close()
+                assert process.wait(timeout=60) == 0
+                assert process.stdout.read() == process.stderr.read() == b""
+            finally:
+                process.kill()
+        assert all(re.fullmatch(r"(non-)?sarcastic 0\.\d{4}\n", answer) for answer in answers)
+        assert len(answers) == 3
+
+    def test_merged_output_keeps_warnings_between_their_neighbours(self, trained, tmp_path):
+        """Invalid lines inside one block: the redirected file's stdout and stderr,
+        merged, are byte for byte those of the line-at-a-time pipe."""
+        lines = [b"Wow!! just what we needed...", b"fine", b"\xff bad", b"", b"ok!!",
+                 b"so \xfe\xfd bad", b"\xff", b"The soup was warm.", b"yes"]
+        path = tmp_path / "texts.txt"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        merged = {"stdout": subprocess.PIPE, "stderr": subprocess.STDOUT}
+        command = cli_process(["predict", "--model", str(trained["model"])])
+        with open(path, "rb") as fh:
+            redirected = subprocess.run(**command, stdin=fh, **merged)
+        piped = subprocess.run(**command, input=path.read_bytes(), **merged)
+        assert redirected.returncode == piped.returncode == 0
+        assert redirected.stdout == piped.stdout
+        kinds = [line.split(" ")[0] for line in piped.stdout.decode().splitlines()]
+        assert [kind if kind == "warning:" else "answer" for kind in kinds] == [
+            "answer", "answer", "warning:", "answer", "warning:", "warning:", "answer",
+            "answer"]
+        assert b"warning: <stdin>:3: invalid UTF-8\n" in piped.stdout
 
     def test_model_file_with_invalid_utf8_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "bad.json"

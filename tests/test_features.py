@@ -5,6 +5,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -374,3 +375,62 @@ class TestMatchesReferencePipeline:
         for shift, vectors in zip(shifts, results):
             assert vectors == expected[shift:] + expected[:shift]
         assert len(table) <= 8 + 3
+
+
+# Lines of the kinds a block meets: blank, whitespace-only, punctuation-only,
+# non-BMP, one chunk over 32 characters, lexicon words, and arbitrary text.
+_LINE = st.one_of(
+    st.just(""),
+    st.text(alphabet=" \t\n\x0b\x0c\r\x1c\x85\u2028\u3000", min_size=1, max_size=6),
+    st.text(alphabet="!?.…,;:'-", min_size=1, max_size=8),
+    st.text(alphabet=st.characters(min_codepoint=0x10000), min_size=1, max_size=6),
+    st.text(alphabet="aSo!h.é", min_size=33, max_size=45),
+    st.lists(_PIECE, max_size=8).map(" ".join),
+    st.text(alphabet=_CHARS, max_size=30),
+)
+
+
+class TestMatrix:
+    """matrix(texts) against the stacked vector(text) of each text, the reference,
+    and the chunk table a per-text run leaves behind."""
+
+    BOUND = 12
+
+    def run(self, texts, full, vectorize):
+        """vectorize(texts) and the table's keys after it, from a cleared table of
+        BOUND entries that is left empty or first filled with other chunks."""
+        table = chunk_table()
+        with mock.patch.object(sarcnet.features, "_TABLE_ENTRIES", self.BOUND):
+            table.clear()
+            if full:
+                extract_counts(" ".join(f"other{i}" for i in range(self.BOUND)), LEXICONS)
+                assert len(table) == self.BOUND
+            rows = vectorize(texts)
+            return rows, list(table)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["empty-table", "full-table"])
+    @settings(max_examples=300)
+    @given(st.lists(_LINE, max_size=12))
+    def test_rows_and_table_equal_the_per_text_run(self, full, texts):
+        pipeline = FeaturePipeline(LEXICONS)
+        per_text, per_text_keys = self.run(
+            texts, full, lambda texts: [pipeline.vector(text) for text in texts])
+        block, block_keys = self.run(texts, full, pipeline.matrix)
+        assert block.shape == (len(texts), N_FEATURES)
+        assert block.tobytes() == b"".join(row.tobytes() for row in per_text)
+        reference = [reference_normalize(reference_counts(text)) for text in texts]
+        assert block.tobytes() == b"".join(row.tobytes() for row in reference)
+        assert block_keys == per_text_keys
+
+    def test_pinned_block_fills_the_table_in_text_order(self, minicorpus_dir):
+        """The first texts of the mini-corpus fill the table, in order, and the
+        rest count from stored and unstored chunks alike."""
+        texts = minicorpus_texts(minicorpus_dir)[:40]
+        pipeline = FeaturePipeline(LEXICONS)
+        block, keys = self.run(texts, False, pipeline.matrix)
+        assert keys == list(dict.fromkeys(" ".join(texts).split()))[:self.BOUND]
+        expected = [reference_normalize(reference_counts(text)) for text in texts]
+        assert block.tobytes() == np.array(expected).tobytes()
+
+    def test_no_texts_give_no_rows(self):
+        assert FeaturePipeline(LEXICONS).matrix([]).shape == (0, N_FEATURES)

@@ -113,7 +113,7 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 class TestLazyExports:
     def test_every_public_name_is_its_defining_modules_object(self):
-        assert len(sarcnet.__all__) == len(set(sarcnet.__all__)) == 61
+        assert len(sarcnet.__all__) == len(set(sarcnet.__all__)) == 62
         for name in sarcnet.__all__:
             value = getattr(sarcnet, name)
             assert value.__module__.startswith("sarcnet.")

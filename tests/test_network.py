@@ -31,6 +31,7 @@ from sarcnet.network import (
     init_model,
     load_model,
     predict,
+    predict_batch,
     predicted_classes,
     save_model,
     softmax,
@@ -382,6 +383,14 @@ class TestBatchParity:
                 f"expected input shape (B, 15), got {shape}")):
             forward(zero_model(), np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(2, 15), (15,), (2, 1, 3, 15), (2, 3, 14)])
+    def test_a_stack_refuses_every_shape_but_a_stacked_batch(self, shape):
+        model = zero_model()
+        stack = MlpModel(model.config, np.stack([model.params, model.params]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected input shape (S, B, 15), got {shape}")):
+            forward(stack, np.ones(shape))
+
     def test_an_int_class_is_refused(self):
         model = zero_model()
         trace = forward(model, np.ones((1, 15)))
@@ -607,6 +616,72 @@ class TestPredictMatchesForward:
         assert set(forward(model, rows).p.ravel()) == {0.0, 1.0}
         assert_predicts_as_forward(model, rows)
         assert all(predict(model, x) == (cls, 1.0) for x in rows)
+
+
+def assert_batch_predicts_as_rows(model, rows):
+    """predict_batch over rows equals predict and forward_prediction on each row,
+    bit for bit, warning about nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        classes, confidences = predict_batch(model, rows)
+    assert classes.shape == confidences.shape == (len(rows),)
+    got = [(c, p.hex()) for c, p in zip(classes.tolist(), confidences.tolist())]
+    assert got == [(c, p.hex()) for c, p in (predict(model, x) for x in rows)]
+    assert got == [(c, p.hex()) for c, p in (forward_prediction(model, x) for x in rows)]
+
+
+class TestPredictBatch:
+    """predict_batch gives every row the bits of its one-row predict and forward."""
+
+    @pytest.mark.parametrize("hidden", [(7,), (15,), (9, 11), (15, 15)])
+    @given(rows=UNIT_ROWS, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.3, 3.0]))
+    def test_random_models_and_rows(self, hidden, rows, seed, scale):
+        model = init_model(MlpConfig(hidden=hidden, seed=0))
+        model.params[...] = np.random.default_rng(seed).normal(0.0, scale, model.params.shape)
+        assert_batch_predicts_as_rows(model, np.array([np.zeros(15), *rows]))
+
+    @pytest.mark.parametrize("hidden", [(7,), (15,), (9, 11), (15, 15)])
+    def test_seeded_rows_with_close_logits(self, hidden):
+        """forward's one gemm over all 1000 rows may round some of them otherwise
+        than their lone runs do; predict_batch may not."""
+        model = init_model(MlpConfig(hidden=hidden, seed=0))
+        rng = np.random.default_rng(7)
+        model.params[...] = rng.normal(0.0, 0.3, model.params.shape)
+        rows = rng.random((1000, 15))
+        rows[::5] = 0.0
+        assert_batch_predicts_as_rows(model, rows)
+
+    @pytest.mark.parametrize("hidden", [(7,), (9, 11)])
+    @given(rows=UNIT_ROWS, seed=st.integers(0, 2**32 - 1))
+    def test_equal_output_rows_tie_to_class_0(self, hidden, rows, seed):
+        model = init_model(MlpConfig(hidden=hidden, seed=0))
+        model.params[...] = np.random.default_rng(seed).normal(0.0, 3.0, model.params.shape)
+        model.weights[-1][1] = model.weights[-1][0]
+        model.biases[-1][1] = model.biases[-1][0]
+        rows = np.array([np.zeros(15), *rows])
+        assert_batch_predicts_as_rows(model, rows)
+        classes, confidences = predict_batch(model, rows)
+        assert set(classes.tolist()) == {0} and set(confidences.tolist()) == {0.5}
+
+    @pytest.mark.parametrize("output_signs, cls", [((1, -1), 0), ((-1, 1), 1)])
+    def test_saturated_logits_give_probability_one(self, output_signs, cls):
+        model = init_model(MlpConfig(hidden=(15, 15), seed=0))
+        model.params[...] = PARAM_LIMIT
+        model.weights[-1][...] *= np.array(output_signs)[:, None]
+        rows = np.vstack([np.ones(15), np.random.default_rng(0).random((8, 15))])
+        assert_batch_predicts_as_rows(model, rows)
+        classes, confidences = predict_batch(model, rows)
+        assert set(classes.tolist()) == {cls} and set(confidences.tolist()) == {1.0}
+
+    def test_an_empty_batch_gives_empty_answers(self):
+        classes, confidences = predict_batch(zero_model(), np.zeros((0, 15)))
+        assert classes.shape == confidences.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(15,), (1, 14), (2, 1, 15), ()])
+    def test_refuses_every_shape_but_a_batch(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected input shape (B, 15), got {shape}")):
+            predict_batch(zero_model(), np.zeros(shape))
 
 
 class TestSerialization:

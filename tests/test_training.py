@@ -468,16 +468,20 @@ class TestBuildStagePool:
 
 
 class CountingPipeline(FeaturePipeline):
+    """Records the texts of each block it vectorizes; vector goes through matrix."""
+
     def __init__(self):
         super().__init__(LEXICONS)
-        self.calls = 0
+        self.blocks = []
 
-    def vector(self, text):
-        self.calls += 1
-        return super().vector(text)
+    def matrix(self, texts):
+        self.blocks.append(list(texts))
+        return super().matrix(texts)
 
 
 class TestVectorizeOnce:
+    """Each review is vectorized once per run, in one block per data set; a text
+    that several reviews share is vectorized once per review."""
     STAGES = (SarcasticOnly(8), NonSarcasticDominated(12, 3.0), Main())
 
     def test_train_vectorizes_each_text_once(self):
@@ -485,7 +489,8 @@ class TestVectorizeOnce:
         pipe = CountingPipeline()
         config = TrainConfig(stages=self.STAGES, epochs=1, batch_size=4, seed=1)
         train(split, config, MlpConfig(hidden=(8,), seed=0), pipe)
-        assert pipe.calls == len({lr.review.text for lr in split.train})
+        (texts,) = pipe.blocks
+        assert sorted(texts) == sorted(lr.review.text for lr in split.train)
 
     def test_sweep_shares_vectors_across_grid_points(self):
         split = make_split(synthetic_pool(60), 40, 20, seed=4)
@@ -494,8 +499,9 @@ class TestVectorizeOnce:
                              lr_grid=(1e-3, 1e-2, 1e-1))
         mlp = MlpConfig(hidden=(8,), seed=0)
         results = lr_sweep(split, config, mlp, pipe)
-        assert pipe.calls == (len({lr.review.text for lr in split.train})
-                              + len(split.test))
+        train_texts, test_texts = pipe.blocks
+        assert sorted(train_texts) == sorted(lr.review.text for lr in split.train)
+        assert test_texts == [lr.review.text for lr in split.test]
         for lr, metrics in results:
             model, _ = train(split, replace(config, lr=lr), mlp, PIPELINE)
             assert metrics == prf1(evaluate(model, list(split.test), PIPELINE).cm)
@@ -546,7 +552,7 @@ class TestEvaluate:
         test = [LabeledReview(Review("r1", 1, "fine"), False)]
         for error in (RuntimeError("bug"), DataError("unreadable")):
             class FailingPipeline(FeaturePipeline):
-                def vector(self, text):
+                def matrix(self, texts):
                     raise error
 
             with pytest.raises(type(error), match=str(error)):
