@@ -3,9 +3,9 @@
 Subcommands: ingest (split manifests per star), label (interactive
 annotation loop), extract (feature dump), train (model + history),
 eval (metrics report), predict (classify text lines), sweep (learning
-rate grid). predict answers a regular file a block of lines at a time,
-and a pipe or a terminal a line at a time, each answer flushed before
-the next line is read.
+rate grid). predict answers a block of lines at a time: the whole lines
+of what one read of its file, pipe or terminal gives, flushed before
+the next read, so a line written alone is answered at once.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, insufficient pools), 3 runtime failure (training divergence).
@@ -33,11 +33,12 @@ module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
 """
 
 import argparse
+import codecs
 import errno
 import hashlib
+import io
 import json
 import os
-import stat
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -48,8 +49,8 @@ from .corpus import (
     STAR_VALUES,
     SarcasmLabel,
     _DECODING,
+    _BLOCK_SIZE,
     _UNDECODABLE,
-    _blocks,
     _read_votes,
     _string_problem,
     append_labels,
@@ -376,7 +377,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .features import FeatureCounts, _count_rows, _normalize_rows, write_feature_dump
+    from .features import FeaturePipeline, write_feature_dump
 
     stars_list = _parse_stars(args.stars)
     _refuse_shared_paths(args, [("--out", args.out)])
@@ -390,18 +391,14 @@ def cmd_extract(args) -> int:
         resolved = _consume_labels(args.labels, resolve_labels)
         corpus_files["labels"] = args.labels
     lexicons = load_lexicons()
+    pipeline = FeaturePipeline(lexicons)
     config = {"command": "extract", "stars": stars_list}
     prov = _provenance(None, config, lexicons, corpus_files)
 
     def rows():
-        # One count matrix per 1,024 reviews, so that the counts and vectors
-        # of every review are never held at once.
-        for start in range(0, len(reviews), 1024):
-            block = reviews[start:start + 1024]
-            counts = _count_rows([review.text for review in block], lexicons)
-            for review, row, vector in zip(block, counts.tolist(), _normalize_rows(counts)):
-                yield (review.review_id, resolved.get(review.review_id),
-                       FeatureCounts._make(row), vector)
+        pairs = pipeline.counts_and_vectors([review.text for review in reviews])
+        for review, (counts, vector) in zip(reviews, pairs):
+            yield review.review_id, resolved.get(review.review_id), counts, vector
 
     written = write_feature_dump(_prepare_out(args.out), rows(), _provenance_lines(prov))
     print(f"wrote {written} feature rows -> {args.out}")
@@ -491,28 +488,43 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _predict_blocks(stream):
-    """Yield (first line number, lines) of the predict input.
+def _predict_blocks(stream, universal: bool):
+    """Yield (first line number, lines) of the predict input, a read at a time.
 
-    A regular file, named or on standard input, gives blocks of whole
-    lines (``_blocks``). A pipe, a terminal, or a stream without a file
-    descriptor gives one line at a time, so each answer can go out
-    before the next line is read.
+    A byte stream's ``read1`` returns what its file, pipe or terminal
+    holds, up to _BLOCK_SIZE bytes, waiting only when it holds nothing:
+    a file or bulk pipe gives many lines, a line written alone its own
+    block. A partial last line waits for the next read. Bytes decode as
+    in ``open_jsonl``; lines end at "\\n", and if universal also at
+    "\\r\\n" and "\\r", as ``open`` splits a file. A stream of str lines
+    only, such as a generator, gives one line at a time.
     """
-    try:
-        regular = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
-    except (AttributeError, OSError, ValueError):  # no file descriptor
-        regular = False
-    if regular:
-        return _blocks(stream)
-    return ((number, [line]) for number, line in enumerate(stream, start=1))
+    read1 = getattr(getattr(stream, "buffer", None), "read1", None)
+    if read1 is None:
+        yield from ((number, [line]) for number, line in enumerate(stream, start=1))
+        return
+    decoder = codecs.getincrementaldecoder(_DECODING["encoding"])(_DECODING["errors"])
+    if universal:
+        decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+    first, partial = 1, []
+    while True:
+        chunk = read1(_BLOCK_SIZE)
+        *lines, rest = decoder.decode(chunk, final=not chunk).split("\n")
+        if lines:
+            lines[0] = "".join(partial) + lines[0]
+            partial.clear()
+            yield first, lines
+            first += len(lines)
+        partial.append(rest)
+        if not chunk:
+            break
+    if last := "".join(partial):
+        yield first, [last]
 
 
 def _predict_input(path):
-    """The predict input, as a context manager over its lines, and its name."""
+    """The predict input, as a context manager over its stream, and its name."""
     if path is None:
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(**_DECODING)
         return nullcontext(sys.stdin), "<stdin>"
     try:
         return open_jsonl(path), path
@@ -523,7 +535,8 @@ def _predict_input(path):
 def cmd_predict(args) -> int:
     """Answer each block of input lines with one matrix, one predict_batch and one write.
 
-    A line that is not valid UTF-8 is skipped with a warning, written
+    Each block's answers are flushed before the next block is read. A
+    line that is not valid UTF-8 is skipped with a warning, written
     after the answers to the lines before it and before those to the
     lines after it, so stdout and stderr merged keep line order.
     """
@@ -534,7 +547,7 @@ def cmd_predict(args) -> int:
     pipeline = FeaturePipeline(load_lexicons())
     opened, source = _predict_input(args.input)
     with opened as stream:
-        for first, lines in _predict_blocks(stream):
+        for first, lines in _predict_blocks(stream, universal=args.input is not None):
             texts, skipped = [], []  # skipped: (answers before it, line number)
             for number, line in enumerate(lines, start=first):
                 if not line.isascii() and _UNDECODABLE.search(line):

@@ -143,39 +143,23 @@ _BLOCK_SIZE = 1 << 14
 _VOTE_FORM = (r'\{"annotator": "([ !#-\[\]-~]+)", "review_id": "([ !#-\[\]-~]+)", '
               r'"sarcastic": (?:(t)rue|false)\}')
 _REVIEW_FORM = r'\{"review_id": "([ !#-\[\]-~]+)", "stars": ([1-5]), "text": "([ !#-\[\]-~]*)"\}'
-# The writer-form patterns, by name, as (pattern, flags). _VOTE_LINE is one
-# vote line. The _LINES patterns take each line of a block: re.M anchors ^
-# and $ at every "\n", and no field can hold one, so each match is one whole
-# line in the form. The _RUNS patterns take each run of such lines, with
-# their "\n"s. Each is compiled on its first use (see _compiled), so a
-# process that reads no corpus file, such as predict, never compiles them.
-_PATTERNS = {
-    "_VOTE_LINE": (_VOTE_FORM + r"\n?", 0),
-    "_VOTE_LINES": (f"^{_VOTE_FORM}$", re.M),
-    "_REVIEW_LINES": (f"^{_REVIEW_FORM}$", re.M),
-    "_VOTE_RUNS": (f"^(?:{_VOTE_FORM}\n)+", re.M),
-    "_REVIEW_RUNS": (f"^(?:{_REVIEW_FORM}\n)+", re.M),
-}
+# The writer-form patterns' sources. _VOTE_LINE is one vote line. The _LINES
+# patterns take each line of a block: (?m) anchors ^ and $ at every "\n",
+# and no field can hold one, so each match is one whole line in the form.
+# The _RUNS patterns take each run of such lines, with their "\n"s. Each use
+# site calls re.compile, whose cache compiles each pattern once per process,
+# on its first use: a process that reads no corpus file, such as predict,
+# never compiles them.
+_VOTE_LINE = _VOTE_FORM + r"\n?"
+_VOTE_LINES = f"(?m)^{_VOTE_FORM}$"
+_REVIEW_LINES = f"(?m)^{_REVIEW_FORM}$"
+_VOTE_RUNS = f"(?m)^(?:{_VOTE_FORM}\n)+"
+_REVIEW_RUNS = f"(?m)^(?:{_REVIEW_FORM}\n)+"
 # The readers look at this many lines spread over a block before its findall.
 _PROBES = 8
 # The C constructor of every tuple: a named tuple's own __new__ is a Python
 # function that calls it, one extra frame per record.
 _new_tuple = tuple.__new__
-
-
-def _compiled(name: str) -> re.Pattern:
-    """The _PATTERNS entry name, compiled on its first use and then kept as a module global."""
-    pattern = globals().get(name)
-    if pattern is None:
-        pattern = globals()[name] = re.compile(*_PATTERNS[name])
-    return pattern
-
-
-def __getattr__(name):
-    """A writer-form pattern imported by name is compiled then (PEP 562)."""
-    if name in _PATTERNS:
-        return _compiled(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _decode_line(line):
@@ -368,8 +352,8 @@ def read_reviews(path) -> tuple:
     errors = []
     seen_ids = set()
     with open_jsonl(path) as fh:
-        for first, rows, lines in _runs(fh, _compiled("_REVIEW_LINES"),
-                                        _compiled("_REVIEW_RUNS")):
+        for first, rows, lines in _runs(fh, re.compile(_REVIEW_LINES),
+                                        re.compile(_REVIEW_RUNS)):
             _take_reviews(enumerate(rows if lines is None else lines, first),
                           reviews, errors, seen_ids)
     return reviews, errors
@@ -388,7 +372,7 @@ def write_reviews(path, reviews) -> None:
 
 def _labels(lines, first, errors):
     """Yield each valid SarcasmLabel of lines, numbered from first; see ``iter_labels``."""
-    vote_line = _compiled("_VOTE_LINE").fullmatch
+    vote_line = re.compile(_VOTE_LINE).fullmatch
     for line_number, line in enumerate(lines, start=first):
         match = vote_line(line)
         if match is not None:
@@ -441,7 +425,7 @@ def _read_votes(fh, errors) -> chain:
     """
     return chain.from_iterable(
         rows if lines is None else _labels(lines, first, errors)
-        for first, rows, lines in _runs(fh, _compiled("_VOTE_LINES"), _compiled("_VOTE_RUNS")))
+        for first, rows, lines in _runs(fh, re.compile(_VOTE_LINES), re.compile(_VOTE_RUNS)))
 
 
 def write_labels(path, labels) -> None:

@@ -263,7 +263,8 @@ def _count_rows(texts: list, lexicons: Lexicons) -> np.ndarray:
 
     Each text's hit bytes are found in turn, so the chunk table fills in
     text order, as one call per text would fill it. Hit byte i of text n
-    adds 1 to slot 16n + i, and one bincount counts every slot. Past the
+    adds 1 to slot 16n + i, and one bincount counts every slot; a lone
+    text's slots are its hit bytes, with no offsets to add. Past the
     one cast from uint8 the arithmetic stays in int64: the first run of a
     numpy loop of another type maps more of numpy's code into the
     process, up to 128 KB of resident memory (numpy 2.4.6, x86-64).
@@ -271,7 +272,8 @@ def _count_rows(texts: list, lexicons: Lexicons) -> np.ndarray:
     words, table = _tables(lexicons)
     hits = [_text_hits(text, words, table) for text in texts]
     slots = np.frombuffer(b"".join(hits), dtype=np.uint8).astype(np.intp)
-    slots += np.repeat(np.arange(0, len(hits) * _SLOTS, _SLOTS), list(map(len, hits)))
+    if len(hits) > 1:
+        slots += np.repeat(np.arange(0, len(hits) * _SLOTS, _SLOTS), list(map(len, hits)))
     counts = np.bincount(slots, minlength=len(hits) * _SLOTS).reshape(-1, _SLOTS)
     # f6, both sentiments: counts are nonnegative, so min(f4, f5, 1) is the flag
     counts[:, 5] = np.minimum(np.minimum(counts[:, 3], counts[:, 4]), 1)
@@ -330,6 +332,16 @@ class FeaturePipeline:
     def matrix(self, texts: list) -> np.ndarray:
         """The (N, 15) vectors of N texts, row n bit for bit ``vector(texts[n])``."""
         return _normalize_rows(_count_rows(texts, self.lexicons))
+
+    def counts_and_vectors(self, texts: list):
+        """Yield (counts, vector) of each text, counting 1,024 texts at a time.
+
+        Each block is one ``matrix`` step, so the counts and vectors of
+        every text are never held at once.
+        """
+        for start in range(0, len(texts), 1024):
+            counts = _count_rows(texts[start:start + 1024], self.lexicons)
+            yield from zip(map(FeatureCounts._make, counts.tolist()), _normalize_rows(counts))
 
 
 def write_feature_dump(path, rows, provenance: list) -> int:

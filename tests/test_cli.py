@@ -18,8 +18,11 @@ import subprocess
 import sys
 from collections.abc import Iterator
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sarcnet.cli as cli
 import sarcnet.corpus
@@ -1046,38 +1049,58 @@ class TestPredict:
 
     def test_file_generator_and_pipe_give_the_same_answers(self, trained, tmp_path, capsys,
                                                            monkeypatch, minicorpus_dir):
-        """A file, named or redirected to stdin, is answered a block at a time, a
-        generator on stdin and a pipe a line at a time; each gives the same stdout."""
+        """A file, named or redirected to stdin, and a pipe are read in blocks of many
+        lines, a generator on stdin a line at a time; each gives the same stdout."""
         texts = [json.loads(line)["text"] for line in
                  (minicorpus_dir / "reviews.jsonl").read_text().splitlines()]
         lines = [text if i % 9 else "  " for i, text in enumerate(texts * 2)]
         path = tmp_path / "texts.txt"
         path.write_text("".join(f"{line}\n" for line in lines))
-        assert len(path.read_text()) > 2 * sarcnet.corpus._BLOCK_SIZE
+        assert len(path.read_bytes()) > 2 * cli._BLOCK_SIZE
         model = str(trained["model"])
         blocks = []
 
-        def spy(fh):
-            for first, block in sarcnet.corpus._blocks(fh):
+        def spy(stream, universal):
+            for first, block in predict_blocks(stream, universal):
                 blocks.append(len(block))
                 yield first, block
 
-        monkeypatch.setattr(cli, "_blocks", spy)
+        predict_blocks = cli._predict_blocks
+        monkeypatch.setattr(cli, "_predict_blocks", spy)
         assert run("predict", "--model", model, str(path)) == 0
         from_file = capsys.readouterr().out
-        assert len(blocks) >= 3 and sum(blocks) == len(lines)
+        assert len(blocks) >= 3 and max(blocks) > 1 and sum(blocks) == len(lines)
         assert len(from_file.splitlines()) == sum(1 for line in lines if line.strip())
         blocks.clear()
         monkeypatch.setattr(sys, "stdin", (f"{line}\n" for line in lines))
         assert run("predict", "--model", model) == 0
         assert capsys.readouterr().out == from_file
-        assert blocks == []
+        assert blocks == [1] * len(lines)
         with open(path, "rb") as fh:
             redirected = run_process(["predict", "--model", model], stdin=fh)
         piped = run_process(["predict", "--model", model], input=path.read_bytes())
         for done in (redirected, piped):
             assert (done.returncode, done.stderr) == (0, b"")
             assert done.stdout.decode() == from_file
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(
+        ["ok", " ", "\n", "\r", "\r\n", "\xe9", "\U0001f600", "\u2028", "!!", b"\xff", b"\xc3"]),
+        max_size=40), size=st.integers(1, 9), universal=st.booleans())
+    def test_blocks_give_the_lines_a_text_stream_gives(self, pieces, size, universal):
+        """Whatever bytes each read ends on, the blocks hold the lines, numbers and
+        characters that iterating a text stream over the same bytes gives: a named
+        file's stream splits at "\\r\\n" and "\\r" as well, stdin's at "\\n" only."""
+        data = b"".join(p if isinstance(p, bytes) else p.encode() for p in pieces)
+        oracle = io.TextIOWrapper(io.BytesIO(data), newline=None if universal else "\n",
+                                  **sarcnet.corpus._DECODING)
+        expected = [line.removesuffix("\n") for line in oracle]
+        stream = io.TextIOWrapper(io.BytesIO(data))
+        with mock.patch.object(cli, "_BLOCK_SIZE", size):
+            blocks = list(cli._predict_blocks(stream, universal))
+        assert [(number, line) for first, block in blocks
+                for number, line in enumerate(block, start=first)] == list(enumerate(expected, 1))
+        assert all(block for _, block in blocks)
 
     def test_a_pipe_is_answered_before_its_next_line_is_written(self, trained):
         lines = ["Wow!! just what we needed...", "", "The soup was warm.",
@@ -1102,9 +1125,11 @@ class TestPredict:
         assert all(re.fullmatch(r"(non-)?sarcastic 0\.\d{4}\n", answer) for answer in answers)
         assert len(answers) == 3
 
-    def test_merged_output_keeps_warnings_between_their_neighbours(self, trained, tmp_path):
-        """Invalid lines inside one block: the redirected file's stdout and stderr,
-        merged, are byte for byte those of the line-at-a-time pipe."""
+    def test_merged_output_keeps_warnings_between_their_neighbours(self, trained, tmp_path,
+                                                                   monkeypatch):
+        """Invalid lines inside one block: the redirected file's and the pipe's stdout
+        and stderr, merged, are byte for byte those of a generator on stdin, which
+        is answered a line at a time."""
         lines = [b"Wow!! just what we needed...", b"fine", b"\xff bad", b"", b"ok!!",
                  b"so \xfe\xfd bad", b"\xff", b"The soup was warm.", b"yes"]
         path = tmp_path / "texts.txt"
@@ -1116,11 +1141,18 @@ class TestPredict:
         piped = subprocess.run(**command, input=path.read_bytes(), **merged)
         assert redirected.returncode == piped.returncode == 0
         assert redirected.stdout == piped.stdout
-        kinds = [line.split(" ")[0] for line in piped.stdout.decode().splitlines()]
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", (line.decode(errors="surrogateescape") + "\n"
+                                           for line in lines))
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", out)
+        assert run("predict", "--model", str(trained["model"])) == 0
+        assert piped.stdout == out.getvalue().encode()
+        kinds = [line.split(" ")[0] for line in out.getvalue().splitlines()]
         assert [kind if kind == "warning:" else "answer" for kind in kinds] == [
             "answer", "answer", "warning:", "answer", "warning:", "warning:", "answer",
             "answer"]
-        assert b"warning: <stdin>:3: invalid UTF-8\n" in piped.stdout
+        assert "warning: <stdin>:3: invalid UTF-8\n" in out.getvalue()
 
     def test_model_file_with_invalid_utf8_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -873,8 +874,8 @@ VOTE_LINE_STRINGS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e
 
 
 # The patterns of each reader's runs: its writers' form, line by line and in runs.
-REVIEW_FORMS = (_REVIEW_LINES, _REVIEW_RUNS)
-VOTE_FORMS = (_VOTE_LINES, _VOTE_RUNS)
+REVIEW_FORMS = (re.compile(_REVIEW_LINES), re.compile(_REVIEW_RUNS))
+VOTE_FORMS = (re.compile(_VOTE_LINES), re.compile(_VOTE_RUNS))
 
 
 def all_in_writer_form(path, forms) -> bool:
@@ -912,7 +913,7 @@ class TestWriters:
         record = json.loads(line)
         fields = tuple(record.values())
         assert tuple(record) == SarcasmLabel._fields
-        assert _VOTE_LINES.findall(line) == [(*fields[:2], "t")]
+        assert re.findall(_VOTE_LINES, line) == [(*fields[:2], "t")]
         with open_jsonl(path) as fh:
             ((annotator, review_id, sarcastic),) = iter_labels(fh, [])
         assert (annotator, review_id, sarcastic) == fields
@@ -932,7 +933,7 @@ class TestWriters:
         with open_jsonl(path) as fh:
             lines = fh.readlines()
         assert len(lines) == len(votes)
-        assert all(_VOTE_LINE.fullmatch(line) for line in lines)
+        assert all(re.fullmatch(_VOTE_LINE, line) for line in lines)
         assert all_in_writer_form(path, VOTE_FORMS)
         with open_jsonl(path) as fh:
             assert parse_votes(fh) == (votes, [])
@@ -954,10 +955,10 @@ class TestWriters:
         with open_jsonl(minicorpus_dir / "labels.jsonl") as fh:
             lines = fh.readlines()
         assert len(lines) == 2000
-        assert all(_VOTE_LINE.fullmatch(line) for line in lines)
+        assert all(re.fullmatch(_VOTE_LINE, line) for line in lines)
         assert all_in_writer_form(minicorpus_dir / "labels.jsonl", VOTE_FORMS)
         # The edge examples of the differential tests are built on this line.
-        assert _VOTE_LINE.fullmatch(vote_line())
+        assert re.fullmatch(_VOTE_LINE, vote_line())
 
     def test_minicorpus_reviews_take_the_fast_path(self, minicorpus_dir):
         assert all_in_writer_form(minicorpus_dir / "reviews.jsonl", REVIEW_FORMS)

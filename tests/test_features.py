@@ -434,3 +434,16 @@ class TestMatrix:
 
     def test_no_texts_give_no_rows(self):
         assert FeaturePipeline(LEXICONS).matrix([]).shape == (0, N_FEATURES)
+
+    def test_counts_and_vectors_give_each_text_its_own(self, minicorpus_dir):
+        """Over more than one 1,024-text block, each text gets the counts and the
+        vector bits that counts(text) and vector(text) give it."""
+        texts = minicorpus_texts(minicorpus_dir)
+        texts = (texts * -(-1100 // len(texts)))[:1100]
+        pipeline = FeaturePipeline(LEXICONS)
+        pairs = list(pipeline.counts_and_vectors(texts))
+        assert [counts for counts, _ in pairs] == [pipeline.counts(text) for text in texts]
+        assert all(type(counts) is FeatureCounts for counts, _ in pairs)
+        assert b"".join(vector.tobytes() for _, vector in pairs) == b"".join(
+            pipeline.vector(text).tobytes() for text in texts)
+        assert list(pipeline.counts_and_vectors([])) == []
