@@ -15,7 +15,15 @@ seed (except the feature dump, which draws no random number), a digest
 of the effective configuration, the lexicon digest, and digests of the
 input corpus files. Nothing time- or path-dependent goes into an
 artifact, so rerunning a command with the same inputs and seed
-reproduces it byte for byte.
+reproduces it byte for byte. A corpus file must therefore be a regular
+file: a pipe, which is empty once read, is refused before any input is.
+
+The commands that split the corpus (ingest, train, eval, sweep), and
+extract given --labels, read a labels file of 4 MiB or more beside the
+reviews file: a child forked at the start parses and tallies it while
+this process parses the reviews, and sends back one byte per review.
+Warnings, errors and their order are those of reading one file after
+the other, and no child outlives the command. label reads both itself.
 
 Star-wide commands accept ``--stars all``; per-star output paths then
 need a ``{stars}`` placeholder (for example ``--model model-{stars}.json``).
@@ -35,27 +43,30 @@ module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
 import argparse
 import codecs
 import errno
+import gc
 import hashlib
 import io
 import json
+import marshal
 import os
+import stat
 import sys
 from contextlib import nullcontext
-from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     STAR_VALUES,
+    LabeledReview,
     SarcasmLabel,
     _DECODING,
     _BLOCK_SIZE,
     _UNDECODABLE,
+    _new_tuple,
     _read_votes,
     _string_problem,
     append_labels,
     derive_seed,
-    label_reviews,
     make_split,
     open_jsonl,
     read_reviews,
@@ -191,7 +202,10 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
     ancestor is not a directory, gets the error that opening it would
     give, before the work instead of after it. Two paths name one
     file when they resolve alike, or, where both exist, are one inode (a
-    hard link). Each command calls this before it reads any input.
+    hard link). Last, a corpus file that exists as neither a regular file
+    nor a directory, such as a pipe, gets the error taking its digest
+    would give once the pipe was read. Each command that digests the
+    corpus calls this before it reads any input.
     """
     named = [(flag, path) for flag, path in [("--reviews", args.reviews),
                                               ("--labels", args.labels), *inputs] if path]
@@ -216,6 +230,13 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
                 raise ValueError(
                     f"{flag} {path!r} names the same file as {other_flag} {other!r}")
         named.append((flag, path))
+    for path in filter(None, (args.reviews, args.labels)):
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:  # a missing file is refused when it is opened
+            continue
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise DataError(_NOT_REGULAR.format(path))
 
 
 def _prepare_out(path: str) -> str:
@@ -224,10 +245,13 @@ def _prepare_out(path: str) -> str:
     return path
 
 
+_NOT_REGULAR = "{} is not a regular file, so its digest cannot be taken"
+
+
 def _file_digest(path) -> str:
     """sha256 of a corpus file; a pipe, already drained by the parser, is refused."""
     if not Path(path).is_file():
-        raise DataError(f"{path} is not a regular file, so its digest cannot be taken")
+        raise DataError(_NOT_REGULAR.format(path))
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -240,15 +264,14 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _provenance(seed, config: dict, lexicons, corpus_files: dict) -> dict:
+def _provenance(seed, config: dict, lexicons, corpus_digests: dict) -> dict:
     return {
         "tool": "sarcnet",
         "version": __version__,
         "seed": seed,
         "config_digest": _config_digest(config),
         "lexicon_digest": lexicons.digest,
-        "corpus_digests": {name: _file_digest(path)
-                           for name, path in sorted(corpus_files.items())},
+        "corpus_digests": corpus_digests,
     }
 
 
@@ -263,8 +286,8 @@ def _provenance_lines(prov: dict) -> list:
 
 
 def _warn_parse_errors(path, errors) -> None:
-    for err in errors:
-        print(f"warning: {path}:{err.line_number}: {err.reason}", file=sys.stderr)
+    for line_number, reason in errors:
+        print(f"warning: {path}:{line_number}: {reason}", file=sys.stderr)
 
 
 def _load_reviews(path) -> list:
@@ -278,12 +301,12 @@ def _load_reviews(path) -> list:
     return reviews
 
 
-def _consume_labels(path, consume):
-    """Return consume(votes) over the labels file's valid votes, streamed.
+def _consume_labels(path, consume) -> tuple:
+    """(consume(votes), parse errors) of the labels file's valid votes, streamed.
 
     The votes, (annotator, review_id, sarcastic) as in a SarcasmLabel, are
     parsed a block at a time as consume reads them and never held as one
-    list; the dropped lines are reported once the file is read.
+    list; the errors are the file's dropped lines.
     """
     errors = []
     try:
@@ -291,8 +314,151 @@ def _consume_labels(path, consume):
             result = consume(_read_votes(fh, errors))
     except OSError as exc:
         raise DataError(f"cannot read labels file: {exc}") from exc
-    _warn_parse_errors(path, errors)
-    return result
+    return result, errors
+
+
+# A review's label as a byte of the labels reply, and back.
+_CODES = {None: 0, False: 1, True: 2}
+_LABELS = (None, False, True)
+# The pipes carry marshal frames of this version, the last one that keeps
+# no table of the objects it wrote: 60,000 distinct ids would only fill it.
+_FRAME_VERSION = 2
+# A labels file smaller than this is read in the command's own process. A
+# fork costs in proportion to the process's memory: its page tables are
+# copied, and each page either process writes next takes a fault. In a
+# process holding numpy that is about 10-20 ms, more than a child saves on
+# a smaller file: the reviews parse it overlaps takes about 5 ms per MB of
+# votes, at four votes per review.
+_FORK_MIN_BYTES = 1 << 22
+
+
+def _label_codes(resolved: dict, review_ids) -> bytes:
+    """One byte per review id, in order: 0 no vote, 1 non-sarcastic, 2 sarcastic."""
+    return bytes(map(_CODES.__getitem__, map(resolved.get, review_ids)))
+
+
+def _write_all(sink, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[sink.write(view):]
+
+
+def _labels_child(path, ids_fd: int, reply_fd: int, parent_fds: tuple) -> None:
+    """The forked child's whole run; it ends in os._exit and never returns.
+
+    It closes parent_fds, the parent's ends of the pipes, so that it sees
+    the ids' EOF. It tallies the labels file, then reads the parent's
+    review ids (one marshal frame) to EOF. It writes back two frames: the
+    label codes of the ids with the parse errors as (line, reason) pairs,
+    then the file's digest, or None if taking it failed. It prints
+    nothing. On any error, and when the parent closes the pipe without
+    sending ids, it ends without a reply.
+    """
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        resolved, errors = _consume_labels(path, resolve_labels)
+        with open(ids_fd, "rb") as ids:
+            review_ids = marshal.loads(ids.read())
+        with open(reply_fd, "wb", buffering=0) as out:
+            _write_all(out, marshal.dumps(
+                (_label_codes(resolved, review_ids), [tuple(error) for error in errors]),
+                _FRAME_VERSION))
+            try:
+                digest = _file_digest(path)
+            except (DataError, OSError):
+                digest = None
+            _write_all(out, marshal.dumps(digest, _FRAME_VERSION))
+    finally:
+        os._exit(0)
+
+
+class _LabelsBeside:
+    """The labels file at path, read beside the caller's own work.
+
+    For a file of at least _FORK_MIN_BYTES, entering forks a child that
+    parses and tallies the file, then takes its digest, while the caller
+    parses the reviews file. The child runs only the votes parser and the
+    tally on a file of its own, so it takes no lock that another thread
+    (numpy's BLAS pool, in train, eval and sweep) may hold at the fork.
+    Only the review ids go to it and one byte per review comes back: the
+    votes and the tally never reach this process. Leaving closes the
+    pipes and waits for the child, on every path, so none outlives the
+    command. For a smaller file, where os.fork is missing or fails, and
+    when the child ends without a reply (a file it cannot read, an error,
+    a signal), this process reads the file itself, and so meets any error
+    where reading it in turn would.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.pid = None
+        self.reply = None  # the child's reply pipe, until it fails to reply
+
+    def __enter__(self):
+        try:
+            large = os.stat(self.path).st_size >= _FORK_MIN_BYTES
+        except OSError:  # opening it tells why
+            large = False
+        if not (large and hasattr(os, "fork")):
+            return self
+        ids_fd, ids_sink = os.pipe()
+        reply_fd, reply_sink = os.pipe()
+        self.sink = open(ids_sink, "wb", buffering=0)
+        self.reply = open(reply_fd, "rb")
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare
+            self._close()
+        if self.pid == 0:
+            _labels_child(self.path, ids_fd, reply_sink, (ids_sink, reply_fd))
+        os.close(ids_fd)
+        os.close(reply_sink)
+        return self
+
+    def _close(self):
+        if self.reply is not None:
+            self.sink.close()  # a child still waiting for the ids reads EOF and ends
+            self.reply.close()
+            self.reply = None
+
+    def codes(self, review_ids: list) -> bytes:
+        """The _label_codes of review_ids; the file's warnings are printed."""
+        if self.reply is not None:
+            try:
+                _write_all(self.sink, marshal.dumps(review_ids, _FRAME_VERSION))
+            except BrokenPipeError:  # the child ended early
+                pass
+            self.sink.close()
+            try:
+                codes, errors = marshal.load(self.reply)
+            except (EOFError, ValueError, TypeError):  # no reply, or part of one
+                self._close()
+            else:
+                _warn_parse_errors(self.path, errors)
+                return codes
+        resolved, errors = _consume_labels(self.path, resolve_labels)
+        _warn_parse_errors(self.path, errors)
+        return _label_codes(resolved, review_ids)
+
+    def digest(self) -> str:
+        """The file's sha256, as _file_digest gives it, after its codes."""
+        if self.reply is not None:
+            try:
+                digest = marshal.load(self.reply)
+            except (EOFError, ValueError):
+                digest = None
+            if digest is not None:
+                return digest
+        return _file_digest(self.path)
+
+    def __exit__(self, *exc_info):
+        self._close()
+        if self.pid is not None:
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
+                pass
 
 
 def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
@@ -301,19 +467,27 @@ def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
     flags are the command's own entries in the provenance config, beside
     the command, the stars and the split sizes.
     """
-    reviews = _load_reviews(args.reviews)
-    labeled = _consume_labels(args.labels, partial(label_reviews, reviews))
-    lexicons = load_lexicons()
-    config = {"command": command, "stars": stars_list,
-              "train_size": args.train_size, "test_size": args.test_size, **flags}
-    prov = _provenance(args.seed, config, lexicons,
-                       {"reviews": args.reviews, "labels": args.labels})
-    # Each star's pool in one pass, in input order.
-    pools = {stars: [] for stars in stars_list}
-    for lr in labeled:
-        pool = pools.get(lr.review.stars)
-        if pool is not None:
-            pool.append(lr)
+    with _LabelsBeside(args.labels) as labels:
+        reviews = _load_reviews(args.reviews)
+        codes = labels.codes([review.review_id for review in reviews])
+        # Each star's pool of labeled reviews in one pass, in input order,
+        # while the child takes the labels digest. The collector would
+        # only walk the reviews again for each block of new tuples.
+        pools = {stars: [] for stars in stars_list}
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for review, code in zip(reviews, codes):
+                if code and (pool := pools.get(review.stars)) is not None:
+                    pool.append(_new_tuple(LabeledReview, (review, code == 2)))
+        finally:
+            if gc_enabled:
+                gc.enable()
+        lexicons = load_lexicons()
+        config = {"command": command, "stars": stars_list,
+                  "train_size": args.train_size, "test_size": args.test_size, **flags}
+        prov = _provenance(args.seed, config, lexicons, {
+            "labels": labels.digest(), "reviews": _file_digest(args.reviews)})
     splits = {}
     for stars, pool in pools.items():
         try:
@@ -343,14 +517,15 @@ def cmd_label(args) -> int:
         raise ValueError(problem)
     reviews = _load_reviews(args.reviews)
     try:
-        voted = _consume_labels(args.labels, lambda votes: {
+        voted, errors = _consume_labels(args.labels, lambda votes: {
             review_id for annotator, review_id, _ in votes if annotator == args.annotator})
     except DataError as exc:
         # No labels file yet: the first vote creates it, in a directory made now.
         if not isinstance(exc.__cause__, FileNotFoundError):
             raise
         _prepare_out(args.labels)
-        voted = set()
+        voted, errors = set(), []
+    _warn_parse_errors(args.labels, errors)
     pending = [r for r in reviews if r.review_id not in voted]
     print(f"{len(pending)} reviews awaiting a vote from {args.annotator}")
     recorded = 0
@@ -382,23 +557,23 @@ def cmd_extract(args) -> int:
     stars_list = _parse_stars(args.stars)
     _refuse_shared_paths(args, [("--out", args.out)])
     wanted = set(stars_list)
-    reviews = [r for r in _load_reviews(args.reviews) if r.stars in wanted]
-    if not reviews:
-        raise DataError("no reviews with the requested star ratings")
-    resolved = {}
-    corpus_files = {"reviews": args.reviews}
-    if args.labels is not None:
-        resolved = _consume_labels(args.labels, resolve_labels)
-        corpus_files["labels"] = args.labels
-    lexicons = load_lexicons()
+    with nullcontext() if args.labels is None else _LabelsBeside(args.labels) as labels:
+        reviews = [r for r in _load_reviews(args.reviews) if r.stars in wanted]
+        if not reviews:
+            raise DataError("no reviews with the requested star ratings")
+        codes = (bytes(len(reviews)) if labels is None
+                 else labels.codes([review.review_id for review in reviews]))
+        lexicons = load_lexicons()
+        corpus_digests = {} if labels is None else {"labels": labels.digest()}
+        corpus_digests["reviews"] = _file_digest(args.reviews)
     pipeline = FeaturePipeline(lexicons)
     config = {"command": "extract", "stars": stars_list}
-    prov = _provenance(None, config, lexicons, corpus_files)
+    prov = _provenance(None, config, lexicons, corpus_digests)
 
     def rows():
         pairs = pipeline.counts_and_vectors([review.text for review in reviews])
-        for review, (counts, vector) in zip(reviews, pairs):
-            yield review.review_id, resolved.get(review.review_id), counts, vector
+        for review, code, (counts, vector) in zip(reviews, codes, pairs):
+            yield review.review_id, _LABELS[code], counts, vector
 
     written = write_feature_dump(_prepare_out(args.out), rows(), _provenance_lines(prov))
     print(f"wrote {written} feature rows -> {args.out}")

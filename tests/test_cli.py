@@ -6,6 +6,7 @@ that need a real stdin, a pipe or a redirected file, and one that runs
 ``predict`` with every warning made an error.
 """
 
+import errno
 import hashlib
 import io
 import json
@@ -14,8 +15,10 @@ import os
 import re
 import select
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from collections.abc import Iterator
 from pathlib import Path
 from unittest import mock
@@ -28,7 +31,7 @@ import sarcnet.cli as cli
 import sarcnet.corpus
 import sarcnet.training
 from sarcnet.corpus import Review, SarcasmLabel, write_labels, write_reviews
-from sarcnet.errors import TrainingDivergence
+from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.lexicons import DEFAULT_LEXICON_DIR, ENV_LEXICON_DIR
 from sarcnet.network import load_model
 
@@ -616,23 +619,35 @@ class TestLabelStream:
              "--out", str(out / "features.csv")],
         ]
 
-    def test_no_vote_list_is_built(self, corpus, tmp_path, monkeypatch, capsys):
-        """The tallies cli calls take the votes as an iterator, never a list or tuple."""
-        received = []
+    @pytest.mark.parametrize("fork_min_bytes", [0, None], ids=["child", "small-file"])
+    def test_no_vote_list_is_built(self, corpus, tmp_path, monkeypatch, capsys,
+                                   fork_min_bytes):
+        """The tally takes the votes as an iterator, never a list, in the child if any.
 
-        def recording(name, tally):
-            def record(*args):
-                received.append((name, type(args[-1])))
-                return tally(*args)
-            return record
+        A labels file under cli._FORK_MIN_BYTES, as the mini-corpus's is,
+        is tallied in the command's own process; with the bound at 0 every
+        file goes to a forked child. Each call is recorded in a file, with
+        the pid of the process that made it.
+        """
+        if fork_min_bytes is not None:
+            monkeypatch.setattr(cli, "_FORK_MIN_BYTES", fork_min_bytes)
+        received = tmp_path / "tallies.txt"
+        tally = cli.resolve_labels
 
-        for name in ("label_reviews", "resolve_labels"):
-            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        def record(votes):
+            with open(received, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {type(votes).__name__} "
+                         f"{isinstance(votes, Iterator)}\n")
+            return tally(votes)
+
+        monkeypatch.setattr(cli, "resolve_labels", record)
         for argv in self.commands(corpus, tmp_path):
             assert run(*argv) == 0
-        assert [name for name, _ in received] == ["label_reviews", "resolve_labels"]
-        for name, votes in received:
-            assert issubclass(votes, Iterator), (name, votes)
+        calls = [line.split() for line in received.read_text(encoding="utf-8").splitlines()]
+        assert len(calls) == 2  # ingest's, then extract's
+        for pid, votes, is_iterator in calls:
+            assert (int(pid) == os.getpid()) is (fork_min_bytes is None), pid
+            assert is_iterator == "True", votes
 
     def test_label_warnings_follow_review_warnings_in_line_order(self, corpus, tmp_path,
                                                                    capsys):
@@ -677,6 +692,185 @@ class TestLabelStream:
                                 "name enclosed in double quotes\n")
 
 
+class TestLabelsChild:
+    """The labels file is tallied in a forked child, and no exit path leaves it behind.
+
+    Each case gives the exit code and stderr the command gave when it read
+    the labels file in its own process. The mini-corpus's labels file is
+    under cli._FORK_MIN_BYTES, so the tests set that bound to 0, and the
+    ones that run a fresh process build a larger file.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fork_every_file(self, monkeypatch):
+        self.fork_min_bytes = cli._FORK_MIN_BYTES
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", 0)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def argv(command, reviews, labels, out):
+        sizes = ["--train-size", "70", "--test-size", "30"] if command == "ingest" else []
+        return [command, "--reviews", str(reviews), "--labels", str(labels), *sizes,
+                "--out", str(out / ("split-{stars}.json" if command == "ingest"
+                                    else "features.csv"))]
+
+    @pytest.mark.parametrize("command", ["ingest", "extract"])
+    @pytest.mark.parametrize("case", ["success", "missing-reviews", "empty-reviews",
+                                      "missing-labels", "labels-directory", "tally-raises"])
+    def test_every_exit_path_waits_for_the_child(self, corpus, tmp_path, monkeypatch,
+                                                 capsys, command, case):
+        reviews, labels = corpus["reviews"], corpus["labels"]
+        out = tmp_path / "out"
+        err = ""
+        if case == "missing-reviews":
+            reviews = tmp_path / "none.jsonl"
+            err = ("cannot read reviews file: [Errno 2] No such file or directory: "
+                   f"{str(reviews)!r}")
+        elif case == "empty-reviews":
+            reviews = tmp_path / "empty.jsonl"
+            reviews.write_text("")
+            err = f"no valid reviews in {reviews}"
+        elif case == "missing-labels":
+            labels = tmp_path / "none.jsonl"
+            err = ("cannot read labels file: [Errno 2] No such file or directory: "
+                   f"{str(labels)!r}")
+        elif case == "labels-directory":
+            labels = tmp_path / "labels"
+            labels.mkdir()
+            err = f"cannot read labels file: [Errno 21] Is a directory: {str(labels)!r}"
+        elif case == "tally-raises":
+            def fail(tally, votes):
+                raise DataError("the tally failed")
+
+            monkeypatch.setattr(sarcnet.corpus, "_tally", fail)
+            err = "the tally failed"
+        code = run(*self.argv(command, reviews, labels, out))
+        assert (code, capsys.readouterr().err) == ((2, f"sarcnet: data error: {err}\n")
+                                                   if err else (0, ""))
+        self.assert_no_child()
+
+    def test_a_child_gone_before_the_ids_are_sent(self, corpus, tmp_path, monkeypatch,
+                                                  capsys):
+        """The ids meet a closed pipe; this process reads the file, and meets its error."""
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        load_reviews = cli._load_reviews
+
+        def after_the_child_ended(path):
+            deadline = time.monotonic() + 60
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                assert time.monotonic() < deadline, "the child did not end"
+                time.sleep(0.001)
+            return load_reviews(path)
+
+        monkeypatch.setattr(cli, "_load_reviews", after_the_child_ended)
+        code = run(*self.argv("ingest", corpus["reviews"], labels, tmp_path / "out"))
+        assert (code, capsys.readouterr().err) == (
+            2, f"sarcnet: data error: cannot read labels file: [Errno 21] Is a directory: "
+               f"{str(labels)!r}\n")
+        self.assert_no_child()
+
+    def test_a_split_shortage_waits_for_the_child(self, corpus, tmp_path, capsys):
+        code = run("ingest", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
+                   "--stars", "2", "--train-size", "700", "--out", str(tmp_path / "s.json"))
+        assert (code, capsys.readouterr().err) == (
+            2, "sarcnet: data error: 2-star split: need 1000, have 100\n")
+        self.assert_no_child()
+
+    @pytest.fixture
+    def noisy_labels(self, corpus, tmp_path):
+        """The mini-corpus votes with an invalid line near each end."""
+        lines = Path(corpus["labels"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        path = tmp_path / "labels.jsonl"
+        path.write_text("".join(["{\n", *lines, '{"review_id": "x"}\n']), encoding="utf-8")
+        return path
+
+    def outcome(self, corpus, labels, out, capsys):
+        """{command: (code, stdout, stderr)} and the bytes of every file written to out."""
+        results = {}
+        for command in ("ingest", "extract"):
+            results[command] = (run(*self.argv(command, corpus["reviews"], labels, out)),
+                                *capsys.readouterr())
+            self.assert_no_child()
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return results, written
+
+    @pytest.mark.parametrize("how", ["no-fork", "fork-fails", "child-killed",
+                                     "child-raises"])
+    def test_reading_in_this_process_gives_the_same_bytes(self, corpus, noisy_labels,
+                                                          tmp_path, monkeypatch, capsys,
+                                                          how):
+        """Without fork, or a child that ends without a reply, the parent reads the file."""
+        forked = self.outcome(corpus, noisy_labels, tmp_path / "forked", capsys)
+        parent = os.getpid()
+        tally = sarcnet.corpus._tally
+
+        def in_child_only(act):
+            def patched(*args):
+                if os.getpid() != parent:
+                    act()
+                return tally(*args)
+            return patched
+
+        if how == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif how == "fork-fails":
+            def no_fork():
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif how == "child-killed":
+            monkeypatch.setattr(sarcnet.corpus, "_tally", in_child_only(
+                lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        else:
+            def fail():
+                raise RuntimeError("only the child fails")
+
+            monkeypatch.setattr(sarcnet.corpus, "_tally", in_child_only(fail))
+        here = self.outcome(corpus, noisy_labels, tmp_path / "here", capsys)
+        assert forked[0]["ingest"][2].count("warning: ") == 2
+        assert here[0] == {command: (code, stdout.replace("/forked/", "/here/"), err)
+                           for command, (code, stdout, err) in forked[0].items()}
+        assert here[1] == forked[1]
+
+    @pytest.fixture
+    def large_labels(self, corpus, tmp_path):
+        """The mini-corpus's votes over and over, which resolve as once, in a
+        file large enough to fork a child in a fresh process."""
+        votes = Path(corpus["labels"]).read_bytes()
+        path = tmp_path / "large-labels.jsonl"
+        path.write_bytes(votes * -(-self.fork_min_bytes // len(votes)))
+        return str(path)
+
+    def test_a_child_reaped_by_the_system_is_no_error(self, corpus, large_labels,
+                                                      tmp_path):
+        """Under an ignored SIGCHLD the system reaps the child, and waiting for it fails."""
+        argv = self.argv("ingest", corpus["reviews"], large_labels, tmp_path)
+        script = ("import signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+                  "from sarcnet.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=cli_process(argv)["env"], capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert len(list(tmp_path.glob("split-*.json"))) == 5
+
+    def test_commands_under_dev_mode_write_nothing_to_stderr(self, corpus, large_labels,
+                                                             tmp_path):
+        """Every warning is an error, in the child as in the parent, and none is raised."""
+        files = ["--reviews", corpus["reviews"], "--labels", large_labels]
+        for argv in (["ingest", *files, "--train-size", "70", "--test-size", "30",
+                      "--out", str(tmp_path / "split-{stars}.json")],
+                     ["train", *files, "--stars", "3", *FAST_TRAIN,
+                      "--model", str(tmp_path / "model.json"),
+                      "--out", str(tmp_path / "history.jsonl")],
+                     ["extract", *files, "--out", str(tmp_path / "features.csv")]):
+            done = run_process(argv, python_flags=("-X", "dev", "-W", "error"))
+            assert (done.returncode, done.stderr) == (0, b""), argv
+
+
 class TestExtract:
     def test_row_counts_and_rerun_identity(self, corpus, tmp_path, capsys):
         out_a = tmp_path / "features-a.csv"
@@ -708,6 +902,22 @@ class TestExtract:
         assert done.returncode == 2
         assert b"/dev/stdin is not a regular file" in done.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("extract", "--reviews"),
+                                               ("ingest", "--labels")])
+    def test_a_pipe_is_refused_before_it_is_read(self, corpus, tmp_path, command, flag):
+        """The refusal is all of stderr: the pipe's bad first line gets no warning."""
+        name = flag.removeprefix("--")
+        files = {"--reviews": corpus["reviews"], "--labels": corpus["labels"],
+                 flag: "/dev/stdin"}
+        out = tmp_path / "out-{stars}"
+        done = run_process([command, *(part for item in files.items() for part in item),
+                            "--stars", "1", "--out", str(out)],
+                           input=b"{\n" + Path(corpus[name]).read_bytes())
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == (b"sarcnet: data error: /dev/stdin is not a regular file, "
+                               b"so its digest cannot be taken\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_redirected_reviews_record_their_digest(self, corpus, tmp_path):
         out = tmp_path / "features.csv"
