@@ -3,9 +3,10 @@
 Subcommands: ingest (split manifests per star), label (interactive
 annotation loop), extract (feature dump), train (model + history),
 eval (metrics report), predict (classify text lines), sweep (learning
-rate grid). predict answers a block of lines at a time: the whole lines
-of what one read of its file, pipe or terminal gives, flushed before
-the next read, so a line written alone is answered at once.
+rate grid). Every input goes through the one block reader of
+``sarcnet.corpus``, ``_BLOCK_SIZE`` bytes per ``read1``. predict answers
+the whole lines of what one read of its file, pipe or terminal gives,
+flushed before the next read, so a line written alone is answered at once.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, insufficient pools), 3 runtime failure (training divergence).
@@ -13,15 +14,18 @@ files, insufficient pools), 3 runtime failure (training divergence).
 Output artifacts carry a reproducibility stanza: tool version, base
 seed (except the feature dump, which draws no random number), a digest
 of the effective configuration, the lexicon digest, and digests of the
-input corpus files. Nothing time- or path-dependent goes into an
-artifact, so rerunning a command with the same inputs and seed
-reproduces it byte for byte. A corpus file must therefore be a regular
-file: a pipe, which is empty once read, is refused before any input is.
+input corpus files, each of exactly the bytes the command parsed, taken
+in the same read: each corpus file is opened and read once. Nothing
+time- or path-dependent goes into an artifact, so rerunning a command
+with the same inputs and seed reproduces it byte for byte. A corpus
+file must therefore be a regular file: a rerun cannot read a pipe's
+bytes again. A pipe is refused before any input is read.
 
 The commands that split the corpus (ingest, train, eval, sweep), and
 extract given --labels, read a labels file of 4 MiB or more beside the
-reviews file: a child forked at the start parses and tallies it while
-this process parses the reviews, and sends back one byte per review.
+reviews file: a child forked at the start parses, hashes and tallies it
+while this process parses the reviews, and sends back one byte per
+review, the file's warnings and its digest in one reply.
 Warnings, errors and their order are those of reading one file after
 the other, and no child outlives the command. label reads both itself.
 
@@ -41,11 +45,9 @@ module loads: ``ingest``, ``label`` and ``--help`` never load numpy, and
 """
 
 import argparse
-import codecs
 import errno
 import gc
 import hashlib
-import io
 import json
 import marshal
 import os
@@ -59,17 +61,16 @@ from .corpus import (
     STAR_VALUES,
     LabeledReview,
     SarcasmLabel,
-    _DECODING,
-    _BLOCK_SIZE,
     _UNDECODABLE,
+    _line_blocks,
     _new_tuple,
+    _read_reviews,
     _read_votes,
     _string_problem,
     append_labels,
     derive_seed,
     make_split,
     open_jsonl,
-    read_reviews,
     resolve_labels,
     write_split_manifest,
 )
@@ -193,6 +194,17 @@ def _star_paths(template: str, stars_list: list) -> dict:
     return {stars: template.replace("{stars}", str(stars)) for stars in stars_list}
 
 
+def _refuse_same_file(flag, path, named) -> None:
+    """Refuse path if it resolves as, or is a hard link of, a path of named's (flag, path)s."""
+    for other_flag, other in named:
+        try:
+            same = os.path.samefile(path, other)
+        except OSError:  # one of them does not exist yet
+            same = False
+        if same or os.path.realpath(path) == os.path.realpath(other):
+            raise ValueError(f"{flag} {path!r} names the same file as {other_flag} {other!r}")
+
+
 def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
     """Refuse an output path that names an input or another output.
 
@@ -200,12 +212,12 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
     inputs too. An empty or absent path names no file; an empty output,
     one that is an existing directory, or one whose nearest existing
     ancestor is not a directory, gets the error that opening it would
-    give, before the work instead of after it. Two paths name one
-    file when they resolve alike, or, where both exist, are one inode (a
-    hard link). Last, a corpus file that exists as neither a regular file
-    nor a directory, such as a pipe, gets the error taking its digest
-    would give once the pipe was read. Each command that digests the
-    corpus calls this before it reads any input.
+    give, before the work instead of after it. Last, a corpus file that
+    exists as neither a regular file nor a directory, such as a pipe, is
+    refused: the digest is of the bytes parsed, taken in the same read,
+    but a rerun cannot read a pipe's bytes again, so the artifacts could
+    not be reproduced from the inputs they name. Each command that
+    digests the corpus calls this before it reads any input.
     """
     named = [(flag, path) for flag, path in [("--reviews", args.reviews),
                                               ("--labels", args.labels), *inputs] if path]
@@ -221,14 +233,7 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
             parent = os.path.dirname(parent)
         if parent and not os.path.isdir(parent):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-        for other_flag, other in named:
-            try:
-                same = os.path.samefile(path, other)
-            except OSError:  # one of them does not exist yet
-                same = False
-            if same or os.path.realpath(path) == os.path.realpath(other):
-                raise ValueError(
-                    f"{flag} {path!r} names the same file as {other_flag} {other!r}")
+        _refuse_same_file(flag, path, named)
         named.append((flag, path))
     for path in filter(None, (args.reviews, args.labels)):
         try:
@@ -236,27 +241,13 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
         except OSError:  # a missing file is refused when it is opened
             continue
         if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-            raise DataError(_NOT_REGULAR.format(path))
+            raise DataError(f"{path} is not a regular file, so its digest cannot be taken")
 
 
 def _prepare_out(path: str) -> str:
     """Create the parent directory of an output path if needed."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     return path
-
-
-_NOT_REGULAR = "{} is not a regular file, so its digest cannot be taken"
-
-
-def _file_digest(path) -> str:
-    """sha256 of a corpus file; a pipe, already drained by the parser, is refused."""
-    if not Path(path).is_file():
-        raise DataError(_NOT_REGULAR.format(path))
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _config_digest(config: dict) -> str:
@@ -290,9 +281,11 @@ def _warn_parse_errors(path, errors) -> None:
         print(f"warning: {path}:{line_number}: {reason}", file=sys.stderr)
 
 
-def _load_reviews(path) -> list:
+def _load_reviews(path, digest=None) -> list:
+    """The reviews file's valid reviews, its warnings printed, its bytes fed to digest."""
     try:
-        reviews, errors = read_reviews(path)
+        with open(path, "rb") as fh:
+            reviews, errors = _read_reviews(fh, digest)
     except OSError as exc:
         raise DataError(f"cannot read reviews file: {exc}") from exc
     _warn_parse_errors(path, errors)
@@ -301,17 +294,17 @@ def _load_reviews(path) -> list:
     return reviews
 
 
-def _consume_labels(path, consume) -> tuple:
+def _consume_labels(path, consume, digest=None) -> tuple:
     """(consume(votes), parse errors) of the labels file's valid votes, streamed.
 
     The votes, (annotator, review_id, sarcastic) as in a SarcasmLabel, are
     parsed a block at a time as consume reads them and never held as one
-    list; the errors are the file's dropped lines.
+    list; the errors are the file's dropped lines. Its bytes go to digest.
     """
     errors = []
     try:
-        with open_jsonl(path) as fh:
-            result = consume(_read_votes(fh, errors))
+        with open(path, "rb") as fh:
+            result = consume(_read_votes(fh, errors, digest))
     except OSError as exc:
         raise DataError(f"cannot read labels file: {exc}") from exc
     return result, errors
@@ -347,28 +340,24 @@ def _labels_child(path, ids_fd: int, reply_fd: int, parent_fds: tuple) -> None:
     """The forked child's whole run; it ends in os._exit and never returns.
 
     It closes parent_fds, the parent's ends of the pipes, so that it sees
-    the ids' EOF. It tallies the labels file, then reads the parent's
-    review ids (one marshal frame) to EOF. It writes back two frames: the
-    label codes of the ids with the parse errors as (line, reason) pairs,
-    then the file's digest, or None if taking it failed. It prints
+    the ids' EOF. It tallies the labels file, hashing the bytes it
+    parses, then reads the parent's review ids (one marshal frame) to
+    EOF. It writes back one frame: the label codes of the ids, the parse
+    errors as (line, reason) pairs, and the file's sha256. It prints
     nothing. On any error, and when the parent closes the pipe without
     sending ids, it ends without a reply.
     """
     try:
         for fd in parent_fds:
             os.close(fd)
-        resolved, errors = _consume_labels(path, resolve_labels)
+        digest = hashlib.sha256()
+        resolved, errors = _consume_labels(path, resolve_labels, digest)
         with open(ids_fd, "rb") as ids:
             review_ids = marshal.loads(ids.read())
         with open(reply_fd, "wb", buffering=0) as out:
-            _write_all(out, marshal.dumps(
-                (_label_codes(resolved, review_ids), [tuple(error) for error in errors]),
-                _FRAME_VERSION))
-            try:
-                digest = _file_digest(path)
-            except (DataError, OSError):
-                digest = None
-            _write_all(out, marshal.dumps(digest, _FRAME_VERSION))
+            _write_all(out, marshal.dumps((_label_codes(resolved, review_ids),
+                                           [tuple(error) for error in errors],
+                                           digest.hexdigest()), _FRAME_VERSION))
     finally:
         os._exit(0)
 
@@ -377,8 +366,8 @@ class _LabelsBeside:
     """The labels file at path, read beside the caller's own work.
 
     For a file of at least _FORK_MIN_BYTES, entering forks a child that
-    parses and tallies the file, then takes its digest, while the caller
-    parses the reviews file. The child runs only the votes parser and the
+    parses, hashes and tallies the file while the caller parses the
+    reviews file. The child runs only the votes parser and the
     tally on a file of its own, so it takes no lock that another thread
     (numpy's BLAS pool, in train, eval and sweep) may hold at the fork.
     Only the review ids go to it and one byte per review comes back: the
@@ -422,8 +411,8 @@ class _LabelsBeside:
             self.reply.close()
             self.reply = None
 
-    def codes(self, review_ids: list) -> bytes:
-        """The _label_codes of review_ids; the file's warnings are printed."""
+    def codes(self, review_ids: list) -> tuple:
+        """(the _label_codes of review_ids, the sha256 of the bytes parsed); warnings printed."""
         if self.reply is not None:
             try:
                 _write_all(self.sink, marshal.dumps(review_ids, _FRAME_VERSION))
@@ -431,26 +420,16 @@ class _LabelsBeside:
                 pass
             self.sink.close()
             try:
-                codes, errors = marshal.load(self.reply)
+                codes, errors, digest = marshal.load(self.reply)
             except (EOFError, ValueError, TypeError):  # no reply, or part of one
                 self._close()
             else:
                 _warn_parse_errors(self.path, errors)
-                return codes
-        resolved, errors = _consume_labels(self.path, resolve_labels)
+                return codes, digest
+        digest = hashlib.sha256()
+        resolved, errors = _consume_labels(self.path, resolve_labels, digest)
         _warn_parse_errors(self.path, errors)
-        return _label_codes(resolved, review_ids)
-
-    def digest(self) -> str:
-        """The file's sha256, as _file_digest gives it, after its codes."""
-        if self.reply is not None:
-            try:
-                digest = marshal.load(self.reply)
-            except (EOFError, ValueError):
-                digest = None
-            if digest is not None:
-                return digest
-        return _file_digest(self.path)
+        return _label_codes(resolved, review_ids), digest.hexdigest()
 
     def __exit__(self, *exc_info):
         self._close()
@@ -467,12 +446,13 @@ def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
     flags are the command's own entries in the provenance config, beside
     the command, the stars and the split sizes.
     """
+    reviews_digest = hashlib.sha256()
     with _LabelsBeside(args.labels) as labels:
-        reviews = _load_reviews(args.reviews)
-        codes = labels.codes([review.review_id for review in reviews])
+        reviews = _load_reviews(args.reviews, reviews_digest)
+        codes, labels_digest = labels.codes([review.review_id for review in reviews])
         # Each star's pool of labeled reviews in one pass, in input order,
-        # while the child takes the labels digest. The collector would
-        # only walk the reviews again for each block of new tuples.
+        # while the child ends. The collector would only walk the reviews
+        # again for each block of new tuples.
         pools = {stars: [] for stars in stars_list}
         gc_enabled = gc.isenabled()
         gc.disable()
@@ -487,7 +467,7 @@ def _load_splits(args, stars_list: list, command: str, flags: dict) -> tuple:
         config = {"command": command, "stars": stars_list,
                   "train_size": args.train_size, "test_size": args.test_size, **flags}
         prov = _provenance(args.seed, config, lexicons, {
-            "labels": labels.digest(), "reviews": _file_digest(args.reviews)})
+            "labels": labels_digest, "reviews": reviews_digest.hexdigest()})
     splits = {}
     for stars, pool in pools.items():
         try:
@@ -515,6 +495,8 @@ def cmd_label(args) -> int:
     problem = _string_problem("annotator", args.annotator)
     if problem is not None:
         raise ValueError(problem)
+    if args.reviews and args.labels:  # votes appended to the reviews would spoil them
+        _refuse_same_file("--labels", args.labels, [("--reviews", args.reviews)])
     reviews = _load_reviews(args.reviews)
     try:
         voted, errors = _consume_labels(args.labels, lambda votes: {
@@ -557,15 +539,18 @@ def cmd_extract(args) -> int:
     stars_list = _parse_stars(args.stars)
     _refuse_shared_paths(args, [("--out", args.out)])
     wanted = set(stars_list)
+    reviews_digest = hashlib.sha256()
     with nullcontext() if args.labels is None else _LabelsBeside(args.labels) as labels:
-        reviews = [r for r in _load_reviews(args.reviews) if r.stars in wanted]
+        reviews = [r for r in _load_reviews(args.reviews, reviews_digest) if r.stars in wanted]
         if not reviews:
             raise DataError("no reviews with the requested star ratings")
-        codes = (bytes(len(reviews)) if labels is None
-                 else labels.codes([review.review_id for review in reviews]))
+        corpus_digests = {"reviews": reviews_digest.hexdigest()}
+        if labels is None:
+            codes = bytes(len(reviews))
+        else:
+            codes, corpus_digests["labels"] = labels.codes(
+                [review.review_id for review in reviews])
         lexicons = load_lexicons()
-        corpus_digests = {} if labels is None else {"labels": labels.digest()}
-        corpus_digests["reviews"] = _file_digest(args.reviews)
     pipeline = FeaturePipeline(lexicons)
     config = {"command": "extract", "stars": stars_list}
     prov = _provenance(None, config, lexicons, corpus_digests)
@@ -663,40 +648,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _predict_blocks(stream, universal: bool):
-    """Yield (first line number, lines) of the predict input, a read at a time.
-
-    A byte stream's ``read1`` returns what its file, pipe or terminal
-    holds, up to _BLOCK_SIZE bytes, waiting only when it holds nothing:
-    a file or bulk pipe gives many lines, a line written alone its own
-    block. A partial last line waits for the next read. Bytes decode as
-    in ``open_jsonl``; lines end at "\\n", and if universal also at
-    "\\r\\n" and "\\r", as ``open`` splits a file. A stream of str lines
-    only, such as a generator, gives one line at a time.
-    """
-    read1 = getattr(getattr(stream, "buffer", None), "read1", None)
-    if read1 is None:
-        yield from ((number, [line]) for number, line in enumerate(stream, start=1))
-        return
-    decoder = codecs.getincrementaldecoder(_DECODING["encoding"])(_DECODING["errors"])
-    if universal:
-        decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
-    first, partial = 1, []
-    while True:
-        chunk = read1(_BLOCK_SIZE)
-        *lines, rest = decoder.decode(chunk, final=not chunk).split("\n")
-        if lines:
-            lines[0] = "".join(partial) + lines[0]
-            partial.clear()
-            yield first, lines
-            first += len(lines)
-        partial.append(rest)
-        if not chunk:
-            break
-    if last := "".join(partial):
-        yield first, [last]
-
-
 def _predict_input(path):
     """The predict input, as a context manager over its stream, and its name."""
     if path is None:
@@ -710,7 +661,9 @@ def _predict_input(path):
 def cmd_predict(args) -> int:
     """Answer each block of input lines with one matrix, one predict_batch and one write.
 
-    Each block's answers are flushed before the next block is read. A
+    A block is what one read of the input gives (see ``_line_blocks``): a
+    file or bulk pipe gives many lines, a line written alone its own
+    block. Each block's answers are flushed before the next block is read. A
     line that is not valid UTF-8 is skipped with a warning, written
     after the answers to the lines before it and before those to the
     lines after it, so stdout and stderr merged keep line order.
@@ -722,9 +675,14 @@ def cmd_predict(args) -> int:
     pipeline = FeaturePipeline(load_lexicons())
     opened, source = _predict_input(args.input)
     with opened as stream:
-        for first, lines in _predict_blocks(stream, universal=args.input is not None):
+        buffer = getattr(stream, "buffer", None)
+        # A stream of str lines only, such as a generator, gives a line at a time.
+        blocks = (_line_blocks(buffer, universal=args.input is not None)
+                  if hasattr(buffer, "read1") else enumerate(stream, start=1))
+        for first, block in blocks:
             texts, skipped = [], []  # skipped: (answers before it, line number)
-            for number, line in enumerate(lines, start=first):
+            # A block's closing "\n" leaves one more, empty, line: a blank one.
+            for number, line in enumerate(block.split("\n"), start=first):
                 if not line.isascii() and _UNDECODABLE.search(line):
                     skipped.append((len(texts), number))
                 elif text := line.strip():

@@ -36,10 +36,13 @@ UTF-8, and neither may a review's text. Both files are written through
 one serializer, and the split manifest, the model and the eval report
 through another, ``_write_json``.
 
-``read_reviews`` and the commands' vote reader take a file in blocks of
-whole lines, about ``_BLOCK_SIZE`` characters each, as ``readlines``
-gives them: lines end at "\\n" only, as when the file is iterated, so a
-U+2028 or a form feed inside a text stays in its line. A line in the
+Every input, a corpus file or ``predict``'s, is read by ``_line_blocks``:
+each ``read1`` of up to ``_BLOCK_SIZE`` bytes goes to the caller's hash
+object, if any, before it is decoded as by ``open_jsonl``, so a corpus
+digest is of exactly the bytes parsed, taken in the same read. A block
+is the whole lines one read completes, each with its "\\n" (a named
+file's "\\r\\n" and "\\r" end a line too, as in ``open``); a U+2028 or
+a form feed inside a text stays in its line. A line in the
 writers' own form skips even the scanner: sorted keys, ``json.dumps``'
 separators, and strings of printable ASCII with no quote or backslash,
 so each string is its own JSON value. That is ``_VOTE_LINE`` for a
@@ -76,7 +79,9 @@ order. ``derive_seed`` mixes one base seed into the seed of each split,
 subset and training stream.
 """
 
+import codecs
 import hashlib
+import io
 import json
 import os
 import random
@@ -132,7 +137,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _JSON_WHITESPACE = " \t\n\r"
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 _scan_once = json.JSONDecoder().scan_once
-# The readers take a file in blocks of about this many characters.
+# The block reader takes at most this many bytes in one read.
 _BLOCK_SIZE = 1 << 14
 # A line as the writers give it for printable-ASCII fields: sorted keys,
 # json.dumps' default separators, and no quote or backslash in a string, so
@@ -288,19 +293,41 @@ def open_jsonl(path):
     return open(path, **_DECODING)
 
 
-def _blocks(fh):
-    """Yield (first line number, lines) of an open file, about _BLOCK_SIZE characters at a time.
+def _line_blocks(stream, universal: bool, digest=None):
+    """Yield (first line number, block) of a byte stream, a read at a time.
 
-    The lines are the ones iterating the file gives, each with its
-    "\\n": they end at "\\n" only.
+    Each ``read1`` returns what the file, pipe or terminal holds, up to
+    _BLOCK_SIZE bytes, waiting only when it holds nothing; its bytes go
+    to digest, if given, then decode as in ``open_jsonl``. A block is the
+    whole lines the read completes, each with its "\\n" ("\\r\\n" and "\\r"
+    too if universal, read as "\\n"). The stream's last line may have none.
     """
-    first = 1
-    while lines := fh.readlines(_BLOCK_SIZE):
-        yield first, lines
-        first += len(lines)
+    decoder = codecs.getincrementaldecoder(_DECODING["encoding"])(_DECODING["errors"])
+    if universal:
+        decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+    first, partial = 1, []
+    while chunk := stream.read1(_BLOCK_SIZE):
+        if digest is not None:
+            digest.update(chunk)
+        text = decoder.decode(chunk)
+        end = text.rfind("\n") + 1
+        if end:
+            partial.append(text[:end])
+            block = "".join(partial)
+            partial.clear()
+            yield first, block
+            first += block.count("\n")
+        partial.append(text[end:])
+    if last := "".join(partial) + decoder.decode(b"", final=True):
+        yield first, last
 
 
-def _runs(fh, form_lines, form_runs):
+def _lines(text) -> list:
+    """The lines of text, each with its "\\n": they end at "\\n" only."""
+    return re.findall(r"[^\n]*\n|[^\n]+", text)
+
+
+def _runs(fh, form_lines, form_runs, digest=None):
     """Yield (first line number, rows, lines) of each run of an open file's lines, in order.
 
     A run of lines in the writers' form gives the list of their
@@ -311,35 +338,43 @@ def _runs(fh, form_lines, form_runs):
     per-line parser costs each of them less than a findall and a gap of
     its own. Any other block takes one findall. If lines in another form
     hide among its form lines, one finditer of form_runs finds the runs
-    of form lines, and the findall's rows are cut to fit them.
+    of form lines, and the findall's rows are cut to fit them. fh is
+    opened for bytes; ``_line_blocks`` reads it, feeding digest.
     """
-    for first, lines in _blocks(fh):
-        block = "".join(lines)
+    for first, block in _line_blocks(fh, universal=True, digest=digest):
         step = -(-len(block) // _PROBES)
         if not all(form_lines.match(block, block.rfind("\n", 0, at) + 1)
                    for at in range(0, len(block), step)):
-            yield first, None, lines
+            yield first, None, _lines(block)
             continue
         rows = form_lines.findall(block)
-        if len(rows) == len(lines):
+        if len(rows) == block.count("\n") + (block[-1] != "\n"):  # one row per line
             yield first, rows, None
             continue
-        # A last line without its "\n" is in no run; the per-line parser
-        # takes it.
         taken = line = end = 0
         for run in form_runs.finditer(block):
             start = run.start()
             if start > end:
-                n_other = block.count("\n", end, start)
-                yield first + line, None, lines[line:line + n_other]
-                line += n_other
+                other = _lines(block[end:start])
+                yield first + line, None, other
+                line += len(other)
             end = run.end()
             n_form = block.count("\n", start, end)
             yield first + line, rows[taken:taken + n_form], None
             taken += n_form
             line += n_form
-        if line < len(lines):
-            yield first + line, None, lines[line:]
+        if end < len(block):
+            yield first + line, None, _lines(block[end:])
+
+
+def _read_reviews(fh, digest=None) -> tuple:
+    """(reviews, parse_errors) of a reviews file opened for bytes; see ``read_reviews``."""
+    reviews, errors, seen_ids = [], [], set()
+    for first, rows, lines in _runs(fh, re.compile(_REVIEW_LINES), re.compile(_REVIEW_RUNS),
+                                    digest):
+        _take_reviews(enumerate(rows if lines is None else lines, first),
+                      reviews, errors, seen_ids)
+    return reviews, errors
 
 
 def read_reviews(path) -> tuple:
@@ -348,15 +383,8 @@ def read_reviews(path) -> tuple:
     The file is read a block at a time; its runs of writer-form lines
     take one findall (see the module docstring).
     """
-    reviews = []
-    errors = []
-    seen_ids = set()
-    with open_jsonl(path) as fh:
-        for first, rows, lines in _runs(fh, re.compile(_REVIEW_LINES),
-                                        re.compile(_REVIEW_RUNS)):
-            _take_reviews(enumerate(rows if lines is None else lines, first),
-                          reviews, errors, seen_ids)
-    return reviews, errors
+    with open(path, "rb") as fh:
+        return _read_reviews(fh)
 
 
 def _write_jsonl(path, mode: str, records) -> None:
@@ -414,18 +442,20 @@ def iter_labels(lines, errors):
     return _labels(lines, 1, errors)
 
 
-def _read_votes(fh, errors) -> chain:
-    """Each valid vote of an open labels file, as (annotator, review_id, sarcastic).
+def _read_votes(fh, errors, digest=None) -> chain:
+    """Each valid vote of a labels file opened for bytes, as (annotator, review_id, sarcastic).
 
     They are the votes ``iter_labels`` yields, in its order, and each
     invalid line appends its ParseError to errors as it is read, a block
     at a time. A run of writer-form lines gives a slice of one findall's
     rows, whose sarcastic is "t" or "", truthy exactly when the vote is;
-    any other run gives the per-line parser's SarcasmLabels.
+    any other run gives the per-line parser's SarcasmLabels. The bytes
+    read go to digest, if given.
     """
     return chain.from_iterable(
         rows if lines is None else _labels(lines, first, errors)
-        for first, rows, lines in _runs(fh, re.compile(_VOTE_LINES), re.compile(_VOTE_RUNS)))
+        for first, rows, lines in _runs(fh, re.compile(_VOTE_LINES), re.compile(_VOTE_RUNS),
+                                        digest))
 
 
 def write_labels(path, labels) -> None:

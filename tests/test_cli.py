@@ -21,16 +21,13 @@ import sys
 import time
 from collections.abc import Iterator
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sarcnet.cli as cli
 import sarcnet.corpus
 import sarcnet.training
-from sarcnet.corpus import Review, SarcasmLabel, write_labels, write_reviews
+from sarcnet.corpus import Review, SarcasmLabel, append_labels, write_labels, write_reviews
 from sarcnet.errors import DataError, TrainingDivergence
 from sarcnet.lexicons import DEFAULT_LEXICON_DIR, ENV_LEXICON_DIR
 from sarcnet.network import load_model
@@ -359,7 +356,7 @@ class TestOutputTemplates:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the output paths were checked")
 
-        monkeypatch.setattr(cli, "read_reviews", refuse)
+        monkeypatch.setattr(cli, "_read_reviews", refuse)
         monkeypatch.setattr(sarcnet.training, "_train_stars", refuse)
         monkeypatch.chdir(tmp_path)
         code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
@@ -385,7 +382,7 @@ class TestEmptyOutputPath:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read before the output paths were checked")
 
-        monkeypatch.setattr(cli, "read_reviews", refuse)
+        monkeypatch.setattr(cli, "_read_reviews", refuse)
         monkeypatch.chdir(tmp_path)
         code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
                    "--stars", "3", *argv[1:])
@@ -760,12 +757,12 @@ class TestLabelsChild:
         labels.mkdir()
         load_reviews = cli._load_reviews
 
-        def after_the_child_ended(path):
+        def after_the_child_ended(*args):
             deadline = time.monotonic() + 60
             while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
                 assert time.monotonic() < deadline, "the child did not end"
                 time.sleep(0.001)
-            return load_reviews(path)
+            return load_reviews(*args)
 
         monkeypatch.setattr(cli, "_load_reviews", after_the_child_ended)
         code = run(*self.argv("ingest", corpus["reviews"], labels, tmp_path / "out"))
@@ -871,6 +868,109 @@ class TestLabelsChild:
             assert (done.returncode, done.stderr) == (0, b""), argv
 
 
+class TestCorpusDigests:
+    """Each corpus file is opened and read once, and its digest is of the bytes parsed.
+
+    A file appended to between the parse and the end of the command, as a
+    concurrent label session appends votes, is named as it was parsed.
+    """
+
+    @pytest.fixture
+    def files(self, corpus, tmp_path):
+        """Copies of the mini-corpus files, which the tests append to."""
+        files = {name: tmp_path / f"{name}.jsonl" for name in ("reviews", "labels")}
+        for name, path in files.items():
+            shutil.copy(corpus[name], path)
+        return files
+
+    def ingest(self, files, tmp_path) -> dict:
+        """The corpus digests that ingest records in its manifest."""
+        out = tmp_path / "split.json"
+        assert run("ingest", "--reviews", str(files["reviews"]), "--labels",
+                   str(files["labels"]), "--stars", "1", "--train-size", "70",
+                   "--test-size", "30", "--out", str(out)) == 0
+        return json.loads(out.read_text())["provenance"]["corpus_digests"]
+
+    @pytest.mark.parametrize("fork_min_bytes", [0, None], ids=["child", "in-process"])
+    def test_a_vote_appended_after_the_tally(self, files, tmp_path, monkeypatch, capsys,
+                                             fork_min_bytes):
+        if fork_min_bytes is not None:
+            monkeypatch.setattr(cli, "_FORK_MIN_BYTES", fork_min_bytes)
+        parsed = {name: sha(path) for name, path in files.items()}
+        tally = sarcnet.corpus._tally
+
+        def then_append(*args):
+            resolved = tally(*args)
+            append_labels(files["labels"], [SarcasmLabel("late", "mc-1s-000", False)])
+            return resolved
+
+        monkeypatch.setattr(sarcnet.corpus, "_tally", then_append)
+        assert self.ingest(files, tmp_path) == parsed
+        assert sha(files["labels"]) != parsed["labels"]
+
+    def test_a_review_appended_after_the_parse(self, files, tmp_path, monkeypatch, capsys):
+        parsed = {name: sha(path) for name, path in files.items()}
+        load_reviews = cli._load_reviews
+
+        def then_append(*args):
+            reviews = load_reviews(*args)
+            with open(files["reviews"], "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"review_id": "late", "stars": 1, "text": "ok"}) + "\n")
+            return reviews
+
+        monkeypatch.setattr(cli, "_load_reviews", then_append)
+        assert self.ingest(files, tmp_path) == parsed
+        assert sha(files["reviews"]) != parsed["reviews"]
+
+    @pytest.fixture
+    def opens(self, tmp_path):
+        """The path of a file that each open of a file, in this process or a child,
+        appends "<pid> <path>" to while the test runs."""
+        log = tmp_path / "opens.txt"
+        _OPEN_LOG[:] = [str(log)]
+        if not _OPEN_LOG_HOOKED:
+            sys.addaudithook(_log_open)
+            _OPEN_LOG_HOOKED.append(True)
+        yield log
+        _OPEN_LOG.clear()
+
+    @pytest.mark.parametrize("fork_min_bytes", [0, None], ids=["child", "in-process"])
+    @pytest.mark.parametrize("command", ["ingest", "extract"])
+    def test_each_corpus_file_is_opened_once(self, files, tmp_path, monkeypatch, capsys,
+                                             opens, command, fork_min_bytes):
+        if fork_min_bytes is not None:
+            monkeypatch.setattr(cli, "_FORK_MIN_BYTES", fork_min_bytes)
+        out = tmp_path / "out"
+        assert run(*TestLabelsChild.argv(command, files["reviews"], files["labels"], out)) == 0
+        corpus_paths = {str(path.resolve()): name for name, path in files.items()}
+        opened = [(int(pid), corpus_paths[os.path.realpath(path)])
+                  for pid, path in (line.split(" ", 1) for line in
+                                    opens.read_text(encoding="utf-8").splitlines())
+                  if os.path.realpath(path) in corpus_paths]
+        assert sorted(name for _, name in opened) == ["labels", "reviews"]
+        # The labels file is read in a child exactly when one is forked.
+        assert {name: pid == os.getpid() for pid, name in opened} == {
+            "reviews": True, "labels": fork_min_bytes is None}
+
+
+# The log file of _log_open while a test records the files opened, and whether
+# the hook is installed: an audit hook stays for the life of the process.
+_OPEN_LOG = []
+_OPEN_LOG_HOOKED = []
+
+
+def _log_open(event, args):
+    """Append "<pid> <path>" to the log for each file opened by path, bar the log itself."""
+    if event == "open" and _OPEN_LOG and isinstance(args[0], (str, bytes, os.PathLike)):
+        path = os.fsdecode(args[0])
+        if path != _OPEN_LOG[0]:
+            fd = os.open(_OPEN_LOG[0], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{os.getpid()} {path}\n".encode("utf-8", "surrogateescape"))
+            finally:
+                os.close(fd)
+
+
 class TestExtract:
     def test_row_counts_and_rerun_identity(self, corpus, tmp_path, capsys):
         out_a = tmp_path / "features-a.csv"
@@ -895,7 +995,8 @@ class TestExtract:
         assert stanza == ["# tool", "# config_digest", "# lexicon_digest", "# reviews_digest"]
 
     def test_piped_reviews_are_refused(self, corpus, tmp_path):
-        # The parser drains the pipe, so reopening it to digest reads nothing.
+        # A rerun could not read the pipe's bytes again, so the feature dump
+        # could not be reproduced from the inputs it names.
         out = tmp_path / "features.csv"
         done = run_process(["extract", "--reviews", "/dev/stdin", "--stars", "1",
                             "--out", str(out)], input=Path(corpus["reviews"]).read_bytes())
@@ -1170,7 +1271,7 @@ class TestEval:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read before the model was loaded")
 
-        monkeypatch.setattr(cli, "read_reviews", refuse)
+        monkeypatch.setattr(cli, "_read_reviews", refuse)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "notes.json").write_text("not a model\n")
         code = run("eval", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
@@ -1260,23 +1361,24 @@ class TestPredict:
     def test_file_generator_and_pipe_give_the_same_answers(self, trained, tmp_path, capsys,
                                                            monkeypatch, minicorpus_dir):
         """A file, named or redirected to stdin, and a pipe are read in blocks of many
-        lines, a generator on stdin a line at a time; each gives the same stdout."""
+        lines, a generator on stdin a line at a time, outside the block reader; each
+        gives the same stdout."""
         texts = [json.loads(line)["text"] for line in
                  (minicorpus_dir / "reviews.jsonl").read_text().splitlines()]
         lines = [text if i % 9 else "  " for i, text in enumerate(texts * 2)]
         path = tmp_path / "texts.txt"
         path.write_text("".join(f"{line}\n" for line in lines))
-        assert len(path.read_bytes()) > 2 * cli._BLOCK_SIZE
+        assert len(path.read_bytes()) > 2 * sarcnet.corpus._BLOCK_SIZE
         model = str(trained["model"])
         blocks = []
 
         def spy(stream, universal):
-            for first, block in predict_blocks(stream, universal):
-                blocks.append(len(block))
+            for first, block in line_blocks(stream, universal):
+                blocks.append(block.count("\n"))
                 yield first, block
 
-        predict_blocks = cli._predict_blocks
-        monkeypatch.setattr(cli, "_predict_blocks", spy)
+        line_blocks = cli._line_blocks
+        monkeypatch.setattr(cli, "_line_blocks", spy)
         assert run("predict", "--model", model, str(path)) == 0
         from_file = capsys.readouterr().out
         assert len(blocks) >= 3 and max(blocks) > 1 and sum(blocks) == len(lines)
@@ -1285,32 +1387,13 @@ class TestPredict:
         monkeypatch.setattr(sys, "stdin", (f"{line}\n" for line in lines))
         assert run("predict", "--model", model) == 0
         assert capsys.readouterr().out == from_file
-        assert blocks == [1] * len(lines)
+        assert blocks == []
         with open(path, "rb") as fh:
             redirected = run_process(["predict", "--model", model], stdin=fh)
         piped = run_process(["predict", "--model", model], input=path.read_bytes())
         for done in (redirected, piped):
             assert (done.returncode, done.stderr) == (0, b"")
             assert done.stdout.decode() == from_file
-
-    @settings(max_examples=200, deadline=None)
-    @given(pieces=st.lists(st.sampled_from(
-        ["ok", " ", "\n", "\r", "\r\n", "\xe9", "\U0001f600", "\u2028", "!!", b"\xff", b"\xc3"]),
-        max_size=40), size=st.integers(1, 9), universal=st.booleans())
-    def test_blocks_give_the_lines_a_text_stream_gives(self, pieces, size, universal):
-        """Whatever bytes each read ends on, the blocks hold the lines, numbers and
-        characters that iterating a text stream over the same bytes gives: a named
-        file's stream splits at "\\r\\n" and "\\r" as well, stdin's at "\\n" only."""
-        data = b"".join(p if isinstance(p, bytes) else p.encode() for p in pieces)
-        oracle = io.TextIOWrapper(io.BytesIO(data), newline=None if universal else "\n",
-                                  **sarcnet.corpus._DECODING)
-        expected = [line.removesuffix("\n") for line in oracle]
-        stream = io.TextIOWrapper(io.BytesIO(data))
-        with mock.patch.object(cli, "_BLOCK_SIZE", size):
-            blocks = list(cli._predict_blocks(stream, universal))
-        assert [(number, line) for first, block in blocks
-                for number, line in enumerate(block, start=first)] == list(enumerate(expected, 1))
-        assert all(block for _, block in blocks)
 
     def test_a_pipe_is_answered_before_its_next_line_is_written(self, trained):
         lines = ["Wow!! just what we needed...", "", "The soup was warm.",
@@ -1532,6 +1615,25 @@ class TestLabel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("sarcnet: data error: cannot read labels file: ")
+
+    @pytest.mark.parametrize("labels", ["reviews.jsonl", "./reviews.jsonl", "hard-link.jsonl"])
+    def test_labels_naming_the_reviews_file_is_refused_before_any_prompt(
+            self, tmp_path, capsys, monkeypatch, labels):
+        """Votes appended to the reviews file would make each one a bad review line."""
+        monkeypatch.chdir(tmp_path)
+        self.write_reviews(tmp_path / "reviews.jsonl")
+        os.link(tmp_path / "reviews.jsonl", tmp_path / "hard-link.jsonl")
+        before = (tmp_path / "reviews.jsonl").read_bytes()
+
+        self.forbid_prompts(monkeypatch)
+        code = run("label", "--reviews", "reviews.jsonl", "--labels", labels,
+                   "--annotator", "erin")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"sarcnet: error: --labels {labels!r} names the same file "
+                                "as --reviews 'reviews.jsonl'\n")
+        assert (tmp_path / "reviews.jsonl").read_bytes() == before
 
 
 class TestSweep:

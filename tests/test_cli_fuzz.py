@@ -14,6 +14,7 @@ votes) cannot reach the next.
 """
 
 import io
+import os
 import re
 import shutil
 import sys
@@ -190,21 +191,26 @@ def run_main(argv, stdin: str) -> tuple:
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture,
                                                    HealthCheck.too_slow])
-@given(data=st.data(), argv=command_lines(), stdin=st.sampled_from(["", "y\nn\ns\nq\n", "x\n"]))
-@example(data=None, argv=["train", *CORPUS, *SPLIT, *TRAIN, "--train-size", "-5"], stdin="")
+@given(data=st.data(), argv=command_lines(), stdin=st.sampled_from(["", "y\nn\ns\nq\n", "x\n"]),
+       fork_min_bytes=st.sampled_from([0, cli._FORK_MIN_BYTES]))
+@example(data=None, argv=["train", *CORPUS, *SPLIT, *TRAIN, "--train-size", "-5"], stdin="",
+         fork_min_bytes=0)
 @example(data=None, argv=["train", *CORPUS, *SPLIT, *TRAIN, "--stages", "sarcastic:-3,main"],
-         stdin="")
+         stdin="", fork_min_bytes=0)
 @example(data=None, argv=["train", *CORPUS, *SPLIT, *TRAIN,
-                          "--stages", "dominated:10:-1,main"], stdin="")
+                          "--stages", "dominated:10:-1,main"], stdin="", fork_min_bytes=0)
 @example(data=None, argv=["train", *CORPUS, *SPLIT, *TRAIN,
-                          "--stages", "dominated:10:nan,main"], stdin="")
+                          "--stages", "dominated:10:nan,main"], stdin="", fork_min_bytes=0)
 @example(data=None, argv=["eval", *CORPUS, *SPLIT, "--model", "model-{stars}.json",
-                          "--out", "x-{stars}{y}"], stdin="")
+                          "--out", "x-{stars}{y}"], stdin="", fork_min_bytes=0)
 def test_main_returns_an_exit_code_and_prints_no_traceback(inputs, tmp_path, monkeypatch,
-                                                           data, argv, stdin):
+                                                           data, argv, stdin, fork_min_bytes):
+    """With the fork bound at 0, every labels file, corrupted ones too, goes
+    through the forked child and its one-frame reply; no child outlives main."""
     files, lexicons = inputs
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(ENV_LEXICON_DIR, raising=False)
+    monkeypatch.setattr(cli, "_FORK_MIN_BYTES", fork_min_bytes)
     for entry in tmp_path.iterdir():  # what earlier examples wrote
         shutil.rmtree(entry) if entry.is_dir() else entry.unlink()
     for name, content in files.items():
@@ -228,6 +234,8 @@ def test_main_returns_an_exit_code_and_prints_no_traceback(inputs, tmp_path, mon
 
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -1,5 +1,6 @@
 """Ingestion, label resolution, and seeded splits."""
 
+import hashlib
 import io
 import json
 import random
@@ -23,7 +24,8 @@ from sarcnet.corpus import (
     ParseError,
     Review,
     SarcasmLabel,
-    _blocks,
+    _decode_line,
+    _line_blocks,
     _read_votes,
     _runs,
     append_labels,
@@ -56,7 +58,7 @@ def parse_votes(lines):
 def read_votes(path):
     """(votes, errors) of the commands' block reader over a labels file, as SarcasmLabels."""
     errors = []
-    with open_jsonl(path) as fh:
+    with open(path, "rb") as fh:
         votes = [SarcasmLabel(annotator, review_id, bool(sarcastic))
                  for annotator, review_id, sarcastic in _read_votes(fh, errors)]
     return votes, errors
@@ -64,8 +66,8 @@ def read_votes(path):
 
 @contextmanager
 def block_size(n, probes=None):
-    """Read files in blocks of about n characters for the duration, probing
-    each block at probes lines if given."""
+    """Read files n bytes a read for the duration, probing each block at
+    probes lines if given."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus, "_BLOCK_SIZE", n)
         if probes is not None:
@@ -705,8 +707,9 @@ def writer_review(review_id, text="ok food", stars=2):
 def boundary_file(path) -> None:
     """Write a file of review and vote lines whose ends and contents test the block cuts.
 
-    Line 15's CR is the last byte of the first 8,192, the size of the
-    chunks a text file decodes, so its CRLF is cut there too.
+    Line 15's CR is the last byte of the first 8,192: the end of a read
+    of 1, 2 or 64 bytes, and of a chunk a text file decodes, so its CRLF
+    is cut there too.
     """
     head = "".join([
         "\ufeff" + writer_review("r0") + "\n",            # 1: a BOM on line 1
@@ -784,13 +787,14 @@ class TestBlockReader:
                  ("a", "r0", "t"), read_votes, parse_votes)):
             lines = [form_lines[0] + "\n", form_lines[0].replace("r0", "ré0") + "\n", "\n",
                      form_lines[1] + "\n", form_lines[3] + "\n", "{}\n",
-                     form_lines[2]]  # no newline: no run holds the last line
+                     form_lines[2]]  # no newline: a block of its own, once the file ends
             path.write_text("".join(lines), encoding="utf-8")
-            with block_size(corpus._BLOCK_SIZE, probes=1), open_jsonl(path) as fh:
+            with block_size(corpus._BLOCK_SIZE, probes=1), open(path, "rb") as fh:
                 runs = list(_runs(fh, *forms))
             assert runs == [(1, [rows], None), (2, None, lines[1:3]),
                             (4, [tuple(x.replace("r0", "r1") for x in rows), rows], None),
-                            (6, None, lines[5:])]
+                            (6, None, lines[5:6]),
+                            (7, [tuple(x.replace("r0", "r2") for x in rows)], None)]
             with block_size(corpus._BLOCK_SIZE, probes=1):
                 assert read(path) == parse(lines)
             assert read(path)[1][-1] == ParseError(6, "missing field: " + (
@@ -806,7 +810,7 @@ class TestBlockReader:
         if other is not None:
             lines[other] = writer_review(f"r{other}", "ok foöd") + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        with open_jsonl(path) as fh:
+        with open(path, "rb") as fh:
             runs = list(_runs(fh, *REVIEW_FORMS))
         if other is None:
             assert runs == [(1, [(f"r{i}", "2", "ok food") for i in range(8)], None)]
@@ -825,13 +829,35 @@ class TestBlockReader:
 
     def test_blocks_split_at_newlines_only(self):
         text = "a\u2028b\x85c\x0cd\x1c\ne\n\nfg\nh"
-        with block_size(4):
-            blocks = list(_blocks(io.StringIO(text, newline="\n")))
-        assert blocks == [(1, ["a\u2028b\x85c\x0cd\x1c\n"]), (2, ["e\n", "\n", "fg\n"]),
-                          (5, ["h"])]
+        with block_size(8):
+            blocks = list(_line_blocks(io.BytesIO(text.encode()), True))
+        # Reads of 8 bytes: "a\u2028b\x85c", "\x0cd\x1c\ne\n\nf", "g\nh".
+        assert blocks == [(1, "a\u2028b\x85c\x0cd\x1c\ne\n\n"), (4, "fg\n"), (5, "h")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(
+        ["ok", " ", "\n", "\r", "\r\n", "\xe9", "\U0001f600", "\u2028", "!!", b"\xff", b"\xc3"]),
+        max_size=40), size=st.integers(1, 9), universal=st.booleans())
+    def test_blocks_give_the_lines_a_text_stream_gives(self, pieces, size, universal):
+        """Whatever bytes each read ends on, the blocks hold the lines, numbers and
+        characters that iterating a text stream over the same bytes gives: a named
+        file's stream splits at "\\r\\n" and "\\r" as well, stdin's at "\\n" only.
+        The hash is fed every byte read, in order."""
+        data = b"".join(p if isinstance(p, bytes) else p.encode() for p in pieces)
+        oracle = io.TextIOWrapper(io.BytesIO(data), newline=None if universal else "\n",
+                                  **corpus._DECODING)
+        digest = hashlib.sha256()
+        with block_size(size):
+            blocks = list(_line_blocks(io.BytesIO(data), universal, digest))
+        assert [(number, line) for first, block in blocks
+                for number, line in enumerate(io.StringIO(block, newline="\n"), start=first)
+                ] == list(enumerate(oracle, 1))
+        assert all(block.endswith("\n") for _, block in blocks[:-1])
+        assert all(block for _, block in blocks)
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
 
     def test_votes_are_read_one_block_at_a_time(self, tmp_path):
-        """The first vote costs one block of the file; its errors are in by then."""
+        """The first vote costs one read of the file; its errors are in by then."""
         path = tmp_path / "labels.jsonl"
         lines = ["{}", *(vote_line(f"r{i}") for i in range(50))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -842,15 +868,26 @@ class TestBlockReader:
             def __init__(self, fh):
                 self.fh = fh
 
-            def readlines(self, hint):
-                read.append(self.fh.readlines(hint))
+            def read1(self, size):
+                read.append(self.fh.read1(size))
                 return read[-1]
 
-        with block_size(256), open_jsonl(path) as fh:
+        with block_size(256), open(path, "rb") as fh:
             votes = _read_votes(CountedFile(fh), errors)
             assert next(votes) == ("a", "r0", True)
             assert errors == [ParseError(1, "missing field: review_id, sarcastic, annotator")]
-            assert len(read) == 1 and len(read[0]) < 10
+            assert len(read) == 1 and len(read[0]) == 256
+
+    def test_lines_reach_the_parsers_with_their_newline(self, tmp_path):
+        """The scanner sees each line's "\\n", which changes this line's reason."""
+        unterminated = ParseError(2, "invalid JSON: Unterminated string starting at")
+        control = ParseError(1, "invalid JSON: Invalid control character at")
+        assert _decode_line('{"review_id": "x') == (None, unterminated.reason)
+        assert _decode_line('{"review_id": "x\n') == (None, control.reason)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"review_id": "x\n{"review_id": "x', encoding="utf-8")
+        assert read_reviews(path) == ([], [control, unterminated])
+        assert read_votes(path) == ([], [control, unterminated])
 
 
 class TestRecordTypes:
@@ -880,7 +917,7 @@ VOTE_FORMS = (re.compile(_VOTE_LINES), re.compile(_VOTE_RUNS))
 
 def all_in_writer_form(path, forms) -> bool:
     """Whether every block the readers cut from the file is one run taken by one findall."""
-    with open_jsonl(path) as fh:
+    with open(path, "rb") as fh:
         return all(text is None for _, _, text in _runs(fh, *forms))
 
 
@@ -917,7 +954,7 @@ class TestWriters:
         with open_jsonl(path) as fh:
             ((annotator, review_id, sarcastic),) = iter_labels(fh, [])
         assert (annotator, review_id, sarcastic) == fields
-        with open_jsonl(path) as fh:
+        with open(path, "rb") as fh:
             ((annotator, review_id, sarcastic),) = _read_votes(fh, [])
         assert (annotator, review_id, bool(sarcastic)) == fields
 
