@@ -3,8 +3,9 @@
 Subcommands: ingest (split manifests per star), label (interactive
 annotation loop), extract (feature dump), train (model + history),
 eval (metrics report), predict (classify text lines), sweep (learning
-rate grid). Every input goes through the one block reader of
-``sarcnet.corpus``, ``_BLOCK_SIZE`` bytes per ``read1``. predict answers
+rate grid). Every input, a file, stdin or a pipe, is read as bytes by
+the one block reader of ``sarcnet.corpus``, ``_BLOCK_SIZE`` bytes per
+``read1``; "\\n", "\\r\\n" and a lone "\\r" end its lines. predict answers
 the whole lines of what one read of its file, pipe or terminal gives,
 flushed before the next read, so a line written alone is answered at once.
 
@@ -64,13 +65,12 @@ from .corpus import (
     _UNDECODABLE,
     _line_blocks,
     _new_tuple,
-    _read_reviews,
     _read_votes,
     _string_problem,
     append_labels,
     derive_seed,
     make_split,
-    open_jsonl,
+    read_reviews,
     resolve_labels,
     write_split_manifest,
 )
@@ -206,19 +206,23 @@ def _refuse_same_file(flag, path, named) -> None:
 
 
 def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
-    """Refuse an output path that names an input or another output.
+    """Refuse a path that would have a command read or write the wrong file.
 
-    outputs and inputs are (flag, path) pairs; --reviews and --labels are
-    inputs too. An empty or absent path names no file; an empty output,
-    one that is an existing directory, or one whose nearest existing
-    ancestor is not a directory, gets the error that opening it would
-    give, before the work instead of after it. Last, a corpus file that
-    exists as neither a regular file nor a directory, such as a pipe, is
-    refused: the digest is of the bytes parsed, taken in the same read,
-    but a rerun cannot read a pipe's bytes again, so the artifacts could
-    not be reproduced from the inputs they name. Each command that
-    digests the corpus calls this before it reads any input.
+    --labels may not name the --reviews file, whose reviews would be read
+    as votes. An output path may not name an input or another output:
+    outputs and inputs are (flag, path) pairs, and --reviews and --labels
+    are inputs too. An empty or absent path names no file; an empty
+    output, one that is an existing directory, or one whose nearest
+    existing ancestor is not a directory, gets the error that opening it
+    would give, before the work instead of after it. Last, a corpus file
+    that exists as neither a regular file nor a directory, such as a
+    pipe, is refused: the digest is of the bytes parsed, taken in the
+    same read, but a rerun cannot read a pipe's bytes again, so the
+    artifacts could not be reproduced from the inputs they name. Each
+    command that digests the corpus calls this before it reads any input.
     """
+    if args.reviews and args.labels:
+        _refuse_same_file("--labels", args.labels, [("--reviews", args.reviews)])
     named = [(flag, path) for flag, path in [("--reviews", args.reviews),
                                               ("--labels", args.labels), *inputs] if path]
     for flag, path in outputs:
@@ -241,7 +245,7 @@ def _refuse_shared_paths(args, outputs: list, inputs: list = ()) -> None:
         except OSError:  # a missing file is refused when it is opened
             continue
         if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-            raise DataError(f"{path} is not a regular file, so its digest cannot be taken")
+            raise DataError(f"{path} is not a regular file: a rerun cannot read its bytes again")
 
 
 def _prepare_out(path: str) -> str:
@@ -284,8 +288,7 @@ def _warn_parse_errors(path, errors) -> None:
 def _load_reviews(path, digest=None) -> list:
     """The reviews file's valid reviews, its warnings printed, its bytes fed to digest."""
     try:
-        with open(path, "rb") as fh:
-            reviews, errors = _read_reviews(fh, digest)
+        reviews, errors = read_reviews(path, digest)
     except OSError as exc:
         raise DataError(f"cannot read reviews file: {exc}") from exc
     _warn_parse_errors(path, errors)
@@ -648,37 +651,32 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _predict_input(path):
-    """The predict input, as a context manager over its stream, and its name."""
-    if path is None:
-        return nullcontext(sys.stdin), "<stdin>"
-    try:
-        return open_jsonl(path), path
-    except OSError as exc:
-        raise DataError(f"cannot read input file: {exc}") from exc
-
-
 def cmd_predict(args) -> int:
     """Answer each block of input lines with one matrix, one predict_batch and one write.
 
     A block is what one read of the input gives (see ``_line_blocks``): a
     file or bulk pipe gives many lines, a line written alone its own
-    block. Each block's answers are flushed before the next block is read. A
-    line that is not valid UTF-8 is skipped with a warning, written
-    after the answers to the lines before it and before those to the
-    lines after it, so stdout and stderr merged keep line order.
+    block. A named file and stdin's byte buffer end lines alike. Each
+    block's answers are flushed before the next block is read. A line
+    that is not valid UTF-8 is skipped with a warning, written after the
+    answers to the lines before it and before those to the lines after
+    it, so stdout and stderr merged keep line order.
     """
     from .features import FeaturePipeline
     from .network import load_model, predict_batch
 
     model = load_model(args.model)
     pipeline = FeaturePipeline(load_lexicons())
-    opened, source = _predict_input(args.input)
+    source = "<stdin>" if args.input is None else args.input
+    try:
+        opened = nullcontext(sys.stdin) if args.input is None else open(args.input, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read input file: {exc}") from exc
     with opened as stream:
-        buffer = getattr(stream, "buffer", None)
+        buffer = getattr(stream, "buffer", stream)
         # A stream of str lines only, such as a generator, gives a line at a time.
-        blocks = (_line_blocks(buffer, universal=args.input is not None)
-                  if hasattr(buffer, "read1") else enumerate(stream, start=1))
+        blocks = (_line_blocks(buffer) if hasattr(buffer, "read1")
+                  else enumerate(stream, start=1))
         for first, block in blocks:
             texts, skipped = [], []  # skipped: (answers before it, line number)
             # A block's closing "\n" leaves one more, empty, line: a blank one.

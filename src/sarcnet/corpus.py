@@ -40,9 +40,9 @@ Every input, a corpus file or ``predict``'s, is read by ``_line_blocks``:
 each ``read1`` of up to ``_BLOCK_SIZE`` bytes goes to the caller's hash
 object, if any, before it is decoded as by ``open_jsonl``, so a corpus
 digest is of exactly the bytes parsed, taken in the same read. A block
-is the whole lines one read completes, each with its "\\n" (a named
-file's "\\r\\n" and "\\r" end a line too, as in ``open``); a U+2028 or
-a form feed inside a text stays in its line. A line in the
+is the whole lines one read completes, each with its "\\n" ("\\r\\n" and
+a lone "\\r" end a line too, whatever the input, as in ``open``); a
+U+2028 or a form feed inside a text stays in its line. A line in the
 writers' own form skips even the scanner: sorted keys, ``json.dumps``'
 separators, and strings of printable ASCII with no quote or backslash,
 so each string is its own JSON value. That is ``_VOTE_LINE`` for a
@@ -293,18 +293,19 @@ def open_jsonl(path):
     return open(path, **_DECODING)
 
 
-def _line_blocks(stream, universal: bool, digest=None):
+def _line_blocks(stream, digest=None):
     """Yield (first line number, block) of a byte stream, a read at a time.
 
     Each ``read1`` returns what the file, pipe or terminal holds, up to
     _BLOCK_SIZE bytes, waiting only when it holds nothing; its bytes go
     to digest, if given, then decode as in ``open_jsonl``. A block is the
-    whole lines the read completes, each with its "\\n" ("\\r\\n" and "\\r"
-    too if universal, read as "\\n"). The stream's last line may have none.
+    whole lines the read completes, each with its "\\n" ("\\r\\n" and a
+    lone "\\r" too, read as "\\n"; a "\\r" that ends a read waits for the
+    next). The stream's last line may have none.
     """
-    decoder = codecs.getincrementaldecoder(_DECODING["encoding"])(_DECODING["errors"])
-    if universal:
-        decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder(_DECODING["encoding"])(_DECODING["errors"]),
+        translate=True)
     first, partial = 1, []
     while chunk := stream.read1(_BLOCK_SIZE):
         if digest is not None:
@@ -341,7 +342,7 @@ def _runs(fh, form_lines, form_runs, digest=None):
     of form lines, and the findall's rows are cut to fit them. fh is
     opened for bytes; ``_line_blocks`` reads it, feeding digest.
     """
-    for first, block in _line_blocks(fh, universal=True, digest=digest):
+    for first, block in _line_blocks(fh, digest):
         step = -(-len(block) // _PROBES)
         if not all(form_lines.match(block, block.rfind("\n", 0, at) + 1)
                    for at in range(0, len(block), step)):
@@ -367,24 +368,20 @@ def _runs(fh, form_lines, form_runs, digest=None):
             yield first + line, None, _lines(block[end:])
 
 
-def _read_reviews(fh, digest=None) -> tuple:
-    """(reviews, parse_errors) of a reviews file opened for bytes; see ``read_reviews``."""
-    reviews, errors, seen_ids = [], [], set()
-    for first, rows, lines in _runs(fh, re.compile(_REVIEW_LINES), re.compile(_REVIEW_RUNS),
-                                    digest):
-        _take_reviews(enumerate(rows if lines is None else lines, first),
-                      reviews, errors, seen_ids)
-    return reviews, errors
-
-
-def read_reviews(path) -> tuple:
+def read_reviews(path, digest=None) -> tuple:
     """(reviews, parse_errors) of a reviews file, as ``parse_review_stream`` gives them.
 
-    The file is read a block at a time; its runs of writer-form lines
-    take one findall (see the module docstring).
+    The file is read a block at a time, its bytes fed to digest, if
+    given; its runs of writer-form lines take one findall (see the
+    module docstring).
     """
+    reviews, errors, seen_ids = [], [], set()
     with open(path, "rb") as fh:
-        return _read_reviews(fh)
+        for first, rows, lines in _runs(fh, re.compile(_REVIEW_LINES),
+                                        re.compile(_REVIEW_RUNS), digest):
+            _take_reviews(enumerate(rows if lines is None else lines, first),
+                          reviews, errors, seen_ids)
+    return reviews, errors
 
 
 def _write_jsonl(path, mode: str, records) -> None:

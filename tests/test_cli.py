@@ -1,9 +1,10 @@
 """CLI behavior: subcommands, exit codes, artifacts, determinism.
 
 The tests drive ``sarcnet.cli.main`` in-process so coverage and
-monkeypatching work. Only six run the CLI in a fresh interpreter: five
-that need a real stdin, a pipe or a redirected file, and one that runs
-``predict`` with every warning made an error.
+monkeypatching work. Only ten run the CLI in a fresh interpreter: those
+that need a real stdin, a pipe, a redirected file, a named file read
+beside those two, or a child reaped by the system, and those that run
+with every warning, or dev mode's, made an error.
 """
 
 import errno
@@ -356,7 +357,7 @@ class TestOutputTemplates:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the output paths were checked")
 
-        monkeypatch.setattr(cli, "_read_reviews", refuse)
+        monkeypatch.setattr(cli, "read_reviews", refuse)
         monkeypatch.setattr(sarcnet.training, "_train_stars", refuse)
         monkeypatch.chdir(tmp_path)
         code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
@@ -382,7 +383,7 @@ class TestEmptyOutputPath:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read before the output paths were checked")
 
-        monkeypatch.setattr(cli, "_read_reviews", refuse)
+        monkeypatch.setattr(cli, "read_reviews", refuse)
         monkeypatch.chdir(tmp_path)
         code = run(argv[0], "--reviews", corpus["reviews"], "--labels", corpus["labels"],
                    "--stars", "3", *argv[1:])
@@ -481,6 +482,32 @@ class TestSharedPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"sarcnet: error: {message}\n"
+        assert {path: path.read_bytes() for path in work.iterdir()} == before
+
+    @pytest.mark.parametrize("labels", ["reviews.jsonl", "./reviews.jsonl",
+                                        "reviews-link.jsonl"],
+                             ids=["same-path", "dot-slash", "hard-link"])
+    @pytest.mark.parametrize("argv", [
+        ["ingest", *SPLIT],
+        ["extract"],
+        ["train", *FAST_TRAIN],
+        ["eval", *SPLIT, "--model", "model-{stars}.json"],
+        ["sweep", *FAST_TRAIN],
+    ], ids=["ingest", "extract", "train", "eval", "sweep"])
+    def test_labels_naming_the_reviews_file_is_refused_before_any_read(
+            self, work, capsys, monkeypatch, argv, labels):
+        """The reviews would be read as votes: one warning per review, then empty
+        labels (extract) or empty pools (the others)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a corpus file was read before --labels was checked")
+
+        monkeypatch.setattr(sarcnet.corpus, "_runs", refuse)
+        os.link(work / "reviews.jsonl", work / "reviews-link.jsonl")
+        before = {path: path.read_bytes() for path in work.iterdir()}
+        assert run(argv[0], "--reviews", "reviews.jsonl", "--labels", labels,
+                   "--stars", "2", *argv[1:]) == 1
+        assert capsys.readouterr() == ("", f"sarcnet: error: --labels {labels!r} names the "
+                                           "same file as --reviews 'reviews.jsonl'\n")
         assert {path: path.read_bytes() for path in work.iterdir()} == before
 
 
@@ -1001,7 +1028,8 @@ class TestExtract:
         done = run_process(["extract", "--reviews", "/dev/stdin", "--stars", "1",
                             "--out", str(out)], input=Path(corpus["reviews"]).read_bytes())
         assert done.returncode == 2
-        assert b"/dev/stdin is not a regular file" in done.stderr
+        assert done.stderr == (b"sarcnet: data error: /dev/stdin is not a regular file: "
+                               b"a rerun cannot read its bytes again\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("extract", "--reviews"),
@@ -1016,8 +1044,8 @@ class TestExtract:
                             "--stars", "1", "--out", str(out)],
                            input=b"{\n" + Path(corpus[name]).read_bytes())
         assert (done.returncode, done.stdout) == (2, b"")
-        assert done.stderr == (b"sarcnet: data error: /dev/stdin is not a regular file, "
-                               b"so its digest cannot be taken\n")
+        assert done.stderr == (b"sarcnet: data error: /dev/stdin is not a regular file: "
+                               b"a rerun cannot read its bytes again\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_redirected_reviews_record_their_digest(self, corpus, tmp_path):
@@ -1271,7 +1299,7 @@ class TestEval:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read before the model was loaded")
 
-        monkeypatch.setattr(cli, "_read_reviews", refuse)
+        monkeypatch.setattr(cli, "read_reviews", refuse)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "notes.json").write_text("not a model\n")
         code = run("eval", "--reviews", corpus["reviews"], "--labels", corpus["labels"],
@@ -1372,8 +1400,8 @@ class TestPredict:
         model = str(trained["model"])
         blocks = []
 
-        def spy(stream, universal):
-            for first, block in line_blocks(stream, universal):
+        def spy(stream):
+            for first, block in line_blocks(stream):
                 blocks.append(block.count("\n"))
                 yield first, block
 
@@ -1446,6 +1474,45 @@ class TestPredict:
             "answer", "answer", "warning:", "answer", "warning:", "warning:", "answer",
             "answer"]
         assert "warning: <stdin>:3: invalid UTF-8\n" in out.getvalue()
+
+    def test_a_named_file_a_redirect_and_a_pipe_end_lines_alike(self, trained, tmp_path,
+                                                                minicorpus_dir):
+        """One byte file given as an argument, redirected to stdin and piped through
+        cat: "\\r\\n" and a lone "\\r" end a line every way, so stdout and stderr
+        merged are byte for byte the same, warning line numbers included."""
+        size = sarcnet.corpus._BLOCK_SIZE
+        texts = [json.loads(line)["text"].encode() for line in
+                 (minicorpus_dir / "reviews.jsonl").read_bytes().splitlines()]
+        data = b""
+        for i, text in enumerate(texts):
+            if len(data) + len(text) + 40 > size:
+                break
+            data += text + (b"\r\n", b"\r", b"\n")[i % 3]
+        # A line whose "\r\n" is cut by the end of the first read.
+        data += (b"Oh great!! " * size)[:size - 1 - len(data)] + b"\r\n"
+        assert data[size - 1:size + 1] == b"\r\n"
+        data += (b"so \xff bad\r\n" + b"\r\n" + b"The soup was warm.\r\xfe\r"
+                 + b"Wow!! just what we needed...\n" + b"Oh great, cold soup?!")
+        path = tmp_path / "texts.txt"
+        path.write_bytes(data)
+        merged = {"stdout": subprocess.PIPE, "stderr": subprocess.STDOUT}
+        command = cli_process(["predict", "--model", str(trained["model"])])
+        named = subprocess.run(**dict(command, args=[*command["args"], str(path)]), **merged)
+        with open(path, "rb") as fh:
+            redirected = subprocess.run(**command, stdin=fh, **merged)
+        with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+            piped = subprocess.run(**command, stdin=cat.stdout, **merged)
+        assert named.returncode == redirected.returncode == piped.returncode == 0
+        out = named.stdout.replace(f"warning: {path}:".encode(), b"warning: <stdin>:")
+        assert out == redirected.stdout == piped.stdout
+        lines = list(io.TextIOWrapper(io.BytesIO(data), **sarcnet.corpus._DECODING))
+        bad = [number for number, line in enumerate(lines, 1)
+               if sarcnet.corpus._UNDECODABLE.search(line)]
+        assert [line for line in out.decode().splitlines() if line.startswith("warning")] == [
+            f"warning: <stdin>:{number}: invalid UTF-8" for number in bad]
+        assert len(bad) == 2
+        assert out.count(b"sarcastic 0.") == sum(
+            1 for number, line in enumerate(lines, 1) if number not in bad and line.strip())
 
     def test_model_file_with_invalid_utf8_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "bad.json"

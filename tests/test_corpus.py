@@ -830,25 +830,24 @@ class TestBlockReader:
     def test_blocks_split_at_newlines_only(self):
         text = "a\u2028b\x85c\x0cd\x1c\ne\n\nfg\nh"
         with block_size(8):
-            blocks = list(_line_blocks(io.BytesIO(text.encode()), True))
+            blocks = list(_line_blocks(io.BytesIO(text.encode())))
         # Reads of 8 bytes: "a\u2028b\x85c", "\x0cd\x1c\ne\n\nf", "g\nh".
         assert blocks == [(1, "a\u2028b\x85c\x0cd\x1c\ne\n\n"), (4, "fg\n"), (5, "h")]
 
     @settings(max_examples=200, deadline=None)
     @given(pieces=st.lists(st.sampled_from(
         ["ok", " ", "\n", "\r", "\r\n", "\xe9", "\U0001f600", "\u2028", "!!", b"\xff", b"\xc3"]),
-        max_size=40), size=st.integers(1, 9), universal=st.booleans())
-    def test_blocks_give_the_lines_a_text_stream_gives(self, pieces, size, universal):
+        max_size=40), size=st.integers(1, 9))
+    def test_blocks_give_the_lines_a_text_stream_gives(self, pieces, size):
         """Whatever bytes each read ends on, the blocks hold the lines, numbers and
-        characters that iterating a text stream over the same bytes gives: a named
-        file's stream splits at "\\r\\n" and "\\r" as well, stdin's at "\\n" only.
+        characters that iterating ``open_jsonl``'s text stream over the same bytes
+        gives: split at "\\n", "\\r\\n" and a lone "\\r", whatever the input.
         The hash is fed every byte read, in order."""
         data = b"".join(p if isinstance(p, bytes) else p.encode() for p in pieces)
-        oracle = io.TextIOWrapper(io.BytesIO(data), newline=None if universal else "\n",
-                                  **corpus._DECODING)
+        oracle = io.TextIOWrapper(io.BytesIO(data), **corpus._DECODING)
         digest = hashlib.sha256()
         with block_size(size):
-            blocks = list(_line_blocks(io.BytesIO(data), universal, digest))
+            blocks = list(_line_blocks(io.BytesIO(data), digest))
         assert [(number, line) for first, block in blocks
                 for number, line in enumerate(io.StringIO(block, newline="\n"), start=first)
                 ] == list(enumerate(oracle, 1))
